@@ -29,11 +29,13 @@ func (e *LeaderPanicError) Error() string {
 }
 
 // call is one in-flight computation: the leader fills val/err and closes
-// done; waiters block on done.
+// done; waiters block on done. dups counts the waiters that joined,
+// guarded by the group's mu.
 type call[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	dups int
 }
 
 // Outcome is one flight member's view of a Do call.
@@ -74,6 +76,7 @@ type Group[V any] struct {
 func (g *Group[V]) Do(ctx context.Context, key Key, fn func() (V, error)) Outcome[V] {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		select {
 		case <-c.done:

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultpoint"
 )
@@ -25,7 +26,6 @@ func TestSingleflightCollapsesConcurrentCalls(t *testing.T) {
 	var g Group[int]
 	var runs atomic.Int64
 	release := make(chan struct{})
-	started := make(chan struct{}, n)
 
 	var wg sync.WaitGroup
 	outcomes := make([]Outcome[int], n)
@@ -33,7 +33,6 @@ func TestSingleflightCollapsesConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			outcomes[i] = g.Do(context.Background(), flightKey(1), func() (int, error) {
 				runs.Add(1)
 				<-release // hold the flight open until all n have joined
@@ -41,8 +40,10 @@ func TestSingleflightCollapsesConcurrentCalls(t *testing.T) {
 			})
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
+	// Release the leader only once every other caller has joined its
+	// flight; a caller still on its way to Do would start a new one.
+	for joinedWaiters(&g, flightKey(1)) < n-1 {
+		time.Sleep(100 * time.Microsecond)
 	}
 	close(release)
 	wg.Wait()
@@ -65,6 +66,16 @@ func TestSingleflightCollapsesConcurrentCalls(t *testing.T) {
 	if g.Inflight() != 0 {
 		t.Fatalf("flight not dissolved: %d in flight", g.Inflight())
 	}
+}
+
+// joinedWaiters reports how many waiters have joined key's open flight.
+func joinedWaiters[V any](g *Group[V], key Key) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.dups
+	}
+	return 0
 }
 
 // TestSingleflightCancelledWaiterLeavesLeaderRunning: a waiter whose

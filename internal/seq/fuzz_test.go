@@ -62,3 +62,28 @@ func FuzzNewSequence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKmerProfileMatchesReference checks the packed k-mer profile against
+// the map-based reference profile on arbitrary residue strings: totals,
+// per-k-mer counts, distance and identity must agree bit for bit, on
+// both sides of the packed-prefix boundary (k > packMax).
+func FuzzKmerProfileMatchesReference(f *testing.F) {
+	f.Add("ACGTACGTAC", "ACGTTCGTAC", uint8(3), uint8(0))
+	f.Add("AAAAAAAAAAAAAAAAAAAA", "AAAAAAAAAAAAAAAAAAAC", uint8(13), uint8(2))
+	f.Add("ARNDCQEGHILKMARNDCQEGHILKF", "ARNDCQEGHILKFARNDCQEGHILKM", uint8(13), uint8(2))
+	f.Add("", "ACGU", uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, a, b string, k, alpha uint8) {
+		al := []*Alphabet{DNA, RNA, Protein}[int(alpha)%3]
+		keep := func(s string) string {
+			var out []byte
+			for i := 0; i < len(s); i++ {
+				if al.Code(s[i]) >= 0 {
+					out = append(out, s[i])
+				}
+			}
+			return string(out)
+		}
+		sa, sb := MustNew("a", keep(a), al), MustNew("b", keep(b), al)
+		checkAgainstRef(t, sa, sb, 1+int(k)%24)
+	})
+}
