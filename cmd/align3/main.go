@@ -329,7 +329,11 @@ func printPlan(w io.Writer, pl *repro.Plan) {
 			pl.EstEvaluatedCells)
 	}
 	for _, d := range pl.Downgrades {
-		fmt.Fprintf(w, "downgrade: %s\n", d)
+		if d.Forced {
+			fmt.Fprintf(w, "downgrade: %s→%s: forced by fault point plan.downgrade\n", d.From, d.To)
+			continue
+		}
+		fmt.Fprintf(w, "downgrade: %s→%s: est %d bytes over the %d-byte budget\n", d.From, d.To, d.EstBytes, d.BudgetBytes)
 	}
 	if pl.Degraded {
 		fmt.Fprintln(w, "degraded: no exact kernel fits the budget; the planned score is a heuristic lower bound")

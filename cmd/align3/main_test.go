@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	repro "repro"
 	"strconv"
 	"strings"
@@ -74,6 +75,17 @@ func TestRunPrunedPrintsStats(t *testing.T) {
 	out := runCLI(t, []string{"-algorithm", "pruned"}, testFASTA)
 	if !strings.Contains(out, "carrillo-lipman") {
 		t.Errorf("pruned run missing pruning stats:\n%s", out)
+	}
+}
+
+// TestExplainRendersDowngrade: -explain renders each typed downgrade
+// record as one "downgrade: from→to" line with its estimate and budget.
+func TestExplainRendersDowngrade(t *testing.T) {
+	fasta := ">a\n" + strings.Repeat("ACGT", 15) + "\n>b\n" + strings.Repeat("ACGA", 15) + "\n>c\n" + strings.Repeat("AGGT", 15) + "\n"
+	out := runCLI(t, []string{"-explain", "-max-mem", "100000"}, fasta)
+	want := regexp.MustCompile(`(?m)^downgrade: parallel→parallel-linear: est \d+ bytes over the 100000-byte budget$`)
+	if !want.MatchString(out) {
+		t.Fatalf("explain output missing the rendered downgrade:\n%s", out)
 	}
 }
 
@@ -145,7 +157,8 @@ func TestRunJSONFormat(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if rep.Algorithm != "pruned" || rep.Columns == 0 {
+	// "pruned" is an alias: the report names the kernel that ran.
+	if rep.Algorithm != "bounded" || rep.Columns == 0 {
 		t.Fatalf("report content wrong: %+v", rep)
 	}
 	if len(rep.Rows[0]) != rep.Columns || len(rep.Conservation) != rep.Columns {

@@ -50,7 +50,7 @@ type kernelMetric struct {
 	// (so McellsPerS is the honest per-evaluated-cell rate the planner
 	// calibrates against), while the similarity-sweep rows
 	// ("bounded-idNN") report Cells = the whole lattice (so McellsPerS is
-	// the effective throughput comparable to the "full" row).
+	// the effective throughput comparable to the "full-packed" row).
 	EvaluatedFraction float64 `json:"evaluated_fraction,omitempty"`
 }
 
@@ -264,23 +264,20 @@ func writeBenchJSON(path string, cfg config) error {
 		frac  float64 // evaluated fraction (bounded-search rows only)
 		sched bool    // goes through the wavefront block scheduler
 	}{
-		{"full", n, lattice(tr), func() {
+		// The full and parallel kernels run the lane-packed interior; the
+		// rows keep the -packed names they were first measured under, which
+		// are also the planner's rate keys for those kernels.
+		{"full-packed", n, lattice(tr), func() {
 			mustAlign(core.AlignFull(ctx, tr, sch, core.Options{}))
 		}, cells(tr), 0, false},
-		{"full-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignFullPacked(ctx, tr, sch, core.Options{}))
-		}, cells(tr), 0, false},
 		{"full-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignFullPacked(ctx, tr, sch, core.Options{CellWidth: 16}))
+			mustAlign(core.AlignFull(ctx, tr, sch, core.Options{CellWidth: 16}))
 		}, cells(tr), 0, false},
-		{"parallel", n, lattice(tr), func() {
+		{"parallel-packed", n, lattice(tr), func() {
 			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{}))
 		}, cells(tr), 0, true},
-		{"parallel-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{}))
-		}, cells(tr), 0, true},
 		{"parallel-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{CellWidth: 16}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{CellWidth: 16}))
 		}, cells(tr), 0, true},
 		{"score", n, 2 * int64(tr.B.Len()+1) * int64(tr.C.Len()+1) * 4, func() {
 			if _, err := core.Score(ctx, tr, sch, core.Options{}); err != nil {
@@ -289,14 +286,6 @@ func writeBenchJSON(path string, cfg config) error {
 		}, cells(tr), 0, false},
 		{"linear", n, core.LinearBytes(tr), func() {
 			mustAlign(core.AlignLinear(ctx, tr, sch, core.Options{}))
-		}, cells(tr), 0, false},
-		{"pruned", n, lattice(tr), func() {
-			if _, _, err := core.AlignPruned(ctx, tr, sch, core.Options{}); err != nil {
-				panic(err)
-			}
-		}, cells(tr), 0, false},
-		{"diagonal", n, lattice(tr), func() {
-			mustAlign(core.AlignDiagonal(ctx, tr, sch, core.Options{}))
 		}, cells(tr), 0, false},
 		{"affine7", nAff, 7 * lattice(trAff), func() {
 			mustAlign(core.AlignAffine(ctx, trAff, affSch, core.Options{}))
@@ -326,8 +315,9 @@ func writeBenchJSON(path string, cfg config) error {
 			}
 		}, stA60.EvaluatedCells, stA60.Fraction(), false},
 		// Similarity sweep: Cells = whole lattice, so McellsPerS is the
-		// effective throughput comparable to the "full" row. CI asserts the
-		// 80%-identity row beats "full" and evaluates ≤25% of the lattice.
+		// effective throughput comparable to the "full-packed" row. CI
+		// asserts the 80%-identity row beats "full-packed" and evaluates
+		// ≤25% of the lattice.
 		{"bounded-id60", nB, b60.stats.EvaluatedCells * 4, runBoundedRow(b60),
 			b60.stats.TotalCells, b60.stats.Fraction(), false},
 		{"bounded-id80", nB, b80.stats.EvaluatedCells * 4, runBoundedRow(b80),

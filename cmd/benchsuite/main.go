@@ -75,7 +75,6 @@ var experiments = []experiment{
 	{"f2", "F2: parallel efficiency vs workers", runF2},
 	{"f3", "F3: block-size ablation", runF3},
 	{"t3", "T3: exact vs heuristic quality", runT3},
-	{"f4", "F4: Carrillo-Lipman pruning vs identity", runF4},
 	{"t4", "T4: unequal lengths, constant volume", runT4},
 	{"f5", "F5: parallel linear-space scaling", runF5},
 	{"t5", "T5: affine vs linear gap model", runT5},
@@ -97,7 +96,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	var (
-		expFlag   = fs.String("exp", "all", "comma-separated experiment ids (t1,t2,f1,f2,f3,t3,f4,t4,f5,t5,f6,f7,f8,f9,f10) or 'all'")
+		expFlag   = fs.String("exp", "all", "comma-separated experiment ids (t1,t2,f1,f2,f3,t3,t4,f5,t5,f6,f7,f8,f9,f10) or 'all'")
 		quick     = fs.Bool("quick", false, "reduced sizes and repetitions")
 		reps      = fs.Int("reps", 3, "repetitions per configuration")
 		csvOut    = fs.Bool("csv", false, "emit CSV instead of text tables")
@@ -344,32 +343,6 @@ func runT3(cfg config) error {
 	return cfg.render(tab)
 }
 
-func runF4(cfg config) error {
-	n := pick(cfg.quick, 64, 96)
-	tab := bench.NewTable(fmt.Sprintf("F4: Carrillo-Lipman pruning vs identity (n=%d)", n),
-		"identity", "evaluated", "total", "fraction", "pruned time", "full time")
-	tab.Caption = "expected: evaluated fraction drops sharply as identity rises"
-	for _, id := range []float64{0.5, 0.7, 0.9, 0.95} {
-		tr := triple(7000+int64(id*100), n, 1-id)
-		bound := mustAlign(msa.CenterStar(tr, dnaSch()))
-		var st core.PruneStats
-		tPruned := bench.Measure(cfg.reps, func() {
-			aln, stats, err := core.AlignPruned(context.Background(), tr, dnaSch(), core.Options{}, bound.Score)
-			if err != nil {
-				panic(err)
-			}
-			_ = aln
-			st = stats
-		})
-		tFull := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
-		})
-		tab.AddRowf(fmt.Sprintf("%.0f%%", id*100), st.EvaluatedCells, st.TotalCells,
-			st.Fraction(), tPruned.Mean, tFull.Mean)
-	}
-	return cfg.render(tab)
-}
-
 func runT4(cfg config) error {
 	shapes := pick(cfg.quick,
 		[][3]int{{48, 48, 48}, {96, 48, 24}, {192, 24, 24}},
@@ -436,8 +409,8 @@ func runT5(cfg config) error {
 func runF6(cfg config) error {
 	lengths := pick(cfg.quick, []int{48, 96}, []int{64, 128, 192})
 	tab := bench.NewTable("F6: blocked wavefront vs plane-synchronized schedule (workers=GOMAXPROCS)",
-		"n", "blocked time", "diagonal time", "diagonal/blocked", "pruned-parallel time")
-	tab.Caption = "expected: blocked tiles beat per-plane barriers, more so as n grows;\npruned-parallel wins further on similar sequences"
+		"n", "blocked time", "diagonal time", "diagonal/blocked")
+	tab.Caption = "expected: blocked tiles beat per-plane barriers, more so as n grows;\nblocked runs the lane-packed interior, diagonal the scalar cell recurrence"
 	for _, n := range lengths {
 		tr := triple(11000+int64(n), n, 0.3)
 		tBlocked := bench.Measure(cfg.reps, func() {
@@ -446,15 +419,7 @@ func runF6(cfg config) error {
 		tDiag := bench.Measure(cfg.reps, func() {
 			mustAlign(core.AlignDiagonal(context.Background(), tr, dnaSch(), core.Options{}))
 		})
-		bound := mustAlign(msa.CenterStar(tr, dnaSch()))
-		tPruned := bench.Measure(cfg.reps, func() {
-			_, _, err := core.AlignPrunedParallel(context.Background(), tr, dnaSch(), core.Options{}, bound.Score)
-			if err != nil {
-				panic(err)
-			}
-		})
-		tab.AddRowf(n, tBlocked.Mean, tDiag.Mean,
-			float64(tDiag.Mean)/float64(tBlocked.Mean), tPruned.Mean)
+		tab.AddRowf(n, tBlocked.Mean, tDiag.Mean, float64(tDiag.Mean)/float64(tBlocked.Mean))
 	}
 	return cfg.render(tab)
 }

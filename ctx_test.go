@@ -40,7 +40,9 @@ func TestAlignContextMidFlightDeadline(t *testing.T) {
 		t.Skip("large lattice")
 	}
 	g := NewGenerator(DNA, 302)
-	tr := g.RelatedTriple(200, MutationModel{SubstitutionRate: 0.15})
+	// 320³ ≈ 33M cells keeps the lane-packed blocked fill busy well past
+	// the deadline on a few cores.
+	tr := g.RelatedTriple(320, MutationModel{SubstitutionRate: 0.15})
 	// Warm the shared worker pool before capturing the goroutine baseline:
 	// pool workers persist across runs by design and must not read as leaks.
 	warm := g.RelatedTriple(24, MutationModel{SubstitutionRate: 0.1})
@@ -49,14 +51,14 @@ func TestAlignContextMidFlightDeadline(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err := AlignContext(ctx, tr, Options{Algorithm: AlgorithmParallel, Workers: 4})
 	elapsed := time.Since(start)
 
 	if err == nil {
-		t.Fatal("200^3 alignment finished under a 20ms deadline — lattice too small to test cancellation")
+		t.Fatal("320^3 alignment finished under a 5ms deadline — lattice too small to test cancellation")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
@@ -146,7 +148,7 @@ func TestAlignContextDeadParentNoFallback(t *testing.T) {
 	}
 	g := NewGenerator(DNA, 307)
 	tr := g.RelatedTriple(150, MutationModel{SubstitutionRate: 0.1})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	res, err := AlignContext(ctx, tr, Options{Algorithm: AlgorithmParallel, Fallback: true})
 	if err == nil {

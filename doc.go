@@ -3,7 +3,7 @@
 // Tang; ICPP 2007): exact, optimal alignment of three biological sequences
 // under the sum-of-pairs objective, parallelized with a blocked-wavefront
 // schedule over goroutines, with a linear-space divide-and-conquer variant
-// for long sequences and Carrillo–Lipman pruning.
+// for long sequences and Carrillo–Lipman bounded search.
 //
 // This package is the public facade. The one-call entry point:
 //
@@ -60,7 +60,8 @@
 //
 // Options.MaxMemoryBytes is a soft budget the planner satisfies by
 // downgrading — full lattice to linear space to, as a last resort, the
-// center-star-refined heuristic — recording each step in Plan.Downgrades.
+// center-star-refined heuristic — recording each step in Plan.Downgrades
+// as a {from, to, est_bytes, budget_bytes, forced} record.
 // Linear-space downgrades keep the score optimal; only the heuristic last
 // resort marks the Result Degraded (with an ErrTooLarge cause). MaxBytes
 // stays the hard cap: an explicitly requested kernel over it fails with
@@ -87,10 +88,10 @@
 // hint with a one-sided failure mode: kernels re-verify the bound at
 // dispatch and silently run 32-bit cells when it does not hold, so a
 // stale plan can cost memory bandwidth but can never truncate a score.
-// The -packed algorithm variants (AlgorithmFullPacked,
-// AlgorithmParallelPacked — the Auto defaults for linear-gap schemes)
-// additionally vectorize the interior loop along the unit-stride axis;
-// they are exact and bit-identical to their scalar counterparts.
+// The full-lattice kernels (AlgorithmFull, AlgorithmParallel — the Auto
+// defaults for linear-gap schemes) additionally vectorize the interior
+// loop along the unit-stride axis; the differential tests pin them
+// bit-identical to a verbatim scalar recurrence.
 //
 // The underlying algorithm implementations live in internal/core; sequence
 // and scoring substrates in internal/seq and internal/scoring; heuristic

@@ -1,8 +1,8 @@
 // DNA consensus: align three homologous DNA sequences (three descendants of
 // a common ancestor, the paper's motivating workload), then derive a
 // majority consensus and per-column conservation from the optimal
-// alignment. Exercises the pruned exact aligner and the alignment
-// statistics API.
+// alignment. Exercises the Carrillo–Lipman bounded exact aligner and the
+// alignment statistics API.
 //
 //	go run ./examples/dnaconsensus
 package main
@@ -25,7 +25,7 @@ func main() {
 		DeletionRate:     0.03,
 	})
 
-	res, err := repro.Align(tr, repro.Options{Algorithm: repro.AlgorithmPruned})
+	res, err := repro.Align(tr, repro.Options{Algorithm: repro.AlgorithmBounded})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func main() {
 	for i, c := range cands {
 		triples[i] = repro.Triple{A: refA, B: refB, C: c.seq}
 	}
-	results := repro.AlignBatch(triples, repro.Options{Algorithm: repro.AlgorithmPruned})
+	results := repro.AlignBatch(triples, repro.Options{Algorithm: repro.AlgorithmBounded})
 
 	type row struct {
 		name, kind string

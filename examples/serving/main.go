@@ -67,7 +67,7 @@ func main() {
 		} `json:"results"`
 	}
 	post(base+"/v1/align/batch", map[string]any{
-		"defaults": map[string]any{"alphabet": "dna", "algorithm": "pruned"},
+		"defaults": map[string]any{"alphabet": "dna", "algorithm": "bounded"},
 		"items": []map[string]any{
 			{"a": "ACGTACGTACGT", "b": "ACGTTCGTACGT", "c": "ACGAACGTACGT"},
 			{"a": "AAAACCCCGGGG", "b": "AAATCCCCGGGG", "c": "AATACCCCGGGG", "algorithm": "full"},

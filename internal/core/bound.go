@@ -22,10 +22,8 @@ import (
 // alignment, which sum to ≥ L by definition of SP score… see DESIGN.md
 // "Bounded search" for the full derivation).
 //
-// The through form folds the old six forward/backward planes into three,
-// halving both the per-cell admissibility loads and the resident plane
-// bytes; the pre-change six-plane kernel survives as the diff-test
-// reference (reference_test.go).
+// The through form folds six forward/backward planes into three, halving
+// both the per-cell admissibility loads and the resident plane bytes.
 type boundCtx struct {
 	tAB, tAC, tBC *mat.Plane
 	bound         mat.Score

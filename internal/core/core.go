@@ -3,7 +3,8 @@
 // over the same objective:
 //
 //   - AlignFull: sequential full-matrix 3D dynamic programming with
-//     traceback. O(n·m·p) time and space.
+//     traceback, on the lane-packed k-lane interior. O(n·m·p) time and
+//     space.
 //   - AlignParallel: the paper's parallel algorithm. The 3D lattice is
 //     tiled into blocks evaluated in wavefront order by a goroutine pool;
 //     blocks on an anti-diagonal plane are independent.
@@ -13,15 +14,17 @@
 //   - AlignParallelLinear: the Hirschberg recursion with every plane sweep
 //     parallelized by a 2D blocked wavefront, and independent sub-problems
 //     solved concurrently.
+//   - AlignBounded and AlignAStar: Carrillo–Lipman bounded search over the
+//     admissible band (or the A* frontier) derived from pairwise
+//     projection bounds; memory scales with the cells the bound admits.
 //   - AlignAffine: the 7-state generalization of Gotoh's algorithm with
 //     quasi-natural affine gap costs.
-//   - AlignPruned: full-matrix DP restricted to the Carrillo–Lipman
-//     admissible region derived from pairwise projection bounds.
+//   - AlignDiagonal: the plane-synchronized cell-level wavefront, kept as
+//     the ablation the blocked schedule is measured against.
 //
 // All algorithms maximize the linear-gap sum-of-pairs objective defined by
-// a scoring.Scheme (AlignAffine maximizes the affine variant) and, except
-// for the heuristically bounded pruning statistics, return identical
-// optimal scores.
+// a scoring.Scheme (the affine kernels maximize the affine variant) and
+// return identical optimal scores.
 package core
 
 import (
@@ -63,11 +66,11 @@ type Options struct {
 	// adaptive heuristic.
 	TileDims [3]int
 	// CellWidth selects the lattice cell storage width in bits for the
-	// width-aware kernels (AlignFull, AlignParallel and their packed
-	// variants): 16 requests an int16 lattice, 0 or 32 the default int32.
-	// The kernels re-verify the request with the Int16Safe bound and keep
-	// int32 silently when the narrow width could overflow, so a stale or
-	// hostile value can cost bandwidth but never correctness.
+	// width-aware kernels (AlignFull and AlignParallel): 16 requests an
+	// int16 lattice, 0 or 32 the default int32. The kernels re-verify the
+	// request with the Int16Safe bound and keep int32 silently when the
+	// narrow width could overflow, so a stale or hostile value can cost
+	// bandwidth but never correctness.
 	CellWidth int
 }
 
@@ -120,76 +123,6 @@ func LinearBytes(tr seq.Triple) int64 {
 // all three sequences.
 func colXXX(sch *scoring.Scheme, ai, bj, ck int8) mat.Score {
 	return sch.Sub(ai, bj) + sch.Sub(ai, ck) + sch.Sub(bj, ck)
-}
-
-// fillRange computes every lattice cell in the box si×sj×sk in
-// lexicographic order. The caller guarantees all predecessor cells outside
-// the box are already computed (true for sequential whole-lattice fills and
-// for wavefront-scheduled blocks). Pair scores come from the precomputed
-// tables; ge2 is 2·GapExtend.
-//
-// The box is peeled into explicit boundary passes (i == 0 plane, j == 0
-// row, k == 0 column) and a branch-minimal interior loop, so the interior
-// carries no per-cell boundary tests and no nil-lane checks.
-func fillRange[T mat.Cell](t *mat.Tensor3Of[T], st *scoreTablesOf[T], ge2 T, si, sj, sk wavefront.Span) {
-	if fpFill.Fire() {
-		panic("faultpoint: core.fill.block")
-	}
-	if si.Lo == 0 {
-		fillBoundaryI0(t, st, ge2, sj, sk)
-	}
-	for i := max(si.Lo, 1); i < si.Hi; i++ {
-		abRow := st.ab.Row(i)
-		acRow := st.ac.Row(i)
-		if sj.Lo == 0 {
-			fillBoundaryJ0(t, ge2, i, acRow, sk)
-		}
-		for j := max(sj.Lo, 1); j < sj.Hi; j++ {
-			fillLane(t, ge2, i, j, abRow[j], acRow, st.bc.Row(j), sk)
-		}
-	}
-}
-
-// fillLane fills the interior k-lane of cell row (i, j), i ≥ 1, j ≥ 1. The
-// four predecessor lanes are hoisted and re-sliced to the span's upper
-// bound so the compiler elides every interior bounds check (verified with
-// -gcflags=-d=ssa/check_bce), and the k-1 predecessors are carried in
-// registers across iterations, so each lattice and table element is loaded
-// exactly once.
-func fillLane[T mat.Cell](t *mat.Tensor3Of[T], ge2 T, i, j int, sAB T, acRow, bcRow []T, sk wavefront.Span) {
-	hi := sk.Hi
-	cur := t.Lane(i, j)[:hi:hi]
-	lane11 := t.Lane(i-1, j-1)[:hi]
-	lane10 := t.Lane(i-1, j)[:hi]
-	lane01 := t.Lane(i, j-1)[:hi]
-	acRow = acRow[:hi]
-	bcRow = bcRow[:hi]
-	lo := sk.Lo
-	if lo < 1 {
-		// k == 0 column: only the k-preserving moves XXG, XGG, GXG apply.
-		cur[0] = max(lane11[0]+sAB, lane10[0], lane01[0]) + ge2
-		lo = 1
-	}
-	if lo >= hi {
-		return
-	}
-	v11, v10, v01 := lane11[lo-1], lane10[lo-1], lane01[lo-1]
-	vkk := cur[lo-1]
-	for k := lo; k < hi; k++ {
-		n11, n10, n01 := lane11[k], lane10[k], lane01[k]
-		sac, sbc := acRow[k], bcRow[k]
-		best := max(
-			v11+sAB+sac+sbc, // XXX
-			v10+sac+ge2,     // XGX
-			v01+sbc+ge2,     // GXX
-			vkk+ge2,         // GGX
-			n11+sAB+ge2,     // XXG
-			n10+ge2,         // XGG
-			n01+ge2,         // GXG
-		)
-		cur[k] = best
-		v11, v10, v01, vkk = n11, n10, n01, best
-	}
 }
 
 // fillBoundaryI0 fills the i == 0 plane portion of the box: only the moves
@@ -299,35 +232,21 @@ func prepare(tr seq.Triple, sch *scoring.Scheme) (ca, cb, cc []int8, err error) 
 }
 
 // AlignFull computes an optimal alignment with the sequential full-matrix
-// algorithm. The context is polled at every i-plane boundary. When
-// Options.CellWidth asks for — and the Int16Safe bound admits — a 16-bit
-// lattice, the fill runs over int16 cells at half the memory traffic and
-// produces bit-identical scores.
+// algorithm. The unit-stride k lane runs the lane-packed interior (see
+// packed.go): an AVX2 max-plus scan where the host has it, unrolled
+// bounds-check-free windows elsewhere. The context is polled at every
+// i-plane boundary. When Options.CellWidth asks for — and the Int16Safe
+// bound admits — a 16-bit lattice, the fill runs over int16 cells at half
+// the memory traffic and produces bit-identical scores.
 func AlignFull(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
 	}
 	if useInt16(opt, sch, ca, cb, cc) {
-		return alignFullOf[int16](ctx, tr, ca, cb, cc, sch, opt, false)
+		return alignFullOf[int16](ctx, tr, ca, cb, cc, sch, opt)
 	}
-	return alignFullOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, false)
-}
-
-// AlignFullPacked is AlignFull with the lane-packed interior: the unit-
-// stride k lane advances four cells per iteration with hand-unrolled,
-// bounds-check-free max chains. Scores and moves are bit-identical to
-// AlignFull (integer max is associative and commutative, so regrouping the
-// chain cannot change any cell).
-func AlignFullPacked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if useInt16(opt, sch, ca, cb, cc) {
-		return alignFullOf[int16](ctx, tr, ca, cb, cc, sch, opt, true)
-	}
-	return alignFullOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, true)
+	return alignFullOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt)
 }
 
 // latticeNeed is the width-aware admission size of the full lattice.
@@ -335,7 +254,7 @@ func latticeNeed[T mat.Cell](ca, cb, cc []int8) int64 {
 	return int64(mat.CellBytes[T]()) * int64(len(ca)+1) * int64(len(cb)+1) * int64(len(cc)+1)
 }
 
-func alignFullOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
+func alignFullOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -348,21 +267,14 @@ func alignFullOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []in
 	defer mat.PutTensor3Of(t)
 	ge2 := T(2 * sch.GapExtend())
 	var lv laneVec
-	if packed {
-		initLaneVec(&lv, ca, cb, cc, sch, ge2)
-	}
+	initLaneVec(&lv, ca, cb, cc, sch, ge2)
 	sj := wavefront.Span{Lo: 0, Hi: len(cb) + 1}
 	sk := wavefront.Span{Lo: 0, Hi: len(cc) + 1}
 	for i := 0; i <= len(ca); i++ {
 		if err := checkCtx(ctx); err != nil {
 			return nil, err
 		}
-		si := wavefront.Span{Lo: i, Hi: i + 1}
-		if packed {
-			fillRangePacked(t, st, ge2, si, sj, sk, &lv)
-		} else {
-			fillRange(t, st, ge2, si, sj, sk)
-		}
+		fillRangePacked(t, st, ge2, wavefront.Span{Lo: i, Hi: i + 1}, sj, sk, &lv)
 	}
 	moves, err := tracebackTensor(t, ca, cb, cc, sch)
 	if err != nil {
@@ -373,34 +285,22 @@ func alignFullOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []in
 
 // AlignParallel computes the same optimum as AlignFull using the blocked
 // wavefront schedule over a goroutine pool — the paper's parallel
-// algorithm. The full lattice is retained, so traceback is exact.
-// Cancellation is checked per block by the wavefront scheduler. Like
-// AlignFull it honors a planner-negotiated Options.CellWidth of 16.
+// algorithm — with every tile filled by the lane-packed interior. The full
+// lattice is retained, so traceback is exact. Cancellation is checked per
+// block by the wavefront scheduler. Like AlignFull it honors a
+// planner-negotiated Options.CellWidth of 16.
 func AlignParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
 	}
 	if useInt16(opt, sch, ca, cb, cc) {
-		return alignParallelOf[int16](ctx, tr, ca, cb, cc, sch, opt, false)
+		return alignParallelOf[int16](ctx, tr, ca, cb, cc, sch, opt)
 	}
-	return alignParallelOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, false)
+	return alignParallelOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt)
 }
 
-// AlignParallelPacked is AlignParallel with the lane-packed interior
-// filling each wavefront block; see AlignFullPacked.
-func AlignParallelPacked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if useInt16(opt, sch, ca, cb, cc) {
-		return alignParallelOf[int16](ctx, tr, ca, cb, cc, sch, opt, true)
-	}
-	return alignParallelOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, true)
-}
-
-func alignParallelOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
+func alignParallelOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -413,23 +313,16 @@ func alignParallelOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc 
 	defer mat.PutTensor3Of(t)
 	ge2 := T(2 * sch.GapExtend())
 	var lv laneVec
-	if packed {
-		initLaneVec(&lv, ca, cb, cc, sch, ge2)
-	}
+	initLaneVec(&lv, ca, cb, cc, sch, ge2)
 	ti, tj, tk := opt.tileDims(len(ca)+1, len(cb)+1, len(cc)+1, mat.CellBytes[T]())
 	si := wavefront.Partition(len(ca)+1, ti)
 	sj := wavefront.Partition(len(cb)+1, tj)
 	sk := wavefront.Partition(len(cc)+1, tk)
 	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
-		if packed {
-			// Each tile works on a private copy: the argument blocks
-			// inside laneVec are scratch state, and tiles run on
-			// concurrent workers.
-			tileLV := lv
-			fillRangePacked(t, st, ge2, si[bi], sj[bj], sk[bk], &tileLV)
-		} else {
-			fillRange(t, st, ge2, si[bi], sj[bj], sk[bk])
-		}
+		// Each tile works on a private copy: the argument blocks inside
+		// laneVec are scratch state, and tiles run on concurrent workers.
+		tileLV := lv
+		fillRangePacked(t, st, ge2, si[bi], sj[bj], sk[bk], &tileLV)
 	}); err != nil {
 		return nil, err
 	}

@@ -292,9 +292,6 @@ func TestMemoryCap(t *testing.T) {
 	if _, err := AlignLinear(context.Background(), tr, dnaSch, Options{MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("linear err = %v, want ErrTooLarge", err)
 	}
-	if _, _, err := AlignPruned(context.Background(), tr, dnaSch, Options{MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("pruned err = %v, want ErrTooLarge", err)
-	}
 	if _, err := AlignAffine(context.Background(), tr, dnaSch, Options{MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("affine err = %v, want ErrTooLarge", err)
 	}

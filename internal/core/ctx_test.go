@@ -30,8 +30,6 @@ func TestKernelsPreCancelled(t *testing.T) {
 		{"linear", func() error { _, err := AlignLinear(ctx, tr, dnaSch, Options{}); return err }},
 		{"parallel-linear", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{}); return err }},
 		{"diagonal", func() error { _, err := AlignDiagonal(ctx, tr, dnaSch, Options{}); return err }},
-		{"pruned", func() error { _, _, err := AlignPruned(ctx, tr, dnaSch, Options{}, -1000); return err }},
-		{"pruned-parallel", func() error { _, _, err := AlignPrunedParallel(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"bounded", func() error { _, _, err := AlignBounded(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"astar", func() error { _, _, err := AlignAStar(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"affine", func() error { _, err := AlignAffine(ctx, tr, affSch, Options{}); return err }},

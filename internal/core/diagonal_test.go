@@ -60,47 +60,3 @@ func TestAlignDiagonalMemoryCap(t *testing.T) {
 		t.Fatal("memory cap not enforced")
 	}
 }
-
-func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 8; trial++ {
-		tr := relatedTriple(rng.Int63(), 10+rng.Intn(25), 0.15)
-		seqAln, seqStats, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parAln, parStats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 4, BlockSize: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkAlignment(t, parAln, dnaSch)
-		if parAln.Score != seqAln.Score {
-			t.Fatalf("trial %d: parallel pruned %d != sequential pruned %d", trial, parAln.Score, seqAln.Score)
-		}
-		if parStats.EvaluatedCells != seqStats.EvaluatedCells {
-			t.Fatalf("trial %d: evaluated cells differ: %d vs %d (the bound is deterministic)",
-				trial, parStats.EvaluatedCells, seqStats.EvaluatedCells)
-		}
-		if parStats.LowerBound != seqStats.LowerBound {
-			t.Fatalf("trial %d: bounds differ: %d vs %d", trial, parStats.LowerBound, seqStats.LowerBound)
-		}
-	}
-}
-
-func TestAlignPrunedParallelWithHeuristicBound(t *testing.T) {
-	tr := relatedTriple(71, 40, 0.1)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aln, stats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 3}, ref.Score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aln.Score != ref.Score {
-		t.Fatalf("pruned parallel %d != %d", aln.Score, ref.Score)
-	}
-	if stats.Fraction() >= 0.5 {
-		t.Fatalf("similar sequences with optimal bound: fraction %.2f, expected strong pruning", stats.Fraction())
-	}
-}

@@ -39,14 +39,14 @@ func ExampleAlignLinear() {
 	// memory ratio >= 20x: true
 }
 
-// ExampleAlignPruned uses a heuristic lower bound to skip most of the
-// lattice on similar sequences.
-func ExampleAlignPruned() {
+// ExampleAlignBounded allocates only the Carrillo–Lipman admissible band,
+// a small fraction of the lattice on similar sequences.
+func ExampleAlignBounded() {
 	g := seq.NewGenerator(seq.DNA, 7)
 	tr := g.RelatedTriple(70, seq.MutationModel{SubstitutionRate: 0.05})
 	sch := scoring.DNADefault()
 
-	aln, stats, _ := core.AlignPruned(context.Background(), tr, sch, core.Options{})
+	aln, stats, _ := core.AlignBounded(context.Background(), tr, sch, core.Options{})
 	ref, _ := core.AlignFull(context.Background(), tr, sch, core.Options{})
 	fmt.Println("optimal:", aln.Score == ref.Score)
 	fmt.Println("evaluated under 10% of cells:", stats.Fraction() < 0.10)

@@ -49,8 +49,8 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 				}
 				return aln.Score, nil
 			},
-			"pruned": func() (int32, error) {
-				aln, _, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+			"bounded": func() (int32, error) {
+				aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
 				if err != nil {
 					return 0, err
 				}

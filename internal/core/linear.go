@@ -49,73 +49,6 @@ func pairMoves(ops []pairwise.Op, absent int) []alignment.Move {
 	return out
 }
 
-// fillPlaneRange computes cells (j, k) of one i-plane inside the given
-// spans. prev is the completed (i-1)-plane; a nil prev means i == 0 (only
-// the in-plane moves GXX, GXG, GGX apply). ai is the residue consumed when
-// advancing in A; prof is the residue profile against C, serving both the
-// A-vs-C and B-vs-C lookups of the interior loop.
-//
-// Like fillRange, the box is peeled into j == 0 / k == 0 boundary passes
-// and a branch-minimal interior loop with hoisted, length-capped rows.
-func fillPlaneRange(cur, prev *mat.Plane, ai int8, cb []int8, sch *scoring.Scheme, prof *pairProfile, sj, sk wavefront.Span) {
-	ge2 := 2 * sch.GapExtend()
-	if prev == nil {
-		fillPlaneRangeI0(cur, prof, ge2, cb, sj, sk)
-		return
-	}
-	acRow := prof.Row(ai)
-	subAi := sch.SubRow(ai)
-	if sj.Lo == 0 {
-		// j == 0 row: only XGX, XGG, GGX apply.
-		curRow := cur.Row(0)
-		prevRow := prev.Row(0)
-		k := sk.Lo
-		if k == 0 {
-			curRow[0] = prevRow[0] + ge2 // XGG
-			k = 1
-		}
-		for ; k < sk.Hi; k++ {
-			curRow[k] = max(prevRow[k-1]+acRow[k], prevRow[k], curRow[k-1]) + ge2
-		}
-	}
-	hi := sk.Hi
-	for j := max(sj.Lo, 1); j < sj.Hi; j++ {
-		bj := cb[j-1]
-		sAB := subAi[bj]
-		bcRow := prof.Row(bj)[:hi]
-		ac := acRow[:hi]
-		curRow := cur.Row(j)[:hi:hi]
-		cur01 := cur.Row(j - 1)[:hi]
-		prev10 := prev.Row(j)[:hi]
-		prev11 := prev.Row(j - 1)[:hi]
-		lo := sk.Lo
-		if lo < 1 {
-			curRow[0] = max(prev11[0]+sAB, prev10[0], cur01[0]) + ge2
-			lo = 1
-		}
-		if lo >= hi {
-			continue
-		}
-		v11, v10, v01 := prev11[lo-1], prev10[lo-1], cur01[lo-1]
-		vkk := curRow[lo-1]
-		for k := lo; k < hi; k++ {
-			n11, n10, n01 := prev11[k], prev10[k], cur01[k]
-			sac, sbc := ac[k], bcRow[k]
-			best := max(
-				v11+sAB+sac+sbc, // XXX
-				v10+sac+ge2,     // XGX
-				v01+sbc+ge2,     // GXX
-				vkk+ge2,         // GGX
-				n11+sAB+ge2,     // XXG
-				n10+ge2,         // XGG
-				n01+ge2,         // GXG
-			)
-			curRow[k] = best
-			v11, v10, v01, vkk = n11, n10, n01, best
-		}
-	}
-}
-
 // fillPlaneRangeI0 fills the i == 0 plane portion, where only the in-plane
 // moves GXX, GXG, GGX apply.
 func fillPlaneRangeI0(cur *mat.Plane, prof *pairProfile, ge2 mat.Score, cb []int8, sj, sk wavefront.Span) {
@@ -158,9 +91,6 @@ func planeSweep(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, wor
 	cur := mat.GetPlane(m+1, p+1)
 	prof := newPairProfile(cc, sch)
 	defer prof.release()
-	// The sweeps always run the packed interior — it is bit-identical to
-	// fillPlaneRange, which survives as the differential suite's scalar
-	// reference.
 	var lv laneVec
 	initLaneVec(&lv, ca, cb, cc, sch, 2*sch.GapExtend())
 	var sj, sk []wavefront.Span
@@ -219,16 +149,18 @@ type hctx struct {
 
 // fullMoves solves a sub-box exactly with the full-matrix DP, drawing its
 // lattice and score tables from the arena — in the Hirschberg recursion
-// every leaf box reuses the buffers of earlier leaves.
+// every leaf box reuses the buffers of earlier leaves. Leaf boxes are
+// small, so the fill skips the vector lane kernel (nil laneVec) and runs
+// the pure-Go windowed interior.
 func fullMoves(ca, cb, cc []int8, sch *scoring.Scheme) ([]alignment.Move, error) {
 	st := newScoreTables(ca, cb, cc, sch)
 	defer st.release()
 	t := mat.GetTensor3(len(ca)+1, len(cb)+1, len(cc)+1)
 	defer mat.PutTensor3(t)
-	fillRange(t, st, 2*sch.GapExtend(),
+	fillRangePacked(t, st, 2*sch.GapExtend(),
 		wavefront.Span{Lo: 0, Hi: len(ca) + 1},
 		wavefront.Span{Lo: 0, Hi: len(cb) + 1},
-		wavefront.Span{Lo: 0, Hi: len(cc) + 1})
+		wavefront.Span{Lo: 0, Hi: len(cc) + 1}, nil)
 	return tracebackTensor(t, ca, cb, cc, sch)
 }
 

@@ -2,20 +2,21 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/alignment"
 	"repro/internal/mat"
 	"repro/internal/scoring"
 	"repro/internal/wavefront"
 )
 
 // Differential suite for the lane-packed kernels: fillRangePacked and
-// fillPlaneRangePacked must be bit-identical to the scalar fillRange /
-// fillPlaneRange at every cell width, with the vector (assembly) path both
-// enabled and disabled, on full boxes and on blocked sub-spans whose lanes
-// start and end mid-vector. The scalar kernels are themselves pinned to the
-// pre-optimization references in tables_diff_test.go, so transitively the
-// packed kernels inherit that contract.
+// fillPlaneRangePacked must be bit-identical to the verbatim scalar oracles
+// refFillRange / refFillPlaneRange (reference_test.go) at every cell width
+// — an int16 lattice is compared widened to the oracle's int32 — with the
+// vector (assembly) path both enabled and disabled, on full boxes and on
+// blocked sub-spans whose lanes start and end mid-vector.
 
 // packedShapes extends diffShapes with lane lengths that exercise the
 // vector blocks: ≥17 cells hits the 16-lane int16 block, 31/32 hit
@@ -43,22 +44,8 @@ func withLaneAsm(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-func wantTensorsEqualOf[T mat.Cell](t *testing.T, got, want *mat.Tensor3Of[T]) {
-	t.Helper()
-	ni, nj, nk := want.Dims()
-	for i := 0; i < ni; i++ {
-		for j := 0; j < nj; j++ {
-			for k := 0; k < nk; k++ {
-				if g, w := got.At(i, j, k), want.At(i, j, k); g != w {
-					t.Fatalf("cell (%d,%d,%d): got %d, want %d", i, j, k, g, w)
-				}
-			}
-		}
-	}
-}
-
-// diffPackedOf fills one box with the scalar kernel at width T and compares
-// the packed kernel against it on the full span and on two block
+// diffPackedOf fills one box with the scalar oracle and compares the packed
+// kernel at width T against it on the full span and on two block
 // decompositions (small blocks stress the carried-cell entry paths, large
 // blocks let the vector kernel run inside sub-spans).
 func diffPackedOf[T mat.Cell](t *testing.T, ca, cb, cc []int8, sch *scoring.Scheme) {
@@ -71,21 +58,21 @@ func diffPackedOf[T mat.Cell](t *testing.T, ca, cb, cc []int8, sch *scoring.Sche
 	defer st.release()
 	ge2 := T(2 * sch.GapExtend())
 
-	want := mat.NewTensor3Of[T](n+1, m+1, p+1)
-	fillRange(want, st, ge2, si, sj, sk)
+	want := mat.NewTensor3(n+1, m+1, p+1)
+	refFillRange(want, ca, cb, cc, sch, si, sj, sk)
 
 	var lv laneVec
 	initLaneVec(&lv, ca, cb, cc, sch, ge2)
 	got := mat.NewTensor3Of[T](n+1, m+1, p+1)
 	fillRangePacked(got, st, ge2, si, sj, sk, &lv)
-	wantTensorsEqualOf(t, got, want)
+	wantTensorsEqual(t, got, want)
 
 	for _, bs := range []int{3, 20} {
 		blocked := mat.NewTensor3Of[T](n+1, m+1, p+1)
 		runBlocked3D(n, m, p, bs, func(si, sj, sk wavefront.Span) {
 			fillRangePacked(blocked, st, ge2, si, sj, sk, &lv)
 		})
-		wantTensorsEqualOf(t, blocked, want)
+		wantTensorsEqual(t, blocked, want)
 	}
 }
 
@@ -137,7 +124,7 @@ func TestFillPlaneRangePackedMatchesScalar(t *testing.T) {
 						if i > 0 {
 							ai = ca[i-1]
 						}
-						fillPlaneRange(dstW, srcW, ai, cb, sch, prof, sj, sk)
+						refFillPlaneRange(dstW, srcW, ai, cb, cc, sch, sj, sk)
 						fillPlaneRangePacked(dstG, srcG, ai, cb, sch, prof, sj, sk, &lv)
 						runBlocked3D(0, m, p, 5, func(_, bj, bk wavefront.Span) {
 							fillPlaneRangePacked(dstB, srcB, ai, cb, sch, prof, bj, bk, &lv)
@@ -159,49 +146,51 @@ func TestFillPlaneRangePackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPackedAlignersMatchFull pins the packed public aligners — at both
-// negotiated widths — to AlignFull's score and moves, across worker counts.
+// TestPackedAlignersMatchFull pins the public full-lattice aligners — at
+// both negotiated widths and across worker counts — to the score and moves
+// of the verbatim scalar oracle's lattice under the same traceback.
 func TestPackedAlignersMatchFull(t *testing.T) {
 	ctx := context.Background()
 	sch := scoring.DNADefault()
 	withLaneAsm(t, func(t *testing.T) {
 		for _, shape := range packedShapes {
 			tr := diffTriple(sch, 11000+int64(shape[0]+shape[2]), shape[0], shape[1], shape[2])
-			full, err := AlignFull(ctx, tr, sch, Options{})
+			ca, cb, cc, err := prepare(tr, sch)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, width := range []int{0, 16} {
-				opt := Options{CellWidth: width}
-				packed, err := AlignFullPacked(ctx, tr, sch, opt)
+			n, m, p := len(ca), len(cb), len(cc)
+			ref := mat.NewTensor3(n+1, m+1, p+1)
+			refFillRange(ref, ca, cb, cc, sch,
+				wavefront.Span{Lo: 0, Hi: n + 1}, wavefront.Span{Lo: 0, Hi: m + 1}, wavefront.Span{Lo: 0, Hi: p + 1})
+			wantMoves, err := tracebackTensor(ref, ca, cb, cc, sch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantScore := ref.At(n, m, p)
+			check := func(name string, aln *alignment.Alignment, err error) {
+				t.Helper()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if packed.Score != full.Score {
-					t.Fatalf("shape %v width %d: AlignFullPacked score %d, AlignFull %d",
-						shape, width, packed.Score, full.Score)
+				if aln.Score != wantScore {
+					t.Fatalf("shape %v %s: score %d, oracle %d", shape, name, aln.Score, wantScore)
 				}
-				for i := range packed.Moves {
-					if packed.Moves[i] != full.Moves[i] {
-						t.Fatalf("shape %v width %d: AlignFullPacked move %d = %v, AlignFull %v",
-							shape, width, i, packed.Moves[i], full.Moves[i])
+				if len(aln.Moves) != len(wantMoves) {
+					t.Fatalf("shape %v %s: %d moves, oracle %d", shape, name, len(aln.Moves), len(wantMoves))
+				}
+				for i := range wantMoves {
+					if aln.Moves[i] != wantMoves[i] {
+						t.Fatalf("shape %v %s: move %d = %v, oracle %v", shape, name, i, aln.Moves[i], wantMoves[i])
 					}
 				}
+			}
+			for _, width := range []int{0, 16} {
+				aln, err := AlignFull(ctx, tr, sch, Options{CellWidth: width})
+				check(fmt.Sprintf("AlignFull width %d", width), aln, err)
 				for _, w := range []int{2, 4} {
-					par, err := AlignParallelPacked(ctx, tr, sch, Options{CellWidth: width, Workers: w, BlockSize: 6})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if par.Score != full.Score {
-						t.Fatalf("shape %v width %d w=%d: AlignParallelPacked score %d, AlignFull %d",
-							shape, width, w, par.Score, full.Score)
-					}
-					for i := range par.Moves {
-						if par.Moves[i] != full.Moves[i] {
-							t.Fatalf("shape %v width %d w=%d: AlignParallelPacked move %d = %v, AlignFull %v",
-								shape, width, w, i, par.Moves[i], full.Moves[i])
-						}
-					}
+					aln, err := AlignParallel(ctx, tr, sch, Options{CellWidth: width, Workers: w, BlockSize: 6})
+					check(fmt.Sprintf("AlignParallel width %d w=%d", width, w), aln, err)
 				}
 			}
 		}

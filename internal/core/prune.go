@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/alignment"
 	"repro/internal/mat"
 	"repro/internal/scoring"
 	"repro/internal/seq"
-	"repro/internal/wavefront"
 )
 
 // PruneStats reports how much of the lattice the Carrillo–Lipman bound
@@ -76,60 +74,3 @@ func min2(a, b int) int {
 }
 
 func min3(a, b, c int) int { return min2(min2(a, b), c) }
-
-// AlignPruned computes the same optimum as AlignFull but evaluates only
-// the Carrillo–Lipman admissible region: cell (i, j, k) is skipped when the
-// sum of the three pairwise forward and backward projection bounds cannot
-// reach the lower bound L. L defaults to the TrivialAlignment score; pass a
-// tighter valid lower bound (any real alignment's SP score, e.g. from a
-// heuristic) to prune more aggressively. Passing an L greater than the
-// optimum is invalid and yields an error or a sub-optimal result.
-func AlignPruned(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower ...mat.Score) (*alignment.Alignment, PruneStats, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, PruneStats{}, err
-	}
-	if err := checkCtx(ctx); err != nil {
-		return nil, PruneStats{}, err
-	}
-	if FullMatrixBytes(tr) > opt.maxBytes() {
-		return nil, PruneStats{}, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, FullMatrixBytes(tr), opt.maxBytes())
-	}
-	trivial, err := TrivialAlignment(tr, sch)
-	if err != nil {
-		return nil, PruneStats{}, err
-	}
-	bound := trivial.Score
-	for _, l := range lower {
-		if l > bound {
-			bound = l
-		}
-	}
-
-	bc := newBoundCtx(ca, cb, cc, sch, bound)
-	defer bc.release()
-	n, m, p := len(ca), len(cb), len(cc)
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
-	t := mat.GetTensor3(n+1, m+1, p+1)
-	defer mat.PutTensor3(t)
-	ge2 := 2 * sch.GapExtend()
-	stats := PruneStats{TotalCells: int64(n+1) * int64(m+1) * int64(p+1), LowerBound: bound}
-	sj := wavefront.Span{Lo: 0, Hi: m + 1}
-	sk := wavefront.Span{Lo: 0, Hi: p + 1}
-	for i := 0; i <= n; i++ {
-		if err := checkCtx(ctx); err != nil {
-			return nil, stats, err
-		}
-		stats.EvaluatedCells += fillRangePruned(t, st, bc, ge2,
-			wavefront.Span{Lo: i, Hi: i + 1}, sj, sk)
-	}
-
-	moves, err := tracebackTensor(t, ca, cb, cc, sch)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: pruned traceback failed (is the lower bound valid?): %w", err)
-	}
-	aln := &alignment.Alignment{Triple: tr, Moves: moves, Score: t.At(n, m, p)}
-	stats.Optimum = aln.Score
-	return aln, stats, nil
-}

@@ -27,6 +27,12 @@ func TestTrivialAlignmentValid(t *testing.T) {
 	}
 }
 
+// The "pruned" and "pruned-parallel" algorithm names now run the
+// Carrillo–Lipman band (AlignBounded), so the guarantees the dense pruned
+// fill used to carry are asserted of the band kernel: the optimum is kept,
+// a tighter bound shrinks the evaluated region, a weaker caller bound
+// never loosens the built-in one, and the parallel fill is deterministic.
+
 func TestAlignPrunedPreservesOptimum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
@@ -40,13 +46,13 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, stats, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+		aln, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		checkAlignment(t, aln, dnaSch)
 		if aln.Score != ref.Score {
-			t.Fatalf("trial %d: pruned %d != full %d", trial, aln.Score, ref.Score)
+			t.Fatalf("trial %d: band %d != full %d", trial, aln.Score, ref.Score)
 		}
 		if stats.EvaluatedCells > stats.TotalCells || stats.EvaluatedCells <= 0 {
 			t.Fatalf("trial %d: nonsensical stats %+v", trial, stats)
@@ -63,11 +69,11 @@ func TestAlignPrunedTighterBoundPrunesMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, loose, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	_, loose, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alnTight, tight, err := AlignPruned(context.Background(), tr, dnaSch, Options{}, ref.Score)
+	alnTight, tight, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, ref.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +98,7 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := AlignPruned(context.Background(), tr, dnaSch, Options{}, ref.Score)
+	_, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, ref.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +110,11 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 func TestAlignPrunedIgnoresWeakerProvidedBound(t *testing.T) {
 	tr := relatedTriple(8, 20, 0.2)
 	// A hugely negative provided bound must not weaken the built-in one.
-	_, withWeak, err := AlignPruned(context.Background(), tr, dnaSch, Options{}, -1<<20)
+	_, withWeak, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, -1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, base, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	_, base, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +141,51 @@ func TestAlignPrunedEmptySequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, _, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aln.Score != ref.Score {
-		t.Fatalf("pruned %d != full %d", aln.Score, ref.Score)
+		t.Fatalf("band %d != full %d", aln.Score, ref.Score)
+	}
+}
+
+func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 8; trial++ {
+		tr := relatedTriple(rng.Int63(), 10+rng.Intn(25), 0.15)
+		seqAln, seqStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parAln, parStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 4, BlockSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAlignment(t, parAln, dnaSch)
+		if parAln.Score != seqAln.Score {
+			t.Fatalf("trial %d: parallel band %d != sequential band %d", trial, parAln.Score, seqAln.Score)
+		}
+		if parStats != seqStats {
+			t.Fatalf("trial %d: stats differ: %+v vs %+v (the band is deterministic)", trial, parStats, seqStats)
+		}
+	}
+}
+
+func TestAlignPrunedParallelWithHeuristicBound(t *testing.T) {
+	tr := relatedTriple(71, 40, 0.1)
+	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aln, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 3}, ref.Score)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aln.Score != ref.Score {
+		t.Fatalf("parallel band %d != %d", aln.Score, ref.Score)
+	}
+	if stats.Fraction() >= 0.5 {
+		t.Fatalf("similar sequences with optimal bound: fraction %.2f, expected strong pruning", stats.Fraction())
 	}
 }

@@ -3,16 +3,16 @@ package core
 import (
 	"repro/internal/alignment"
 	"repro/internal/mat"
-	"repro/internal/pairwise"
 	"repro/internal/scoring"
 	"repro/internal/wavefront"
 )
 
 // This file preserves the pre-optimization cell-fill kernels verbatim (as
 // of the branchy, scheme-call-per-cell implementation) so the differential
-// suite in tables_diff_test.go can assert that the table-driven, peeled
-// kernels produce bit-identical lattices — and therefore identical scores
-// and tracebacks — on every scheme and shape.
+// suites in tables_diff_test.go and packed_diff_test.go can assert that the
+// table-driven, peeled, lane-packed kernels produce bit-identical lattices
+// — and therefore identical scores and tracebacks — on every scheme and
+// shape.
 
 // refFillRange is the pre-change fillRange: nil-checked lanes, three
 // scoring.Scheme.Sub calls per interior cell.
@@ -149,123 +149,6 @@ func refFillPlaneRange(cur, prev *mat.Plane, ai int8, cb, cc []int8, sch *scorin
 			cur.Set(j, k, best)
 		}
 	}
-}
-
-// refPruneCtx is the pre-change pruneCtx: six separate forward/backward
-// projection planes, summed per cell. The production kernels now read
-// three precomputed through-planes (boundCtx); the diff suite pins both
-// forms to identical admission decisions and lattices.
-type refPruneCtx struct {
-	fAB, fAC, fBC *mat.Plane
-	bAB, bAC, bBC *mat.Plane
-	bound         mat.Score
-}
-
-func newRefPruneCtx(ca, cb, cc []int8, sch *scoring.Scheme, bound mat.Score) *refPruneCtx {
-	return &refPruneCtx{
-		fAB:   pairwise.Forward(ca, cb, sch),
-		fAC:   pairwise.Forward(ca, cc, sch),
-		fBC:   pairwise.Forward(cb, cc, sch),
-		bAB:   pairwise.Backward(ca, cb, sch),
-		bAC:   pairwise.Backward(ca, cc, sch),
-		bBC:   pairwise.Backward(cb, cc, sch),
-		bound: bound,
-	}
-}
-
-func (pc *refPruneCtx) release() {
-	mat.PutPlane(pc.fAB)
-	mat.PutPlane(pc.fAC)
-	mat.PutPlane(pc.fBC)
-	mat.PutPlane(pc.bAB)
-	mat.PutPlane(pc.bAC)
-	mat.PutPlane(pc.bBC)
-}
-
-// refFillRangePruned is the pre-change fillRangePruned.
-func refFillRangePruned(t *mat.Tensor3, ca, cb, cc []int8, sch *scoring.Scheme, pc *refPruneCtx, si, sj, sk wavefront.Span) int64 {
-	ge2 := 2 * sch.GapExtend()
-	var evaluated int64
-	for i := si.Lo; i < si.Hi; i++ {
-		var ai int8
-		if i > 0 {
-			ai = ca[i-1]
-		}
-		for j := sj.Lo; j < sj.Hi; j++ {
-			var bj int8
-			var sAB mat.Score
-			if j > 0 {
-				bj = cb[j-1]
-				if i > 0 {
-					sAB = sch.Sub(ai, bj)
-				}
-			}
-			abPart := pc.fAB.At(i, j) + pc.bAB.At(i, j)
-			cur := t.Lane(i, j)
-			var lane11, lane10, lane01 []mat.Score
-			if i > 0 && j > 0 {
-				lane11 = t.Lane(i-1, j-1)
-			}
-			if i > 0 {
-				lane10 = t.Lane(i-1, j)
-			}
-			if j > 0 {
-				lane01 = t.Lane(i, j-1)
-			}
-			for k := sk.Lo; k < sk.Hi; k++ {
-				if i == 0 && j == 0 && k == 0 {
-					cur[0] = 0
-					evaluated++
-					continue
-				}
-				ub := abPart + pc.fAC.At(i, k) + pc.bAC.At(i, k) + pc.fBC.At(j, k) + pc.bBC.At(j, k)
-				if ub < pc.bound {
-					cur[k] = mat.NegInf
-					continue
-				}
-				evaluated++
-				best := mat.NegInf
-				if k > 0 {
-					ck := cc[k-1]
-					if lane11 != nil {
-						if v := lane11[k-1] + sAB + sch.Sub(ai, ck) + sch.Sub(bj, ck); v > best {
-							best = v
-						}
-					}
-					if lane10 != nil {
-						if v := lane10[k-1] + sch.Sub(ai, ck) + ge2; v > best {
-							best = v
-						}
-					}
-					if lane01 != nil {
-						if v := lane01[k-1] + sch.Sub(bj, ck) + ge2; v > best {
-							best = v
-						}
-					}
-					if v := cur[k-1] + ge2; v > best {
-						best = v
-					}
-				}
-				if lane11 != nil {
-					if v := lane11[k] + sAB + ge2; v > best {
-						best = v
-					}
-				}
-				if lane10 != nil {
-					if v := lane10[k] + ge2; v > best {
-						best = v
-					}
-				}
-				if lane01 != nil {
-					if v := lane01[k] + ge2; v > best {
-						best = v
-					}
-				}
-				cur[k] = best
-			}
-		}
-	}
-	return evaluated
 }
 
 // refAffineFill is the fill phase of the pre-change affineDPMoves: seven

@@ -14,7 +14,9 @@ import (
 // Differential suite: the table-driven, boundary-peeled kernels must
 // produce bit-identical lattices — and therefore identical scores and
 // tracebacks — to the pre-optimization kernels preserved verbatim in
-// reference_test.go, on every scheme, shape, and span decomposition.
+// reference_test.go, on every scheme, shape, and span decomposition. The
+// fills here run without lane state (nil laneVec), the pure-Go path the
+// Hirschberg leaves use; packed_diff_test.go covers the vector path.
 
 // diffShapes covers degenerate boxes (all-empty, one empty axis, single
 // residues) alongside uneven and cubic interiors.
@@ -59,13 +61,15 @@ func affineDiffSchemes(t *testing.T) map[string]*scoring.Scheme {
 	}
 }
 
-func wantTensorsEqual(t *testing.T, got, want *mat.Tensor3) {
+// wantTensorsEqual compares a lattice of any cell width against an int32
+// reference, widening each cell.
+func wantTensorsEqual[T mat.Cell](t *testing.T, got *mat.Tensor3Of[T], want *mat.Tensor3) {
 	t.Helper()
 	ni, nj, nk := want.Dims()
 	for i := 0; i < ni; i++ {
 		for j := 0; j < nj; j++ {
 			for k := 0; k < nk; k++ {
-				if g, w := got.At(i, j, k), want.At(i, j, k); g != w {
+				if g, w := mat.Score(got.At(i, j, k)), want.At(i, j, k); g != w {
 					t.Fatalf("cell (%d,%d,%d): got %d, want %d", i, j, k, g, w)
 				}
 			}
@@ -120,7 +124,7 @@ func TestFillRangeMatchesReference(t *testing.T) {
 				st := newScoreTables(ca, cb, cc, sch)
 				ge2 := 2 * sch.GapExtend()
 				got := mat.NewTensor3(n+1, m+1, p+1)
-				fillRange(got, st, ge2, si, sj, sk)
+				fillRangePacked(got, st, ge2, si, sj, sk, nil)
 				wantTensorsEqual(t, got, want)
 
 				// The same kernel applied block-wise must land on the same
@@ -128,7 +132,7 @@ func TestFillRangeMatchesReference(t *testing.T) {
 				// paths.
 				blocked := mat.NewTensor3(n+1, m+1, p+1)
 				runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
-					fillRange(blocked, st, ge2, si, sj, sk)
+					fillRangePacked(blocked, st, ge2, si, sj, sk, nil)
 				})
 				wantTensorsEqual(t, blocked, want)
 				st.release()
@@ -161,9 +165,9 @@ func TestFillPlaneRangeMatchesReference(t *testing.T) {
 						ai = ca[i-1]
 					}
 					refFillPlaneRange(dstW, srcW, ai, cb, cc, sch, sj, sk)
-					fillPlaneRange(dstG, srcG, ai, cb, sch, prof, sj, sk)
+					fillPlaneRangePacked(dstG, srcG, ai, cb, sch, prof, sj, sk, nil)
 					runBlocked3D(0, m, p, 3, func(_, bj, bk wavefront.Span) {
-						fillPlaneRange(dstB, srcB, ai, cb, sch, prof, bj, bk)
+						fillPlaneRangePacked(dstB, srcB, ai, cb, sch, prof, bj, bk, nil)
 					})
 					wantPlanesEqual(t, i, dstG, dstW)
 					wantPlanesEqual(t, i, dstB, dstW)
@@ -178,59 +182,6 @@ func TestFillPlaneRangeMatchesReference(t *testing.T) {
 				prof.release()
 			}
 		})
-	}
-}
-
-func TestFillRangePrunedMatchesReference(t *testing.T) {
-	sch := scoring.DNADefault()
-	for _, shape := range diffShapes {
-		tr := diffTriple(sch, 3000+int64(shape[2]), shape[0], shape[1], shape[2])
-		ca, cb, cc, err := prepare(tr, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trivial, err := TrivialAlignment(tr, sch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := Score(context.Background(), tr, sch, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A loose bound admits everything, the trivial bound is the default,
-		// and the exact optimum prunes hardest while staying valid.
-		for _, bound := range []mat.Score{mat.NegInf / 4, trivial.Score, opt} {
-			n, m, p := len(ca), len(cb), len(cc)
-			pc := newRefPruneCtx(ca, cb, cc, sch, bound)
-			bc := newBoundCtx(ca, cb, cc, sch, bound)
-			si := wavefront.Span{Lo: 0, Hi: n + 1}
-			sj := wavefront.Span{Lo: 0, Hi: m + 1}
-			sk := wavefront.Span{Lo: 0, Hi: p + 1}
-			want := mat.NewTensor3(n+1, m+1, p+1)
-			wantEval := refFillRangePruned(want, ca, cb, cc, sch, pc, si, sj, sk)
-
-			st := newScoreTables(ca, cb, cc, sch)
-			ge2 := 2 * sch.GapExtend()
-			got := mat.NewTensor3(n+1, m+1, p+1)
-			gotEval := fillRangePruned(got, st, bc, ge2, si, sj, sk)
-			if gotEval != wantEval {
-				t.Fatalf("bound %d: evaluated %d cells, want %d", bound, gotEval, wantEval)
-			}
-			wantTensorsEqual(t, got, want)
-
-			blocked := mat.NewTensor3(n+1, m+1, p+1)
-			var blockedEval int64
-			runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
-				blockedEval += fillRangePruned(blocked, st, bc, ge2, si, sj, sk)
-			})
-			if blockedEval != wantEval {
-				t.Fatalf("bound %d: blocked evaluated %d cells, want %d", bound, blockedEval, wantEval)
-			}
-			wantTensorsEqual(t, blocked, want)
-			st.release()
-			pc.release()
-			bc.release()
-		}
 	}
 }
 
@@ -328,12 +279,12 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatalf("Score %d, AlignFull %d", scoreOnly, full.Score)
 		}
 
-		pruned, _, err := AlignPruned(ctx, tr, sch, Options{})
+		band, _, err := AlignBounded(ctx, tr, sch, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pruned.Score != full.Score {
-			t.Fatalf("AlignPruned score %d, AlignFull %d", pruned.Score, full.Score)
+		if band.Score != full.Score {
+			t.Fatalf("AlignBounded score %d, AlignFull %d", band.Score, full.Score)
 		}
 
 		lin, err := AlignLinear(ctx, tr, sch, Options{})
@@ -453,12 +404,12 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 						shape, w, i, affPar.Moves[i], aff.Moves[i])
 				}
 			}
-			prunedPar, _, err := AlignPrunedParallel(ctx, tr, sch, opt)
+			band, _, err := AlignBounded(ctx, tr, sch, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prunedPar.Score != full.Score {
-				t.Fatalf("shape %v w=%d: AlignPrunedParallel score %d, AlignFull %d", shape, w, prunedPar.Score, full.Score)
+			if band.Score != full.Score {
+				t.Fatalf("shape %v w=%d: AlignBounded score %d, AlignFull %d", shape, w, band.Score, full.Score)
 			}
 			linPar, err := AlignParallelLinear(ctx, tr, sch, opt)
 			if err != nil {

@@ -3,7 +3,7 @@
 // alignment. Both run in O(n²) time — orders of magnitude faster than the
 // exact O(n³) dynamic program — but only approximate the optimal
 // sum-of-pairs score. Their scores also serve as valid Carrillo–Lipman
-// lower bounds for core.AlignPruned.
+// lower bounds for core.AlignBounded.
 package msa
 
 import (

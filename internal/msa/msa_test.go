@@ -109,7 +109,7 @@ func TestHeuristicScoreIsValidPruningBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, stats, err := core.AlignPruned(context.Background(), tr, dnaSch, core.Options{}, cs.Score)
+	aln, stats, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{}, cs.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestHeuristicScoreIsValidPruningBound(t *testing.T) {
 	if aln.Score != opt.Score {
 		t.Fatalf("pruned with heuristic bound: %d != %d", aln.Score, opt.Score)
 	}
-	_, base, err := core.AlignPruned(context.Background(), tr, dnaSch, core.Options{})
+	_, base, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func TestCenterStarRefined(t *testing.T) {
 		t.Fatalf("CenterStarRefined %d below CenterStar %d", csr.Score, cs.Score)
 	}
 	// And it still serves as a pruning bound.
-	aln, _, err := core.AlignPruned(context.Background(), tr, dnaSch, core.Options{}, csr.Score)
+	aln, _, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{}, csr.Score)
 	if err != nil {
 		t.Fatal(err)
 	}

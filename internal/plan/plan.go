@@ -157,8 +157,9 @@ type Request struct {
 	Shape Shape
 	// Gap is the scheme's gap model; zero means GapLinear.
 	Gap GapModel
-	// Algorithm is the requested kernel name; empty means automatic
-	// selection by gap model, parallelism, and budget.
+	// Algorithm is the requested kernel name or an alias Lookup resolves;
+	// empty means automatic selection by gap model, parallelism, and
+	// budget.
 	Algorithm string
 	// Workers is the requested pool size; non-positive means GOMAXPROCS.
 	Workers int
@@ -227,13 +228,24 @@ type ExecutionPlan struct {
 	EstMcellsPerSec float64 `json:"est_mcells_per_s"`
 	// EstDuration is EstCells / EstMcellsPerSec.
 	EstDuration time.Duration `json:"est_duration_ns"`
-	// Downgrades records every budget-driven substitution, in order, as
-	// "from→to: est <bytes> over <budget> budget" entries.
-	Downgrades []string `json:"downgrades,omitempty"`
+	// Downgrades records every budget-driven substitution, in order.
+	Downgrades []Downgrade `json:"downgrades,omitempty"`
 	// Degraded reports that an exact request was downgraded to a heuristic
 	// as the last resort: the planned score will be a lower bound, not the
 	// optimum.
 	Degraded bool `json:"degraded,omitempty"`
+}
+
+// Downgrade records one step down the memory ladder: the kernel the plan
+// left, the kernel it moved to, and the footprint estimate of the left
+// kernel against the budget that rejected it. Forced marks a step the
+// plan.downgrade fault point injected; it carries no budget.
+type Downgrade struct {
+	From        string `json:"from"`
+	To          string `json:"to"`
+	EstBytes    uint64 `json:"est_bytes"`
+	BudgetBytes uint64 `json:"budget_bytes"`
+	Forced      bool   `json:"forced"`
 }
 
 // lastResort is the heuristic an exact request degrades to when no exact
@@ -255,7 +267,7 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 
 	var (
 		spec       *KernelSpec
-		downgrades []string
+		downgrades []Downgrade
 		degraded   bool
 	)
 	if req.Algorithm != "" {
@@ -271,8 +283,9 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 	if fpDowngrade.Fire() {
 		if next := spec.Downgrade; next != "" {
 			to := kernels[next]
-			downgrades = append(downgrades,
-				spec.Name+"→"+to.Name+": forced by fault point plan.downgrade")
+			downgrades = append(downgrades, Downgrade{
+				From: spec.Name, To: to.Name, EstBytes: planEstBytes(spec, req), Forced: true,
+			})
 			spec = to
 		}
 	}
@@ -291,7 +304,7 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 			// still-exact, still-traceback kernel.
 			if cand := boundedCandidate(req, gap); cand != nil &&
 				cand.Space < spec.Space && planEstBytes(cand, req) <= budget {
-				downgrades = append(downgrades, downgradeEntry(spec, cand, req, budget))
+				downgrades = append(downgrades, downgradeStep(spec, cand, req, budget))
 				spec = cand
 				continue
 			}
@@ -306,7 +319,7 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 				degraded = true
 			}
 			to := kernels[next]
-			downgrades = append(downgrades, downgradeEntry(spec, to, req, budget))
+			downgrades = append(downgrades, downgradeStep(spec, to, req, budget))
 			spec = to
 		}
 	}
@@ -419,10 +432,8 @@ func autoBudget(req Request) uint64 {
 // autoSpec picks the kernel for an automatic request: the gap model's
 // primary (parallel or sequential per the split), downgraded once to its
 // linear-space sibling when the primary's lattice exceeds the budget —
-// the selection rule the old resolveAlgorithm switch hard-coded. Linear-gap
-// requests get the lane-packed primaries; they compute the same optimum as
-// the legacy kernels on a several-times-faster interior.
-func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []string) {
+// the selection rule the old resolveAlgorithm switch hard-coded.
+func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []Downgrade) {
 	var primary string
 	switch {
 	case gap == GapAffine && req.Parallel:
@@ -430,9 +441,9 @@ func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []string) 
 	case gap == GapAffine:
 		primary = "affine"
 	case req.Parallel:
-		primary = "parallel-packed"
+		primary = "parallel"
 	default:
-		primary = "full-packed"
+		primary = "full"
 	}
 	spec := kernels[primary]
 	cand := boundedCandidate(req, gap)
@@ -451,34 +462,15 @@ func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []string) 
 	// it keeps exactness and the preference-ordered traceback, unlike the
 	// sweep planes' divide-and-conquer.
 	if cand != nil && planEstBytes(cand, req) <= budget {
-		return cand, []string{downgradeEntry(spec, cand, req, budget)}
+		return cand, []Downgrade{downgradeStep(spec, cand, req, budget)}
 	}
 	next := kernels[spec.Downgrade]
-	return next, []string{downgradeEntry(spec, next, req, budget)}
+	return next, []Downgrade{downgradeStep(spec, next, req, budget)}
 }
 
-// downgradeEntry formats one ladder step for ExecutionPlan.Downgrades.
-func downgradeEntry(from, to *KernelSpec, req Request, budget uint64) string {
-	return fmt.Sprintf("%s→%s: est %s over %s budget",
-		from.Name, to.Name, fmtBytes(planEstBytes(from, req)), fmtBytes(budget))
-}
-
-// ParseDowngrade splits a Downgrades entry back into the kernel names it
-// records; ok is false for strings not produced by downgradeEntry.
-func ParseDowngrade(entry string) (from, to string, ok bool) {
-	for i, r := range entry {
-		if r == '→' {
-			from = entry[:i]
-			rest := entry[i+len("→"):]
-			for j := 0; j < len(rest); j++ {
-				if rest[j] == ':' {
-					return from, rest[:j], from != "" && j > 0
-				}
-			}
-			return "", "", false
-		}
-	}
-	return "", "", false
+// downgradeStep records one budget-driven ladder step.
+func downgradeStep(from, to *KernelSpec, req Request, budget uint64) Downgrade {
+	return Downgrade{From: from.Name, To: to.Name, EstBytes: planEstBytes(from, req), BudgetBytes: budget}
 }
 
 // estDuration converts a cell count and rate to a wall-clock prediction,
@@ -494,8 +486,7 @@ func estDuration(cells uint64, mcellsPerSec float64) time.Duration {
 	return time.Duration(ns)
 }
 
-// fmtBytes renders a byte count with a binary unit suffix for downgrade
-// entries and errors.
+// fmtBytes renders a byte count with a binary unit suffix for errors.
 func fmtBytes(b uint64) string {
 	switch {
 	case b >= 1<<30:

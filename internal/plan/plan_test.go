@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,12 +12,22 @@ import (
 	"repro/internal/core"
 )
 
-// TestRegistryComplete pins the registry to the public algorithm list: 17
-// kernels, each with a working estimator and a run function.
+// TestRegistryComplete pins the registry: 12 kernels, each with a working
+// estimator and a run function, and every alias resolving to a registered
+// kernel without shadowing one.
 func TestRegistryComplete(t *testing.T) {
 	ks := Kernels()
-	if len(ks) != 17 {
-		t.Fatalf("registry has %d kernels, want 17", len(ks))
+	if len(ks) != 12 {
+		t.Fatalf("registry has %d kernels, want 12", len(ks))
+	}
+	if err := checkRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	for alias, to := range aliases {
+		k, ok := Lookup(alias)
+		if !ok || k.Name != to {
+			t.Errorf("Lookup(%q) = %v, %v; want the %s kernel", alias, k, ok, to)
+		}
 	}
 	s := Shape{NA: 10, NB: 11, NC: 12}
 	for _, k := range ks {
@@ -81,20 +93,20 @@ func TestPlannerProperties(t *testing.T) {
 		}
 		// (3) downgrade chain shape.
 		prevTo := ""
-		for _, entry := range pl.Downgrades {
-			from, to, ok := ParseDowngrade(entry)
-			if !ok {
-				return false
-			}
-			fromSpec, ok1 := Lookup(from)
-			toSpec, ok2 := Lookup(to)
+		for _, d := range pl.Downgrades {
+			fromSpec, ok1 := Lookup(d.From)
+			toSpec, ok2 := Lookup(d.To)
 			if !ok1 || !ok2 || toSpec.Space > fromSpec.Space {
 				return false
 			}
-			if prevTo != "" && from != prevTo {
+			if prevTo != "" && d.From != prevTo {
 				return false
 			}
-			prevTo = to
+			// A budget step records the estimate that broke the budget.
+			if !d.Forced && d.EstBytes <= d.BudgetBytes {
+				return false
+			}
+			prevTo = d.To
 		}
 		if prevTo != "" && prevTo != pl.Algorithm {
 			return false
@@ -146,8 +158,7 @@ func TestShapeOverflowSaturates(t *testing.T) {
 }
 
 // TestAutoMatchesLegacyHeuristic pins automatic selection to the decision
-// table of the old resolveAlgorithm switch in tsa.go, updated deliberately
-// for the lane-packed linear-gap primaries.
+// table of the old resolveAlgorithm switch in tsa.go.
 func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 	small := Shape{NA: 10, NB: 10, NC: 10}
 	big := Shape{NA: 200, NB: 200, NC: 200} // full lattice ≈ 32 MiB
@@ -159,8 +170,8 @@ func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 		maxBytes int64
 		want     string
 	}{
-		{"linear-parallel", small, GapLinear, true, 0, "parallel-packed"},
-		{"linear-sequential", small, GapLinear, false, 0, "full-packed"},
+		{"linear-parallel", small, GapLinear, true, 0, "parallel"},
+		{"linear-sequential", small, GapLinear, false, 0, "full"},
 		{"affine-parallel", small, GapAffine, true, 0, "affine-parallel"},
 		{"affine-sequential", small, GapAffine, false, 0, "affine"},
 		{"capped-linear-parallel", big, GapLinear, true, 1 << 20, "parallel-linear"},
@@ -247,7 +258,8 @@ func TestLastResortHeuristic(t *testing.T) {
 }
 
 // TestExplicitAlgorithmIdentity pins explicit requests: without a budget
-// the planner never substitutes, whatever the shape.
+// the planner never substitutes, whatever the shape, and an alias plans
+// exactly its canonical kernel.
 func TestExplicitAlgorithmIdentity(t *testing.T) {
 	shape := Shape{NA: 300, NB: 300, NC: 300}
 	for _, k := range Kernels() {
@@ -257,6 +269,19 @@ func TestExplicitAlgorithmIdentity(t *testing.T) {
 		}
 		if pl.Algorithm != k.Name || len(pl.Downgrades) != 0 {
 			t.Errorf("%s: planned %s with downgrades %v", k.Name, pl.Algorithm, pl.Downgrades)
+		}
+	}
+	for alias, to := range aliases {
+		pl, _, err := Resolve(Request{Shape: shape, Algorithm: alias, Parallel: true})
+		if err != nil {
+			t.Fatalf("%s: %v", alias, err)
+		}
+		want, _, err := Resolve(Request{Shape: shape, Algorithm: to, Parallel: true})
+		if err != nil {
+			t.Fatalf("%s: %v", to, err)
+		}
+		if pl.Algorithm != to || pl.EstBytes != want.EstBytes || pl.TileDims != want.TileDims {
+			t.Errorf("alias %s planned %+v, want the %s plan %+v", alias, pl, to, want)
 		}
 	}
 	if _, _, err := Resolve(Request{Shape: shape, Algorithm: "nonsense"}); err == nil {
@@ -328,8 +353,8 @@ func TestBoundedAutoSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Algorithm != "parallel-packed" || pl.EstEvaluatedCells != 0 {
-		t.Fatalf("prediction-free request planned %s (est_evaluated=%d), want parallel-packed/0",
+	if pl.Algorithm != "parallel" || pl.EstEvaluatedCells != 0 {
+		t.Fatalf("prediction-free request planned %s (est_evaluated=%d), want parallel/0",
 			pl.Algorithm, pl.EstEvaluatedCells)
 	}
 
@@ -339,8 +364,8 @@ func TestBoundedAutoSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Algorithm != "parallel-packed" {
-		t.Fatalf("short triple planned %s, want parallel-packed", pl.Algorithm)
+	if pl.Algorithm != "parallel" {
+		t.Fatalf("short triple planned %s, want parallel", pl.Algorithm)
 	}
 
 	// Sequential, very thin band, lattice priced out by the hard cap: the
@@ -357,8 +382,9 @@ func TestBoundedAutoSelection(t *testing.T) {
 	if len(pl.Downgrades) != 1 {
 		t.Fatalf("expected one recorded downgrade, got %v", pl.Downgrades)
 	}
-	if from, to, ok := ParseDowngrade(pl.Downgrades[0]); !ok || from != "full-packed" || to != "astar" {
-		t.Fatalf("downgrade entry %q, want full-packed→astar", pl.Downgrades[0])
+	if d := pl.Downgrades[0]; d.From != "full" || d.To != "astar" || d.Forced ||
+		d.BudgetBytes != 24<<20 || d.EstBytes != big.Cells()*4 {
+		t.Fatalf("downgrade %+v, want full→astar, est %d over a %d budget", d, big.Cells()*4, 24<<20)
 	}
 }
 
@@ -380,8 +406,9 @@ func TestBoundedBudgetLadderRung(t *testing.T) {
 	if len(pl.Downgrades) != 1 {
 		t.Fatalf("downgrades %v, want exactly the full→bounded rung", pl.Downgrades)
 	}
-	if from, to, ok := ParseDowngrade(pl.Downgrades[0]); !ok || from != "full" || to != "bounded" {
-		t.Fatalf("downgrade entry %q, want full→bounded", pl.Downgrades[0])
+	if d := pl.Downgrades[0]; d.From != "full" || d.To != "bounded" || d.Forced ||
+		d.BudgetBytes != uint64(budget) || d.EstBytes != shape.Cells()*4 {
+		t.Fatalf("downgrade %+v, want full→bounded, est %d over a %d budget", d, shape.Cells()*4, budget)
 	}
 	if pl.EstBytes > uint64(budget) {
 		t.Fatalf("EstBytes %d over budget %d", pl.EstBytes, budget)
@@ -425,14 +452,48 @@ func TestTileDims(t *testing.T) {
 	}
 }
 
-// TestParseDowngrade round-trips the entry format.
-func TestParseDowngrade(t *testing.T) {
-	entry := downgradeEntry(kernels["parallel"], kernels["parallel-linear"], Request{Shape: Shape{NA: 100, NB: 100, NC: 100}}, 1<<20)
-	from, to, ok := ParseDowngrade(entry)
-	if !ok || from != "parallel" || to != "parallel-linear" {
-		t.Fatalf("ParseDowngrade(%q) = %q, %q, %v", entry, from, to, ok)
+// TestDowngradeJSON pins the wire form of a ladder step, which alignd
+// serves verbatim in /v1/plan and every align response's plan.
+func TestDowngradeJSON(t *testing.T) {
+	pl, _, err := Resolve(Request{Shape: Shape{NA: 100, NB: 100, NC: 100}, Algorithm: "parallel", MaxMemoryBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok := ParseDowngrade("not a downgrade"); ok {
-		t.Fatal("ParseDowngrade accepted garbage")
+	data, err := json.Marshal(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		Downgrades []map[string]any `json:"downgrades"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Downgrades) != 1 {
+		t.Fatalf("downgrades %s, want one parallel→parallel-linear step", data)
+	}
+	want := map[string]any{
+		"from": "parallel", "to": "parallel-linear",
+		"est_bytes": float64(Shape{NA: 100, NB: 100, NC: 100}.Cells() * 4), "budget_bytes": float64(1 << 20),
+		"forced": false,
+	}
+	if !reflect.DeepEqual(wire.Downgrades[0], want) {
+		t.Fatalf("downgrade JSON %v, want %v", wire.Downgrades[0], want)
+	}
+}
+
+// TestRegistryCheckRejectsBadAliases: the init self-check refuses an alias
+// that targets nothing or shadows a registered kernel.
+func TestRegistryCheckRejectsBadAliases(t *testing.T) {
+	for alias, to := range map[string]string{"gone": "no-such-kernel", "linear": "full"} {
+		aliases[alias] = to
+		err := checkRegistry()
+		delete(aliases, alias)
+		if err == nil {
+			t.Errorf("alias %s→%s accepted", alias, to)
+		}
+	}
+	if err := checkRegistry(); err != nil {
+		t.Fatal(err)
 	}
 }

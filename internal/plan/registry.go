@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/alignment"
 	"repro/internal/core"
@@ -98,8 +99,23 @@ var (
 	order   []string
 )
 
-// Lookup finds a kernel spec by algorithm name.
+// aliases maps retired algorithm names onto the kernel that serves them,
+// so every public name keeps parsing while plans report the canonical
+// kernel.
+var aliases = map[string]string{
+	"full-packed":     "full",
+	"parallel-packed": "parallel",
+	"pruned":          "bounded",
+	"pruned-parallel": "bounded",
+	"diagonal":        "parallel",
+}
+
+// Lookup finds a kernel spec by algorithm name, resolving retired aliases
+// to their canonical kernel.
 func Lookup(name string) (*KernelSpec, bool) {
+	if to, ok := aliases[name]; ok {
+		name = to
+	}
 	k, ok := kernels[name]
 	return k, ok
 }
@@ -134,30 +150,6 @@ func wrapHeuristic(f func(seq.Triple, *scoring.Scheme) (*alignment.Alignment, er
 	return func(_ context.Context, tr seq.Triple, sch *scoring.Scheme, _ core.Options) (*alignment.Alignment, *core.PruneStats, error) {
 		aln, err := f(tr, sch)
 		return aln, nil, err
-	}
-}
-
-// runPruned runs a Carrillo–Lipman kernel seeded with the
-// center-star-refined lower bound, surfacing its PruneStats.
-func runPruned(parallel bool) RunFunc {
-	return func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
-		bound, err := msa.CenterStarRefined(tr, sch)
-		if err != nil {
-			return nil, nil, err
-		}
-		var (
-			aln *alignment.Alignment
-			st  core.PruneStats
-		)
-		if parallel {
-			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, opt, bound.Score)
-		} else {
-			aln, st, err = core.AlignPruned(ctx, tr, sch, opt, bound.Score)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return aln, &st, nil
 	}
 }
 
@@ -204,35 +196,22 @@ func pairCells(s Shape) uint64 { return s.PairCells() }
 
 func init() {
 	register(&KernelSpec{
+		// The sequential full lattice on the lane-packed k-lane interior
+		// (AVX2 max-plus scan where the host has it, unrolled
+		// bounds-check-free windows elsewhere); calibrated by the
+		// benchsuite row that measures exactly this code.
 		Name: "full", Gaps: GapLinear, Space: SpaceLattice,
 		Exact: true, Traceback: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "full", RateScale: 1,
+		RateKey: "full-packed", RateScale: 1,
 		Downgrade: "linear", EstBytes: latticeBytes(4),
 		Run: wrap(core.AlignFull),
 	})
 	register(&KernelSpec{
 		Name: "parallel", Gaps: GapLinear, Space: SpaceLattice,
 		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "parallel", RateScale: 1,
-		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignParallel),
-	})
-	register(&KernelSpec{
-		// The lane-packed sequential fill: same lattice, same optimum, with
-		// the k-lane interior vectorized (AVX2 two-pass max-plus scan where
-		// the host has it, unrolled bounds-check-free windows elsewhere).
-		Name: "full-packed", Gaps: GapLinear, Space: SpaceLattice,
-		Exact: true, Traceback: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "full-packed", RateScale: 1,
-		Downgrade: "linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignFullPacked),
-	})
-	register(&KernelSpec{
-		Name: "parallel-packed", Gaps: GapLinear, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
 		RateKey: "parallel-packed", RateScale: 1,
 		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignParallelPacked),
+		Run: wrap(core.AlignParallel),
 	})
 	register(&KernelSpec{
 		Name: "linear", Gaps: GapLinear, Space: SpacePlanes,
@@ -247,27 +226,6 @@ func init() {
 		RateKey: "linear", RateScale: 1,
 		EstBytes: planeBytes(16),
 		Run:      wrap(core.AlignParallelLinear),
-	})
-	register(&KernelSpec{
-		Name: "diagonal", Gaps: GapLinear, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "diagonal", RateScale: 1,
-		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignDiagonal),
-	})
-	register(&KernelSpec{
-		Name: "pruned", Gaps: GapLinear, Space: SpaceLattice,
-		Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "pruned", RateScale: 1,
-		Downgrade: "linear", EstBytes: latticeBytes(4),
-		Run: runPruned(false),
-	})
-	register(&KernelSpec{
-		Name: "pruned-parallel", Gaps: GapLinear, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, BytesPerCell: 4,
-		RateKey: "pruned", RateScale: 1,
-		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: runPruned(true),
 	})
 	register(&KernelSpec{
 		// The Carrillo–Lipman contiguous band: allocates only the cells the
@@ -342,23 +300,39 @@ func init() {
 		Run: wrapHeuristic(msa.Progressive),
 	})
 
-	// Registry self-check: every downgrade edge must exist and move down
-	// (or stay level in) the space-class ladder, or the budget loop in
-	// Resolve could cycle or dead-end on a typo; every rate key must have a
-	// calibration row, or duration predictions silently go to zero.
+	if err := checkRegistry(); err != nil {
+		panic(err)
+	}
+}
+
+// checkRegistry is the registry self-check init panics on: every downgrade
+// edge must exist and move down the space-class ladder, or the budget loop
+// in Resolve could cycle or dead-end on a typo; every rate key must have a
+// calibration row, or duration predictions silently go to zero; every
+// alias must name a registered kernel and must not shadow one.
+func checkRegistry() error {
+	for alias, to := range aliases {
+		if _, ok := kernels[to]; !ok {
+			return fmt.Errorf("plan: alias %s targets unregistered %s", alias, to)
+		}
+		if _, ok := kernels[alias]; ok {
+			return fmt.Errorf("plan: alias %s shadows a registered kernel", alias)
+		}
+	}
 	for _, k := range Kernels() {
 		if _, ok := Calibration[k.RateKey]; !ok {
-			panic("plan: " + k.Name + " has no calibration entry for rate key " + k.RateKey)
+			return fmt.Errorf("plan: %s has no calibration entry for rate key %s", k.Name, k.RateKey)
 		}
 		if k.Downgrade == "" {
 			continue
 		}
 		to, ok := kernels[k.Downgrade]
 		if !ok {
-			panic("plan: " + k.Name + " downgrades to unregistered " + k.Downgrade)
+			return fmt.Errorf("plan: %s downgrades to unregistered %s", k.Name, k.Downgrade)
 		}
 		if to.Space >= k.Space {
-			panic("plan: downgrade " + k.Name + "→" + to.Name + " does not shrink the space class")
+			return fmt.Errorf("plan: downgrade %s→%s does not shrink the space class", k.Name, to.Name)
 		}
 	}
+	return nil
 }

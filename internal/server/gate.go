@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +117,8 @@ func (st *stats) recordPlan(pl *repro.Plan) {
 	if pl.CellWidthBits == 16 {
 		st.plannedInt16.Add(1)
 	}
-	if strings.HasSuffix(pl.Algorithm, "-packed") {
+	// Every full-lattice linear-gap kernel runs the lane-packed interior.
+	if pl.Algorithm == "full" || pl.Algorithm == "parallel" {
 		st.plannedPacked.Add(1)
 	}
 	if pl.Algorithm == "bounded" || pl.Algorithm == "astar" {

@@ -298,14 +298,14 @@ type Statsz struct {
 	PlannedDowngrades int64 `json:"planned_downgrades"`
 	// PlannedInt16 counts served plans whose lattice cell width was
 	// negotiated down to 16 bits; PlannedPacked counts plans that selected
-	// a lane-packed kernel. Together they show how often the fast paths
-	// actually serve traffic.
+	// a lane-packed kernel (full or parallel). Together they show how
+	// often the fast paths actually serve traffic.
 	PlannedInt16  int64 `json:"planned_int16"`
 	PlannedPacked int64 `json:"planned_packed"`
 	// PlannedBounded counts served plans that selected a Carrillo–Lipman
 	// bounded-search kernel (bounded or astar); PrunedCellsSkipped sums the
-	// lattice cells those kernels (and the dense pruned ones) never
-	// evaluated — the work the bound saved across all served traffic.
+	// lattice cells those kernels never evaluated — the work the bound
+	// saved across all served traffic.
 	PlannedBounded     int64 `json:"planned_bounded"`
 	PrunedCellsSkipped int64 `json:"pruned_cells_skipped"`
 

@@ -91,6 +91,29 @@ func TestServeAlignInline(t *testing.T) {
 	}
 }
 
+// TestServeAlignEveryAlgorithmName: every public algorithm name, aliases
+// included, is accepted over the wire and answered by the kernel the
+// planner resolves it to.
+func TestServeAlignEveryAlgorithmName(t *testing.T) {
+	_, ts := newTestServer(t, Config{CoalesceTick: -1})
+	a, b, c := testTriple(t, 3, 20)
+	tr, err := repro.NewTriple(a, b, c, repro.DNA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range repro.Algorithms() {
+		pl, err := repro.PlanAlign(tr, repro.Options{Algorithm: algo})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		var out AlignResponse
+		resp := postJSON(t, ts, "/v1/align", fmt.Sprintf(`{"a":%q,"b":%q,"c":%q,"algorithm":%q}`, a, b, c, algo), &out)
+		if resp.StatusCode != http.StatusOK || out.Algorithm != pl.Algorithm {
+			t.Errorf("%s: status %d, ran %q, want 200 from %q", algo, resp.StatusCode, out.Algorithm, pl.Algorithm)
+		}
+	}
+}
+
 func TestServeAlignFASTA(t *testing.T) {
 	_, ts := newTestServer(t, Config{CoalesceTick: -1})
 	a, b, c := testTriple(t, 2, 30)
@@ -348,6 +371,10 @@ func TestServeHealthAndStats(t *testing.T) {
 	getJSON(t, ts, "/statsz", &st)
 	if st.Completed != 1 {
 		t.Errorf("completed = %d, want 1", st.Completed)
+	}
+	// An auto linear-gap align plans the lane-packed lattice kernel.
+	if st.PlannedPacked != 1 {
+		t.Errorf("planned_packed = %d, want 1 after an auto linear-gap align", st.PlannedPacked)
 	}
 	if st.Pool.Capacity < 2 {
 		t.Errorf("pool capacity = %d, want >= 2 (prewarmed)", st.Pool.Capacity)

@@ -1,12 +1,12 @@
 package repro
 
-// Diff-pin for the planner refactor: a verbatim copy of the algorithm
-// switch and auto-resolution heuristic that used to live in tsa.go, run
-// side by side with the registry dispatch that replaced them. Every
-// (Algorithm, Scheme) pair must select the same kernel and produce a
-// byte-identical alignment; every auto scenario must resolve to the same
-// algorithm the old heuristic chose. Delete this file only together with
-// a deliberate change to selection semantics.
+// Diff-pin for the planner refactor: a copy of the algorithm switch and
+// auto-resolution heuristic that used to live in tsa.go, run side by side
+// with the registry dispatch that replaced them. Every (Algorithm, Scheme)
+// pair must select the same kernel and produce a byte-identical alignment;
+// every auto scenario must resolve to the same algorithm the old heuristic
+// chose. Both copies are updated only together with a deliberate change
+// to selection semantics.
 
 import (
 	"context"
@@ -19,9 +19,10 @@ import (
 )
 
 // legacyResolveAlgorithm is the pre-planner auto heuristic — updated
-// deliberately for two selection-semantics changes the planner made since:
-// linear-gap primaries are the lane-packed kernels, and the lattice
-// estimate halves when the scheme's score bound admits 16-bit cells.
+// deliberately for the selection-semantics changes the planner made since:
+// the lattice estimate halves when the scheme's score bound admits 16-bit
+// cells, and the linear-gap primaries are full and parallel, which run the
+// lane-packed interior the retired -packed names used to select.
 func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options, parallel bool) Algorithm {
 	if opt.Algorithm != AlgorithmAuto {
 		return opt.Algorithm
@@ -44,9 +45,9 @@ func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options, parallel bool) 
 		return AlgorithmAffineLinear
 	case lattice <= maxB:
 		if parallel {
-			return AlgorithmParallelPacked
+			return AlgorithmParallel
 		}
-		return AlgorithmFullPacked
+		return AlgorithmFull
 	default:
 		if parallel {
 			return AlgorithmParallelLinear
@@ -55,23 +56,20 @@ func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options, parallel bool) 
 	}
 }
 
-// legacyRunAlgorithm is the pre-planner dispatch switch, verbatim.
+// legacyRunAlgorithm is the pre-planner dispatch switch, with the alias
+// names routed to the kernels they now alias (see aliasOf): full-packed
+// and parallel-packed to the lane-packed full and parallel, diagonal to
+// parallel, and the retired dense pruned fills to the bounded band.
 func legacyRunAlgorithm(ctx context.Context, algo Algorithm, tr Triple, sch *Scheme, copt core.Options) (aln *Alignment, prune *PruneStats, err error) {
 	switch algo {
-	case AlgorithmFull:
+	case AlgorithmFull, AlgorithmFullPacked:
 		aln, err = core.AlignFull(ctx, tr, sch, copt)
-	case AlgorithmFullPacked:
-		aln, err = core.AlignFullPacked(ctx, tr, sch, copt)
-	case AlgorithmParallel:
+	case AlgorithmParallel, AlgorithmParallelPacked, AlgorithmDiagonal:
 		aln, err = core.AlignParallel(ctx, tr, sch, copt)
-	case AlgorithmParallelPacked:
-		aln, err = core.AlignParallelPacked(ctx, tr, sch, copt)
 	case AlgorithmLinear:
 		aln, err = core.AlignLinear(ctx, tr, sch, copt)
 	case AlgorithmParallelLinear:
 		aln, err = core.AlignParallelLinear(ctx, tr, sch, copt)
-	case AlgorithmDiagonal:
-		aln, err = core.AlignDiagonal(ctx, tr, sch, copt)
 	case AlgorithmAffine:
 		aln, err = core.AlignAffine(ctx, tr, sch, copt)
 	case AlgorithmAffineLinear:
@@ -85,15 +83,10 @@ func legacyRunAlgorithm(ctx context.Context, algo Algorithm, tr Triple, sch *Sch
 			break
 		}
 		var st core.PruneStats
-		switch algo {
-		case AlgorithmPruned:
-			aln, st, err = core.AlignPruned(ctx, tr, sch, copt, bound.Score)
-		case AlgorithmPrunedParallel:
-			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, copt, bound.Score)
-		case AlgorithmBounded:
-			aln, st, err = core.AlignBounded(ctx, tr, sch, copt, bound.Score)
-		case AlgorithmAStar:
+		if algo == AlgorithmAStar {
 			aln, st, err = core.AlignAStar(ctx, tr, sch, copt, bound.Score)
+		} else {
+			aln, st, err = core.AlignBounded(ctx, tr, sch, copt, bound.Score)
 		}
 		if err == nil {
 			prune = &st
@@ -148,8 +141,8 @@ func pinTriples(t *testing.T) []struct {
 
 // TestRegistryDispatchMatchesLegacySwitch runs every explicit algorithm
 // under every pinned scheme through both the legacy switch and the
-// planner-backed Align, asserting identical selection and byte-identical
-// alignments.
+// planner-backed Align, asserting identical selection (an alias runs and
+// reports its canonical kernel) and byte-identical alignments.
 func TestRegistryDispatchMatchesLegacySwitch(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range pinTriples(t) {
@@ -164,8 +157,9 @@ func TestRegistryDispatchMatchesLegacySwitch(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if res.Algorithm != algo {
-				t.Errorf("%s: ran %s, want the requested algorithm", name, res.Algorithm)
+			want := canonical(algo)
+			if res.Algorithm != want {
+				t.Errorf("%s: ran %s, want %s", name, res.Algorithm, want)
 			}
 			if res.Score != wantAln.Score {
 				t.Errorf("%s: score %d, legacy %d", name, res.Score, wantAln.Score)
@@ -180,7 +174,7 @@ func TestRegistryDispatchMatchesLegacySwitch(t *testing.T) {
 			} else if res.Prune != nil && *res.Prune != *wantPrune {
 				t.Errorf("%s: prune stats %+v, legacy %+v", name, *res.Prune, *wantPrune)
 			}
-			if res.Plan == nil || res.Plan.Algorithm != string(algo) {
+			if res.Plan == nil || res.Plan.Algorithm != string(want) {
 				t.Errorf("%s: Result.Plan missing or wrong: %+v", name, res.Plan)
 			}
 		}

@@ -77,38 +77,42 @@ type Algorithm string
 // The available algorithms. Every linear-gap kernel through AlgorithmAStar
 // is exact (identical optimal linear-gap SP scores); the affine kernels are
 // exact under the affine objective; the last three are fast heuristics.
+// Five names are aliases kept so existing callers still parse: they run,
+// and Result.Algorithm and Result.Plan report, the kernel they alias.
 const (
-	// AlgorithmAuto matches the scheme's gap model: AlgorithmParallelPacked
-	// for linear gaps or AlgorithmAffineParallel for affine schemes, falling
+	// AlgorithmAuto matches the scheme's gap model: AlgorithmParallel for
+	// linear gaps or AlgorithmAffineParallel for affine schemes, falling
 	// back to the corresponding linear-space variant when the lattice
 	// would exceed MaxBytes.
 	AlgorithmAuto Algorithm = ""
-	// AlgorithmFull is the sequential full-matrix 3D dynamic program.
+	// AlgorithmFull is the sequential full-matrix 3D dynamic program. Its
+	// innermost k-lane runs a vectorized two-pass max-plus scan (AVX2 where
+	// available, unrolled bounds-check-free Go elsewhere) and honors the
+	// planner's negotiated 16-bit cell width.
 	AlgorithmFull Algorithm = "full"
-	// AlgorithmFullPacked is AlgorithmFull with the lane-packed interior:
-	// the innermost k-lane runs a vectorized two-pass max-plus scan (AVX2
-	// where available, unrolled bounds-check-free Go elsewhere) and honors
-	// the planner's negotiated 16-bit cell width. Same lattice, same
-	// optimum, several times the sequential throughput.
+	// AlgorithmFullPacked is an alias of AlgorithmFull, whose interior it
+	// names.
 	AlgorithmFullPacked Algorithm = "full-packed"
-	// AlgorithmParallel is the paper's blocked-wavefront parallel algorithm.
+	// AlgorithmParallel is the paper's blocked-wavefront parallel algorithm,
+	// with the lane-packed interior filling each wavefront tile.
 	AlgorithmParallel Algorithm = "parallel"
-	// AlgorithmParallelPacked is AlgorithmParallel with the lane-packed
-	// interior filling each wavefront tile.
+	// AlgorithmParallelPacked is an alias of AlgorithmParallel.
 	AlgorithmParallelPacked Algorithm = "parallel-packed"
 	// AlgorithmLinear is the sequential linear-space divide-and-conquer.
 	AlgorithmLinear Algorithm = "linear"
 	// AlgorithmParallelLinear combines linear space with parallel plane sweeps.
 	AlgorithmParallelLinear Algorithm = "parallel-linear"
-	// AlgorithmDiagonal is the plane-synchronized (anti-diagonal) parallel
-	// wavefront — the classic cell-level formulation the blocked schedule
-	// is compared against.
+	// AlgorithmDiagonal is an alias of AlgorithmParallel. The
+	// plane-synchronized (anti-diagonal) wavefront it used to name is the
+	// ablation the blocked schedule is measured against, and no longer a
+	// serving kernel.
 	AlgorithmDiagonal Algorithm = "diagonal"
-	// AlgorithmPruned restricts the full matrix to the Carrillo–Lipman
-	// admissible region, using the center-star score as the lower bound.
+	// AlgorithmPruned is an alias of AlgorithmBounded: Carrillo–Lipman
+	// pruning with the center-star-refined score as the lower bound, over
+	// the admissible band instead of the full matrix.
 	AlgorithmPruned Algorithm = "pruned"
-	// AlgorithmPrunedParallel combines Carrillo–Lipman pruning with the
-	// blocked-wavefront parallel schedule.
+	// AlgorithmPrunedParallel is an alias of AlgorithmBounded, whose band
+	// fill already runs on the wavefront pool.
 	AlgorithmPrunedParallel Algorithm = "pruned-parallel"
 	// AlgorithmBounded is true Carrillo–Lipman bounded search: it allocates
 	// only the admissible band (memory scales with the cells the bound
@@ -237,15 +241,15 @@ type Options struct {
 // Result is a completed alignment plus execution metadata.
 type Result struct {
 	*Alignment
-	// Algorithm is the algorithm that actually ran (resolved from Auto;
-	// AlgorithmCenterStarRefined when Degraded).
+	// Algorithm is the algorithm that actually ran (resolved from Auto or
+	// an alias; AlgorithmCenterStarRefined when Degraded).
 	Algorithm Algorithm
 	// Elapsed is the wall-clock alignment time.
 	Elapsed time.Duration
-	// Prune carries Carrillo–Lipman statistics when one of the pruned or
-	// bounded-search kernels ran (AlgorithmPruned, AlgorithmPrunedParallel,
-	// AlgorithmBounded, AlgorithmAStar): the lattice size, the cells
-	// actually evaluated, and the bounds.
+	// Prune carries Carrillo–Lipman statistics when one of the
+	// bounded-search kernels ran (AlgorithmBounded, AlgorithmAStar, or an
+	// alias of them): the lattice size, the cells actually evaluated, and
+	// the bounds.
 	Prune *PruneStats
 	// Plan is the execution plan that produced this result: the planner's
 	// kernel choice with its footprint and duration estimates, including

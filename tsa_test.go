@@ -21,8 +21,8 @@ func TestAlignDefaultOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != AlgorithmParallelPacked {
-		t.Errorf("auto algorithm = %q, want parallel-packed", res.Algorithm)
+	if res.Algorithm != AlgorithmParallel {
+		t.Errorf("auto algorithm = %q, want parallel", res.Algorithm)
 	}
 	if err := res.Validate(); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestAlignAutoFallsBackToLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if narrow.Algorithm != AlgorithmParallelPacked {
+	if narrow.Algorithm != AlgorithmParallel {
 		t.Fatalf("auto with an int16-fitting cap chose %q", narrow.Algorithm)
 	}
 	if narrow.Plan == nil || narrow.Plan.CellWidthBits != 16 {
