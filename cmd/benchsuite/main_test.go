@@ -89,7 +89,8 @@ func TestBenchJSON(t *testing.T) {
 		"score": false, "linear": false, "affine7": false,
 		"pairwise-global": false, "pairwise-gotoh": false,
 		"bounded": false, "astar": false,
-		"bounded-id60": false, "bounded-id80": false, "bounded-id95": false}
+		"bounded-id60": false, "bounded-id80": false, "bounded-id95": false,
+		"full-packed-id80": false}
 	// The bounded-search rows carry an evaluated fraction; every one of
 	// them must report a meaningful band (0 < fraction <= 1).
 	fractional := map[string]bool{"bounded": true, "astar": true,

@@ -49,6 +49,9 @@ func init() {
 			openCount[q][s] = n
 		}
 	}
+	for s := 1; s < 8; s++ {
+		affineGroups[s] = newAffineGroup(alignment.Move(s))
+	}
 }
 
 // colBaseAffine is the substitution-plus-gap-extend contribution of a
@@ -136,14 +139,13 @@ func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, 
 	// column charges opens relative to the enclosing context.
 	st := newScoreTables(ca, cb, cc, sch)
 	defer st.release()
-	open := newAffineOpenTable(sch)
+	f := newAffineFill(sch)
 	var d [7]*mat.Tensor3
 	for s := 0; s < 7; s++ {
 		d[s] = mat.GetTensor3(n+1, m+1, p+1)
-		d[s].Fill(mat.NegInf)
 		defer mat.PutTensor3(d[s])
 	}
-	d[q0-1].Set(0, 0, 0, 0)
+	seedAffineOrigin(&d, q0)
 
 	sj := wavefront.Span{Lo: 0, Hi: m + 1}
 	sk := wavefront.Span{Lo: 0, Hi: p + 1}
@@ -151,7 +153,7 @@ func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, 
 		if err := checkCtx(ctx); err != nil {
 			return nil, 0, err
 		}
-		fillRangeAffine(&d, st, ca, cb, cc, sch, &open, wavefront.Span{Lo: i, Hi: i + 1}, sj, sk)
+		fillRangeAffine(&d, st, &f, wavefront.Span{Lo: i, Hi: i + 1}, sj, sk)
 	}
 
 	return affineTraceback(d, ca, cb, cc, sch, sEnd)

@@ -119,150 +119,73 @@ func putPlanes7(ps *[7]*mat.Plane) {
 // affineForwardPlanes sweeps the 7-state recurrence over all of ca and
 // returns, per state s, the plane F[s](j, k): the best score of aligning
 // ca, cb[:j], cc[:k] ending with column mask s, with q0 as the virtual
-// mask before the first column. The caller owns the returned planes and
-// must release them with putPlanes7; on error everything is released here.
+// mask before the first column. Each (i, j) row is one grouped-open lane
+// pass, the same interior the full-lattice fills run; the i = 0 plane has
+// no previous plane. The caller owns the returned planes and must release
+// them with putPlanes7; on error everything is released here.
 func affineForwardPlanes(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, q0 alignment.Move) ([7]*mat.Plane, error) {
 	m, p := len(cb), len(cc)
-	go_ := sch.GapOpen()
-	ge := sch.GapExtend()
 	prof := newPairProfile(cc, sch)
 	defer prof.release()
-	open := newAffineOpenTable(sch)
-	var opT [8][8]mat.Score
-	for s := 1; s <= 7; s++ {
-		for q := 1; q <= 7; q++ {
-			opT[s][q] = open[q][s]
-		}
-	}
+	f := newAffineFill(sch)
 	var prev, cur [7]*mat.Plane
 	for s := 0; s < 7; s++ {
 		prev[s] = mat.GetPlane(m+1, p+1)
 		cur[s] = mat.GetPlane(m+1, p+1)
 	}
-
-	// cell is the guarded transition for boundary cells (i == 0 plane,
-	// j == 0 row, k == 0 column), verbatim from the original sweep.
-	cell := func(i, j, k int) {
-		var ai, bj, ck int8
-		if i > 0 {
-			ai = ca[i-1]
-		}
-		if j > 0 {
-			bj = cb[j-1]
-		}
-		if k > 0 {
-			ck = cc[k-1]
-		}
-		for s := alignment.Move(1); s <= 7; s++ {
-			di, dj, dk := moveDelta(s)
-			pj, pk := j-dj, k-dk
-			if pj < 0 || pk < 0 || (di == 1 && i == 0) {
-				cur[s-1].Set(j, k, mat.NegInf)
-				continue
-			}
-			src := &cur
-			if di == 1 {
-				src = &prev
-			}
-			best := mat.NegInf
-			for q := alignment.Move(1); q <= 7; q++ {
-				pv := src[q-1].At(pj, pk)
-				if pv <= mat.NegInf/2 {
-					continue
-				}
-				if v := pv + mat.Score(openCount[q][s])*go_; v > best {
-					best = v
-				}
-			}
-			if best <= mat.NegInf/2 {
-				cur[s-1].Set(j, k, mat.NegInf)
-				continue
-			}
-			cur[s-1].Set(j, k, best+colBaseAffine(sch, s, ai, bj, ck))
-		}
-	}
-
-	fill := func(i int) {
-		if i == 0 {
-			for j := 0; j <= m; j++ {
-				for k := 0; k <= p; k++ {
-					if j == 0 && k == 0 {
-						continue // origin cell carries the q0 seed
-					}
-					cell(0, j, k)
-				}
-			}
-			return
-		}
-		ai := ca[i-1]
-		acRow := prof.Row(ai)
-		subAi := sch.SubRow(ai)
-		for k := 0; k <= p; k++ {
-			cell(i, 0, k)
-		}
-		for j := 1; j <= m; j++ {
-			bj := cb[j-1]
-			sAB := subAi[bj]
-			bcRow := prof.Row(bj)
-			var p0, p1, c0, c1 [7][]mat.Score
-			for q := 0; q < 7; q++ {
-				p0[q] = prev[q].Row(j)
-				p1[q] = prev[q].Row(j - 1)
-				c0[q] = cur[q].Row(j)
-				c1[q] = cur[q].Row(j - 1)
-			}
-			// Predecessor row group and k-offset per successor mask:
-			// consuming A selects the prev plane, B the j-1 row, C the
-			// k-1 column.
-			preds := [8]struct {
-				rows *[7][]mat.Score
-				off  int
-			}{
-				1: {&p0, 0}, 2: {&c1, 0}, 3: {&p1, 0},
-				4: {&c0, -1}, 5: {&p0, -1}, 6: {&c1, -1}, 7: {&p1, -1},
-			}
-			cell(i, j, 0)
-			for k := 1; k <= p; k++ {
-				base := affineBases(sAB, acRow[k], bcRow[k], ge)
-				for s := 1; s <= 7; s++ {
-					rows := preds[s].rows
-					idx := k + preds[s].off
-					op := &opT[s]
-					best := rows[0][idx] + op[1]
-					for q := 1; q < 7; q++ {
-						if v := rows[q][idx] + op[q+1]; v > best {
-							best = v
-						}
-					}
-					if best <= mat.NegInf/2 {
-						c0[s-1][k] = mat.NegInf
-					} else {
-						c0[s-1][k] = best + base[s]
-					}
-				}
-			}
-		}
-	}
-
-	// Plane i = 0: seed the origin in state q0, then fill in-plane cells.
+	// The origin cell carries the q0 seed.
 	for s := 0; s < 7; s++ {
-		cur[s].Fill(mat.NegInf)
+		cur[s].Set(0, 0, mat.NegInf)
 	}
 	cur[q0-1].Set(0, 0, 0)
-	fill(0)
-	prev, cur = cur, prev
 
-	for i := 1; i <= len(ca); i++ {
+	var lc, l10, l01, l11 affineLanes
+	for i := 0; i <= len(ca); i++ {
 		if err := checkCtx(ctx); err != nil {
 			putPlanes7(&prev)
 			putPlanes7(&cur)
 			return [7]*mat.Plane{}, err
 		}
-		fill(i)
+		var acRow, subAi []mat.Score
+		if i > 0 {
+			acRow, subAi = prof.Row(ca[i-1]), sch.SubRow(ca[i-1])
+		}
+		for j := 0; j <= m; j++ {
+			planeRows(&cur, j, &lc)
+			var p10, p01, p11 *affineLanes
+			var sAB mat.Score
+			var bcRow []mat.Score
+			if i > 0 {
+				planeRows(&prev, j, &l10)
+				p10 = &l10
+			}
+			if j > 0 {
+				planeRows(&cur, j-1, &l01)
+				p01 = &l01
+				bcRow = prof.Row(cb[j-1])
+			}
+			if i > 0 && j > 0 {
+				planeRows(&prev, j-1, &l11)
+				p11 = &l11
+				sAB = subAi[cb[j-1]]
+			}
+			lo := 0
+			if i == 0 && j == 0 {
+				lo = 1
+			}
+			f.lane(&lc, p10, p01, p11, sAB, acRow, bcRow, lo, p+1)
+		}
 		prev, cur = cur, prev
 	}
 	putPlanes7(&cur)
 	return prev, nil
+}
+
+// planeRows gathers row j of the seven state planes.
+func planeRows(ps *[7]*mat.Plane, j int, dst *affineLanes) {
+	for s := range ps {
+		dst[s] = ps[s].Row(j)
+	}
 }
 
 // affineBackwardPlanes computes, per prev-mask q, the plane G[q](j, k):

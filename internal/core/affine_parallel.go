@@ -12,133 +12,54 @@ import (
 )
 
 // fillRangeAffine evaluates all seven state lattices over one block in
-// lexicographic order. Every predecessor cell a state transition reads lies
-// in this block or in an axis-predecessor block, so the blocked wavefront
-// schedule of Run3D is sufficient — the same argument as the linear-gap
-// kernel, applied per state. Boundary cells (any zero index) go through the
-// guarded affineCell path; interior lanes take affineLane, which hoists the
-// 28 predecessor lanes once per (i, j) and runs the 7×7 transition with
-// table reads only.
-func fillRangeAffine(d *[7]*mat.Tensor3, st *scoreTables, ca, cb, cc []int8, sch *scoring.Scheme, open *affineOpenTable, si, sj, sk wavefront.Span) {
+// lexicographic order, one grouped-open lane pass per (i, j) lane. Every
+// predecessor cell a state transition reads lies in this block or in an
+// axis-predecessor block, so the blocked wavefront schedule of Run3D is
+// sufficient — the same argument as the linear-gap kernel, applied per
+// state. The pass writes every cell of the block; the caller seeds the
+// origin (seedAffineOrigin) before the block that holds it runs.
+func fillRangeAffine(d *[7]*mat.Tensor3, st *scoreTables, f *affineFill, si, sj, sk wavefront.Span) {
 	if fpFill.Fire() {
 		panic("faultpoint: core.fill.block")
 	}
-	go_ := sch.GapOpen()
-	ge := sch.GapExtend()
-	// Transposed open table: the interior loop scans predecessor states q
-	// for a fixed successor s, so opT[s] is the row it streams.
-	var opT [8][8]mat.Score
-	for s := 1; s <= 7; s++ {
-		for q := 1; q <= 7; q++ {
-			opT[s][q] = open[q][s]
+	var cur, l10, l01, l11 affineLanes
+	for i := si.Lo; i < si.Hi; i++ {
+		var abRow, acRow []mat.Score
+		if i > 0 {
+			abRow, acRow = st.ab.Row(i), st.ac.Row(i)
 		}
-	}
-	if si.Lo == 0 {
 		for j := sj.Lo; j < sj.Hi; j++ {
-			for k := sk.Lo; k < sk.Hi; k++ {
-				if j == 0 && k == 0 {
-					continue // origin carries the boundary seed
-				}
-				affineCell(d, ca, cb, cc, sch, go_, 0, j, k)
+			tensorLanes(d, i, j, &cur)
+			var p10, p01, p11 *affineLanes
+			var sAB mat.Score
+			var bcRow []mat.Score
+			if i > 0 {
+				tensorLanes(d, i-1, j, &l10)
+				p10 = &l10
 			}
-		}
-	}
-	for i := max(si.Lo, 1); i < si.Hi; i++ {
-		abRow := st.ab.Row(i)
-		acRow := st.ac.Row(i)
-		if sj.Lo == 0 {
-			for k := sk.Lo; k < sk.Hi; k++ {
-				affineCell(d, ca, cb, cc, sch, go_, i, 0, k)
+			if j > 0 {
+				tensorLanes(d, i, j-1, &l01)
+				p01 = &l01
+				bcRow = st.bc.Row(j)
 			}
-		}
-		for j := max(sj.Lo, 1); j < sj.Hi; j++ {
-			if sk.Lo == 0 {
-				affineCell(d, ca, cb, cc, sch, go_, i, j, 0)
+			if i > 0 && j > 0 {
+				tensorLanes(d, i-1, j-1, &l11)
+				p11 = &l11
+				sAB = abRow[j]
 			}
-			affineLane(d, &opT, ge, abRow[j], acRow, st.bc.Row(j), i, j, max(sk.Lo, 1), sk.Hi)
-		}
-	}
-}
-
-// affineCell is the guarded per-cell transition, verbatim from the original
-// kernel: used for lattice boundary cells where some predecessors fall
-// outside the box.
-func affineCell(d *[7]*mat.Tensor3, ca, cb, cc []int8, sch *scoring.Scheme, go_ mat.Score, i, j, k int) {
-	var ai, bj, ck int8
-	if i > 0 {
-		ai = ca[i-1]
-	}
-	if j > 0 {
-		bj = cb[j-1]
-	}
-	if k > 0 {
-		ck = cc[k-1]
-	}
-	for s := alignment.Move(1); s <= 7; s++ {
-		di, dj, dk := moveDelta(s)
-		pi, pj, pk := i-di, j-dj, k-dk
-		if pi < 0 || pj < 0 || pk < 0 {
-			continue
-		}
-		best := mat.NegInf
-		for q := alignment.Move(1); q <= 7; q++ {
-			pv := d[q-1].At(pi, pj, pk)
-			if pv <= mat.NegInf/2 {
-				continue
+			lo := sk.Lo
+			if i == 0 && j == 0 && lo == 0 {
+				lo = 1 // the origin carries the boundary seed
 			}
-			if v := pv + mat.Score(openCount[q][s])*go_; v > best {
-				best = v
-			}
-		}
-		if best > mat.NegInf/2 {
-			d[s-1].Set(i, j, k, best+colBaseAffine(sch, s, ai, bj, ck))
+			f.lane(&cur, p10, p01, p11, sAB, acRow, bcRow, lo, sk.Hi)
 		}
 	}
 }
 
-// affineLane fills cells (i, j, lo..hi-1), i, j ≥ 1, lo ≥ 1, of all seven
-// state lattices. Unreachable predecessors hold NegInf and can join the max
-// unconditionally: NegInf plus any open penalty stays below NegInf/2, so
-// they neither win against a reachable value (all of which are tiny next to
-// NegInf/2) nor pass the feasibility gate when everything is unreachable.
-func affineLane(d *[7]*mat.Tensor3, opT *[8][8]mat.Score, ge, sAB mat.Score, acRow, bcRow []mat.Score, i, j, lo, hi int) {
-	acRow = acRow[:hi]
-	bcRow = bcRow[:hi]
-	var l11, l10, l01, lcc [7][]mat.Score
-	for q := 0; q < 7; q++ {
-		l11[q] = d[q].Lane(i-1, j-1)
-		l10[q] = d[q].Lane(i-1, j)
-		l01[q] = d[q].Lane(i, j-1)
-		lcc[q] = d[q].Lane(i, j)[:hi:hi]
-	}
-	// Predecessor lane group and k-offset per successor mask: consuming A
-	// steps i, B steps j, C steps k.
-	preds := [8]struct {
-		lanes *[7][]mat.Score
-		off   int
-	}{
-		1: {&l10, 0}, 2: {&l01, 0}, 3: {&l11, 0},
-		4: {&lcc, -1}, 5: {&l10, -1}, 6: {&l01, -1}, 7: {&l11, -1},
-	}
-	// The dominating no-op reslice proves lo ≥ 0 to the compiler, which
-	// drops the bounds checks on the profile reads in the k loop.
-	_ = acRow[:lo]
-	for k := lo; k < hi; k++ {
-		base := affineBases(sAB, acRow[k], bcRow[k], ge)
-		for s := 1; s <= 7; s++ {
-			lanes := preds[s].lanes
-			idx := k + preds[s].off
-			op := &opT[s]
-			best := lanes[0][idx] + op[1]
-			for q := 1; q < 7; q++ {
-				if v := lanes[q][idx] + op[q+1]; v > best {
-					best = v
-				}
-			}
-			if best > mat.NegInf/2 {
-				lcc[s-1][k] = best + base[s]
-			}
-		}
+// tensorLanes gathers the (i, j) lanes of the seven state lattices.
+func tensorLanes(d *[7]*mat.Tensor3, i, j int, dst *affineLanes) {
+	for s := range d {
+		dst[s] = d[s].Lane(i, j)
 	}
 }
 
@@ -162,14 +83,13 @@ func AlignAffineParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme
 	n, m, p := len(ca), len(cb), len(cc)
 	st := newScoreTables(ca, cb, cc, sch)
 	defer st.release()
-	open := newAffineOpenTable(sch)
+	f := newAffineFill(sch)
 	var d [7]*mat.Tensor3
 	for s := 0; s < 7; s++ {
 		d[s] = mat.GetTensor3(n+1, m+1, p+1)
-		d[s].Fill(mat.NegInf)
 		defer mat.PutTensor3(d[s])
 	}
-	d[6].Set(0, 0, 0, 0) // origin in state 7: the first column pays its opens
+	seedAffineOrigin(&d, alignment.MoveXXX) // the first column pays its opens
 
 	// 28 bytes per cell: seven 4-byte lattices, one per affine gap state.
 	ti, tj, tk := opt.tileDims(n+1, m+1, p+1, 28)
@@ -177,7 +97,7 @@ func AlignAffineParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme
 	sj := wavefront.Partition(m+1, tj)
 	sk := wavefront.Partition(p+1, tk)
 	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
-		fillRangeAffine(&d, st, ca, cb, cc, sch, &open, si[bi], sj[bj], sk[bk])
+		fillRangeAffine(&d, st, &f, si[bi], sj[bj], sk[bk])
 	}); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/alignment"
@@ -29,6 +31,38 @@ func TestOpenCountTable(t *testing.T) {
 		if got := openCount[c.q][c.s]; got != c.want {
 			t.Errorf("openCount[%s][%s] = %d, want %d", c.q, c.s, got, c.want)
 		}
+	}
+}
+
+// TestAffineGroups pins the open-count grouping the lane pass's paired
+// loops hard-code: per successor mask, the zero-open state and the states
+// paying one and two opens (as masks).
+func TestAffineGroups(t *testing.T) {
+	want := map[alignment.Move][3][]int{
+		1: {{1}, {3, 5}, {2, 4, 6, 7}},
+		2: {{2}, {3, 6}, {1, 4, 5, 7}},
+		3: {{3}, {1, 2}, {4, 5, 6, 7}},
+		4: {{4}, {5, 6}, {1, 2, 3, 7}},
+		5: {{5}, {1, 4}, {2, 3, 6, 7}},
+		6: {{6}, {2, 4}, {1, 3, 5, 7}},
+	}
+	asMasks := func(idx []int) []int {
+		out := make([]int, len(idx))
+		for i, q := range idx {
+			out[i] = q + 1
+		}
+		sort.Ints(out)
+		return out
+	}
+	for s, w := range want {
+		g := affineGroups[s]
+		got := [3][]int{asMasks([]int{g.own}), asMasks(g.one[:]), asMasks(g.two[:])}
+		if !reflect.DeepEqual(got, w) || g.opens != [2]int8{1, 2} {
+			t.Errorf("mask %s: groups %v opens %v, want %v opens [1 2]", s, got, g.opens, w)
+		}
+	}
+	if g := affineGroups[alignment.MoveXXX]; g.own != 6 || g.opens != [2]int8{0, 0} {
+		t.Errorf("XXX: own %d opens %v, want own 6 and no opens", g.own, g.opens)
 	}
 }
 

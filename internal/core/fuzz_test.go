@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/alignment"
 	"repro/internal/seq"
+	"repro/internal/wavefront"
 )
 
 // FuzzAlgorithmsAgree feeds arbitrary short residue strings to every exact
@@ -129,6 +131,52 @@ func FuzzAffineFamilyAgrees(f *testing.F) {
 		}
 		if par.Score != ref.Score {
 			t.Fatalf("parallel %d != full %d for (%q,%q,%q)", par.Score, ref.Score, a, b, c)
+		}
+	})
+}
+
+// FuzzAffineFill pins the grouped-open lane pass to the guarded per-cell
+// recurrence (refAffineFill) on arbitrary short inputs, gap costs,
+// boundary seeds and block sizes: the sequential and the blocked fill
+// must reproduce every cell of every state, starting from garbage.
+func FuzzAffineFill(f *testing.F) {
+	f.Add("ACGT", "ACG", "AGT", uint8(4), uint8(1), uint8(6), uint8(2))
+	f.Add("", "", "", uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add("AAAAAAAA", "AA", "AAAA", uint8(0), uint8(2), uint8(3), uint8(0))
+	f.Add("ACGTACGTACGT", "", "TTTT", uint8(31), uint8(7), uint8(1), uint8(4))
+	f.Add("GATTACA", "GCATGCA", "", uint8(11), uint8(1), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, a, b, c string, open, extend, seed, block uint8) {
+		tr, err := makeTriple(a, b, c, 12)
+		if err != nil {
+			return
+		}
+		sch, err := dnaSch.WithGaps(-int(open%32), -int(extend%8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q0 := alignment.Move(1 + seed%7)
+		ca, cb, cc, err := prepare(tr, sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, m, p := len(ca), len(cb), len(cc)
+		want := refAffineFill(ca, cb, cc, sch, q0)
+		st := newScoreTables(ca, cb, cc, sch)
+		defer st.release()
+		fl := newAffineFill(sch)
+
+		seqFill := seededGarbage(n, m, p, q0)
+		fillRangeAffine(seqFill, st, &fl,
+			wavefront.Span{Lo: 0, Hi: n + 1},
+			wavefront.Span{Lo: 0, Hi: m + 1},
+			wavefront.Span{Lo: 0, Hi: p + 1})
+		blocked := seededGarbage(n, m, p, q0)
+		runBlocked3D(n, m, p, 1+int(block%5), func(si, sj, sk wavefront.Span) {
+			fillRangeAffine(blocked, st, &fl, si, sj, sk)
+		})
+		for s := 0; s < 7; s++ {
+			wantTensorsEqual(t, seqFill[s], want[s])
+			wantTensorsEqual(t, blocked[s], want[s])
 		}
 	})
 }
