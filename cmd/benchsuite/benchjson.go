@@ -54,14 +54,53 @@ type kernelMetric struct {
 	EvaluatedFraction float64 `json:"evaluated_fraction,omitempty"`
 }
 
-// benchReport is the top-level BENCH_<rev>.json document.
+// benchReport is the top-level BENCH_<rev>.json document. The host fields
+// (num_cpu, avx2, cpu) identify the machine the rates were taken on;
+// reports written before they existed parse with them empty.
 type benchReport struct {
 	Rev        string         `json:"rev"`
 	GoVersion  string         `json:"go_version"`
 	GOMAXPROCS int            `json:"gomaxprocs"`
+	NumCPU     int            `json:"num_cpu,omitempty"`
+	AVX2       bool           `json:"avx2"`
+	CPU        string         `json:"cpu,omitempty"`
 	Quick      bool           `json:"quick"`
 	Reps       int            `json:"reps"`
 	Kernels    []kernelMetric `json:"kernels"`
+}
+
+// stampHost fills the report's host fields: the CPU count, and the model
+// name and AVX2 flag from /proc/cpuinfo ("unknown" and false where that
+// file does not exist).
+func (r *benchReport) stampHost() {
+	r.NumCPU = runtime.NumCPU()
+	r.CPU = "unknown"
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		k, v, ok := strings.Cut(line, ":")
+		if !ok {
+			continue
+		}
+		switch strings.TrimSpace(k) {
+		case "model name":
+			r.CPU = strings.TrimSpace(v)
+		case "flags":
+			r.AVX2 = strings.Contains(" "+v+" ", " avx2 ")
+		}
+	}
+}
+
+// host renders the report's host fields on one line; a report written
+// before they existed reads "unrecorded".
+func (r benchReport) host() string {
+	if r.NumCPU == 0 {
+		return fmt.Sprintf("unrecorded (gomaxprocs=%d go=%s)", r.GOMAXPROCS, r.GoVersion)
+	}
+	return fmt.Sprintf("num_cpu=%d gomaxprocs=%d avx2=%t go=%s cpu=%q",
+		r.NumCPU, r.GOMAXPROCS, r.AVX2, r.GoVersion, r.CPU)
 }
 
 // gitRev is the short commit hash used in the default output name, or "dev"
@@ -337,6 +376,7 @@ func writeBenchJSON(path string, cfg config) error {
 		Quick:      cfg.quick,
 		Reps:       cfg.reps,
 	}
+	rep.stampHost()
 	for _, k := range kernels {
 		before := wavefront.Stats()
 		mean, bytesPerOp, allocsPerOp := measureKernel(cfg.reps, k.run)
@@ -404,6 +444,10 @@ func diffBaseline(out io.Writer, path string, cur benchReport) error {
 		baseline[k.Kernel] = k
 	}
 	fmt.Fprintf(out, "\nbaseline diff vs %s (rev %s):\n", path, base.Rev)
+	fmt.Fprintf(out, "  baseline host: %s\n  current host:  %s\n", base.host(), cur.host())
+	if base.NumCPU != 0 && base.host() != cur.host() {
+		fmt.Fprintln(out, "  note: the hosts differ; the deltas compare unlike machines")
+	}
 	regressions := 0
 	for _, k := range cur.Kernels {
 		b, ok := baseline[k.Kernel]

@@ -238,13 +238,18 @@ func runF1(cfg config) error {
 	s1i, s1j, s1k := spansFor(1)
 	cost1 := wavefront.SpanCost(s1i, s1j, s1k, 1)
 	sim1 := wavefront.Simulate(len(s1i), len(s1j), len(s1k), 1, cost1)
-	procs := runtime.NumCPU()
-	tab := bench.NewTable(fmt.Sprintf("F1: speedup vs workers (n=%d, adaptive tiles)", n),
-		"workers", "tile", "time", "meas-speedup", "sim-speedup")
+	procs := runtime.GOMAXPROCS(0)
+	tab := bench.NewTable(fmt.Sprintf("F1: speedup vs workers (n=%d, adaptive tiles, GOMAXPROCS=%d)", n, procs),
+		"workers", "tile", "time", "vs-full", "vs-1w", "sim-speedup")
 	tab.Caption = fmt.Sprintf("expected: near-linear sim-speedup until the wavefront width saturates;\n"+
-		"measured speedup tracks it only when the host has that many cores\n"+
-		"* = workers exceed the host's %d core(s); meas-speedup is invalid there,\n"+
+		"measured speedup (vs-full: the sequential full kernel; vs-1w: parallel at 1 worker)\n"+
+		"tracks it only up to the cores GOMAXPROCS grants\n"+
+		"* = workers exceed GOMAXPROCS=%d; measured speedup is invalid there,\n"+
 		"read sim-speedup for the scaling curve", procs)
+	tFull := bench.Measure(cfg.reps, func() {
+		mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+	})
+	tab.AddRowf("full", "-", tFull.Mean, "1.00 ", "", "")
 	var t1 time.Duration
 	for _, w := range workerSweep() {
 		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1, w, 4)
@@ -257,15 +262,15 @@ func runF1(cfg config) error {
 			t1 = t.Mean
 		}
 		sim := sim1 / wavefront.Simulate(len(si), len(sj), len(sk), w, cost)
-		// The trailing space on unstarred rows keeps the column aligned:
+		// The trailing space on unstarred cells keeps the columns aligned:
 		// Render right-aligns only purely numeric cells.
-		meas := fmt.Sprintf("%.2f", bench.Speedup(t1, t.Mean))
+		mark := " "
 		if w > procs {
-			meas += "*"
-		} else {
-			meas += " "
+			mark = "*"
 		}
-		tab.AddRowf(w, fmt.Sprintf("%dx%dx%d", ti, tj, tk), t.Mean, meas, sim)
+		tab.AddRowf(w, fmt.Sprintf("%dx%dx%d", ti, tj, tk), t.Mean,
+			fmt.Sprintf("%.2f%s", bench.Speedup(tFull.Mean, t.Mean), mark),
+			fmt.Sprintf("%.2f%s", bench.Speedup(t1, t.Mean), mark), sim)
 	}
 	return cfg.render(tab)
 }
@@ -473,7 +478,8 @@ func runF7(cfg config) error {
 func runF8(cfg config) error {
 	n := pick(cfg.quick, 96, 160)
 	tr := triple(13000, n, 0.3)
-	tab := bench.NewTable(fmt.Sprintf("F8: work-stealing scheduler behaviour vs workers (n=%d, adaptive tiles)", n),
+	tab := bench.NewTable(fmt.Sprintf("F8: work-stealing scheduler behaviour vs workers (n=%d, adaptive tiles, GOMAXPROCS=%d)",
+		n, runtime.GOMAXPROCS(0)),
 		"workers", "tile", "time", "blocks", "keeps", "steals", "steal-rate")
 	tab.Caption = "expected: keeps dominate (the cache-hot handoff); the steal-rate stays\n" +
 		"in the low percents — stealing is the load-balancing escape hatch, not\n" +

@@ -81,7 +81,7 @@ func TestBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("BENCH json does not parse: %v", err)
 	}
-	if rep.Rev == "" || rep.GoVersion == "" || rep.GOMAXPROCS < 1 {
+	if rep.Rev == "" || rep.GoVersion == "" || rep.GOMAXPROCS < 1 || rep.NumCPU < 1 || rep.CPU == "" {
 		t.Fatalf("missing environment metadata: %+v", rep)
 	}
 	want := map[string]bool{"full-packed": false, "full-packed-w16": false,
@@ -208,6 +208,11 @@ func TestBaselineDiff(t *testing.T) {
 	}
 	if !strings.Contains(s, "(no baseline)") {
 		t.Fatalf("kernels absent from the baseline should be marked:\n%s", s)
+	}
+	// The fabricated baseline predates the host fields: it still parses,
+	// and the diff prints both hosts.
+	if !strings.Contains(s, "baseline host: unrecorded") || !strings.Contains(s, "current host:  num_cpu=") {
+		t.Fatalf("baseline diff does not print both hosts:\n%s", s)
 	}
 }
 

@@ -6,50 +6,33 @@ import (
 	"repro/internal/wavefront"
 )
 
-// Adaptive non-cubic tiling.
+// Adaptive pencil tiling.
 //
-// The lattices are laid out with k as the unit-stride (innermost) axis, so a
-// tile that is long in k walks contiguous lanes and amortizes each cache-line
-// fetch over a full line of cells, while the i and j edges only set how much
-// of the (i-1)- and (j-1)-plane state must stay resident while the tile
-// fills. The heuristic therefore stretches tk as far as the sequence allows
-// and sizes the i×j cross-section so a tile's working set — roughly two
-// j×k predecessor faces per lattice — fits in a half of L2. Finally the
-// cross-section is shrunk until the i×j block grid is wide enough to feed
-// every worker: the wavefront's mid-run anti-diagonal holds on the order of
-// blocksAlong(i)×blocksAlong(j) independent blocks (one per (bi, bj) lane),
-// so that product must comfortably exceed the worker count or the schedule
-// starves regardless of cache behaviour.
+// The lattices are laid out with k as the unit-stride (innermost) axis, and
+// the lane-packed interior fills a whole (i, j) k-lane per call: AVX2 blocks
+// of 16 (int16) or 8 (int32) cells, then a scalar tail. A tile that cuts k
+// leaves such a tail in every lane of every k block, so the blocked 3D
+// fills use "pencil" tiles that span the whole k axis and run the paper's
+// wavefront on the (i, j) grid alone. The i and j edges set how much of the
+// (i-1)- and (j-1)-lane state must stay resident while a tile fills, so they
+// are sized to keep a tile's working set — roughly two tj×nk predecessor
+// faces per lattice — within half of L2, then shrunk until the (i, j) block
+// grid is wide enough to feed every worker: its mid-run anti-diagonal holds
+// at most one block per (bi, bj) lane, so the lane count must exceed the
+// worker count or the schedule starves regardless of cache behaviour.
 
 // tileL2Bytes is the per-core cache budget the tile working set is sized
 // against — half of a conservative 512 KiB L2, leaving room for the score
 // tables and scheduler state.
 const tileL2Bytes = 256 << 10
 
-// tileMaxK caps the k tile edge; beyond ~128 lanes the per-tile scheduling
-// cost is already negligible and longer tiles only reduce wavefront width.
-// tileMinK is the floor the schedule-depth rule may shrink it back to —
-// below ~32 lanes the unit-stride amortization that justifies long-k tiles
-// is gone.
+// tileMinEdge / tileMaxEdge clamp the i and j edges of a pencil tile.
+// Below 8 the per-tile scheduling cost stops being small next to a tile's
+// tj×nk-cell faces.
 const (
-	tileMaxK = 128
-	tileMinK = 32
-)
-
-// tileMinEdge / tileMaxEdge clamp the i and j tile edges.
-const (
-	tileMinEdge = 4
+	tileMinEdge = 8
 	tileMaxEdge = 64
 )
-
-// tileBlocksPerWorker is the schedule-depth target: the list-scheduled
-// makespan of an nbi×nbj×nbk wavefront only approaches total/workers when
-// the pipeline fill and drain (the ramp along the anti-diagonals) is a
-// small fraction of the work, which empirically (measured with
-// wavefront.Simulate across shapes) needs on the order of 100 blocks per
-// worker. Below that the grid is subdivided further even though each tile
-// individually would be cache-better.
-const tileBlocksPerWorker = 96
 
 // blocksAlong returns the number of tiles covering an axis of length n.
 func blocksAlong(n, tile int) int {
@@ -59,13 +42,19 @@ func blocksAlong(n, tile int) int {
 	return (n + tile - 1) / tile
 }
 
+// l2Edge is the square cross-section edge whose two predecessor faces of
+// lane cells fit the L2 budget, clamped to [lo, tileMaxEdge].
+func l2Edge(lane, bytesPerCell, lo int) int {
+	return min(max(int(math.Sqrt(float64(tileL2Bytes/2/bytesPerCell/lane))), lo), tileMaxEdge)
+}
+
 // AdaptiveTileDims picks tile edges (ti, tj, tk) for an ni×nj×nk lattice
 // filled by the given number of workers, where each lattice cell costs
 // bytesPerCell bytes (summed over all lattices the kernel fills — 4 for the
 // single linear-gap tensor, 28 for the seven affine-gap tensors). The k
-// edge is stretched along the unit-stride axis; the i and j edges are sized
-// to an L2 working-set budget and then shrunk until the i×j block grid
-// offers at least 2×workers lanes of parallelism.
+// edge is always the whole axis (a pencil tile); the i and j edges are
+// sized to an L2 working-set budget and then halved, never below
+// tileMinEdge, until the i×j block grid offers at least 2×workers lanes.
 func AdaptiveTileDims(ni, nj, nk, workers, bytesPerCell int) (ti, tj, tk int) {
 	if workers <= 0 {
 		workers = 1
@@ -73,57 +62,14 @@ func AdaptiveTileDims(ni, nj, nk, workers, bytesPerCell int) (ti, tj, tk int) {
 	if bytesPerCell <= 0 {
 		bytesPerCell = 4
 	}
-	tk = nk
-	if tk > tileMaxK {
-		tk = tileMaxK
-	}
-	if tk < 1 {
-		tk = 1
-	}
-	// Working set ≈ 2 predecessor faces of tj×tk cells each (the (i-1) plane
-	// slab and the in-flight plane) per lattice; target half the budget per
-	// face and solve for a square i×j cross-section.
-	e := int(math.Sqrt(float64(tileL2Bytes / 2 / bytesPerCell / tk)))
-	if e < tileMinEdge {
-		e = tileMinEdge
-	}
-	if e > tileMaxEdge {
-		e = tileMaxEdge
-	}
-	ti, tj = e, e
-	// Widen the wavefront: halve the larger of ti/tj until the i×j block
-	// grid can keep every worker busy mid-run (the peak anti-diagonal holds
-	// at most one block per (bi, bj) lane).
+	tk = max(nk, 1)
+	ti = l2Edge(tk, bytesPerCell, tileMinEdge)
+	tj = ti
 	for blocksAlong(ni, ti)*blocksAlong(nj, tj) < 2*workers && (ti > tileMinEdge || tj > tileMinEdge) {
-		if ti >= tj && ti > tileMinEdge {
-			ti /= 2
+		if ti >= tj {
+			ti = max(ti/2, tileMinEdge)
 		} else {
-			tj /= 2
-		}
-		if ti < tileMinEdge {
-			ti = tileMinEdge
-		}
-		if tj < tileMinEdge {
-			tj = tileMinEdge
-		}
-	}
-	// Deepen the schedule: on small lattices even a lane-sufficient grid is
-	// too shallow to amortize the wavefront ramp. Give k back first (its
-	// locality is the cheapest to sacrifice past tileMinK), then the
-	// cross-section.
-	for blocksAlong(ni, ti)*blocksAlong(nj, tj)*blocksAlong(nk, tk) < tileBlocksPerWorker*workers {
-		switch {
-		case tk > tileMinK:
-			tk /= 2
-			if tk < tileMinK {
-				tk = tileMinK
-			}
-		case ti >= tj && ti > tileMinEdge:
-			ti /= 2
-		case tj > tileMinEdge:
-			tj /= 2
-		default:
-			return ti, tj, tk // tiles bottomed out; the lattice is just small
+			tj = max(tj/2, tileMinEdge)
 		}
 	}
 	return ti, tj, tk
@@ -132,8 +78,7 @@ func AdaptiveTileDims(ni, nj, nk, workers, bytesPerCell int) (ti, tj, tk int) {
 // tileDims resolves the tile shape for an ni×nj×nk lattice: a planner-
 // negotiated Options.TileDims wins outright, an explicit Options.BlockSize
 // remains a cubic override (preserving the historical contract and the F3
-// block-size sweep), and otherwise the adaptive heuristic picks a
-// non-cubic long-k shape.
+// block-size sweep), and otherwise AdaptiveTileDims picks a pencil tile.
 func (o Options) tileDims(ni, nj, nk, bytesPerCell int) (ti, tj, tk int) {
 	if o.TileDims[0] > 0 && o.TileDims[1] > 0 && o.TileDims[2] > 0 {
 		return o.TileDims[0], o.TileDims[1], o.TileDims[2]
@@ -144,13 +89,42 @@ func (o Options) tileDims(ni, nj, nk, bytesPerCell int) (ti, tj, tk int) {
 	return AdaptiveTileDims(ni, nj, nk, wavefront.Workers(o.Workers), bytesPerCell)
 }
 
-// tile2D resolves the tile shape for an nj×nk plane sweep (the
-// linear-space Hirschberg kernel, which re-fills j×k planes): the adaptive
-// heuristic with a singleton i axis.
+// Plane-sweep tiling. The linear-space Hirschberg kernel re-fills j×k
+// planes, so its only parallel axes are j and k: whole-k tiles would leave
+// it one column of blocks and serialise the sweep. It keeps a k-cutting
+// rule instead. k is capped at plane2DMaxK lanes, j is halved (never below
+// plane2DMinEdge) until there are 2×workers j blocks, and then k (down to
+// plane2DMinK), then j, are halved until the grid holds plane2DBlocksPerWorker
+// blocks per worker — the depth at which the list-scheduled makespan of the
+// plane wavefront approaches total/workers (measured with wavefront.Simulate).
+const (
+	plane2DMaxK            = 128
+	plane2DMinK            = 32
+	plane2DMinEdge         = 4
+	plane2DBlocksPerWorker = 96
+)
+
+// tile2D resolves the tile shape for an nj×nk plane sweep; an explicit
+// Options.BlockSize is a square override.
 func (o Options) tile2D(nj, nk, bytesPerCell int) (tj, tk int) {
 	if o.BlockSize > 0 {
 		return o.BlockSize, o.BlockSize
 	}
-	_, tj, tk = AdaptiveTileDims(1, nj, nk, wavefront.Workers(o.Workers), bytesPerCell)
+	workers := wavefront.Workers(o.Workers)
+	tk = min(max(nk, 1), plane2DMaxK)
+	tj = l2Edge(tk, bytesPerCell, plane2DMinEdge)
+	for blocksAlong(nj, tj) < 2*workers && tj > plane2DMinEdge {
+		tj = max(tj/2, plane2DMinEdge)
+	}
+	for blocksAlong(nj, tj)*blocksAlong(nk, tk) < plane2DBlocksPerWorker*workers {
+		switch {
+		case tk > plane2DMinK:
+			tk = max(tk/2, plane2DMinK)
+		case tj > plane2DMinEdge:
+			tj /= 2
+		default:
+			return tj, tk
+		}
+	}
 	return tj, tk
 }
