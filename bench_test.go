@@ -90,18 +90,21 @@ func BenchmarkT2Memory(b *testing.B) {
 var benchWorkers = []int{1, 2, 4, 8}
 
 // simulatedSpeedup predicts the speedup of the blocked wavefront on w
-// processors from the block structure of the triple.
-func simulatedSpeedup(tr seq.Triple, blockSize, w int) float64 {
-	si := wavefront.Partition(tr.A.Len()+1, blockSize)
-	sj := wavefront.Partition(tr.B.Len()+1, blockSize)
-	sk := wavefront.Partition(tr.C.Len()+1, blockSize)
-	cost := wavefront.SpanCost(si, sj, sk, 1)
-	t1 := wavefront.Simulate(len(si), len(sj), len(sk), 1, cost)
-	tw := wavefront.Simulate(len(si), len(sj), len(sk), w, cost)
+// processors from the tiles core.AlignParallel picks at 1 and at w
+// workers, so the metric describes the schedule the benchmark runs.
+func simulatedSpeedup(tr seq.Triple, w int) float64 {
+	makespan := func(w int) float64 {
+		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1, w, 4)
+		si := wavefront.Partition(tr.A.Len()+1, ti)
+		sj := wavefront.Partition(tr.B.Len()+1, tj)
+		sk := wavefront.Partition(tr.C.Len()+1, tk)
+		return wavefront.Simulate(len(si), len(sj), len(sk), w, wavefront.SpanCost(si, sj, sk, 1))
+	}
+	tw := makespan(w)
 	if tw == 0 {
 		return 0
 	}
-	return t1 / tw
+	return makespan(1) / tw
 }
 
 // BenchmarkF1Speedup — F1: parallel wavefront runtime vs worker count.
@@ -119,7 +122,7 @@ func BenchmarkF1Speedup(b *testing.B) {
 				benchSink = aln.Score
 			}
 			b.ReportMetric(float64(cells(tr))*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-			b.ReportMetric(simulatedSpeedup(tr, core.DefaultBlockSize, w), "simulated_speedup")
+			b.ReportMetric(simulatedSpeedup(tr, w), "simulated_speedup")
 		})
 	}
 }
@@ -138,7 +141,7 @@ func BenchmarkF2Efficiency(b *testing.B) {
 					}
 					benchSink = aln.Score
 				}
-				b.ReportMetric(simulatedSpeedup(tr, core.DefaultBlockSize, w)/float64(w), "simulated_efficiency")
+				b.ReportMetric(simulatedSpeedup(tr, w)/float64(w), "simulated_efficiency")
 			})
 		}
 	}

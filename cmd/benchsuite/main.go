@@ -223,19 +223,24 @@ func runT2(cfg config) error {
 
 func workerSweep() []int { return []int{1, 2, 4, 8, 16} }
 
+// parallelTiles returns the tile shape core.AlignParallel picks for tr at
+// w workers (int32 cells, no planner-negotiated TileDims) as an "ixjxk"
+// label, and the spans it cuts each axis into. Simulated schedules built
+// from these spans describe the run measured beside them; a different
+// shape would make the curves diverge for scheduling, not hardware,
+// reasons.
+func parallelTiles(tr seq.Triple, w int) (tile string, si, sj, sk []wavefront.Span) {
+	ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1, w, 4)
+	return fmt.Sprintf("%dx%dx%d", ti, tj, tk),
+		wavefront.Partition(tr.A.Len()+1, ti),
+		wavefront.Partition(tr.B.Len()+1, tj),
+		wavefront.Partition(tr.C.Len()+1, tk)
+}
+
 func runF1(cfg config) error {
 	n := pick(cfg.quick, 96, 160)
 	tr := triple(3000, n, 0.3)
-	// The measured aligner resolves an adaptive tile shape per worker count;
-	// the simulated schedule must use the same per-w shape or the curves
-	// diverge for scheduling rather than hardware reasons.
-	spansFor := func(w int) (si, sj, sk []wavefront.Span) {
-		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1, w, 4)
-		return wavefront.Partition(tr.A.Len()+1, ti),
-			wavefront.Partition(tr.B.Len()+1, tj),
-			wavefront.Partition(tr.C.Len()+1, tk)
-	}
-	s1i, s1j, s1k := spansFor(1)
+	_, s1i, s1j, s1k := parallelTiles(tr, 1)
 	cost1 := wavefront.SpanCost(s1i, s1j, s1k, 1)
 	sim1 := wavefront.Simulate(len(s1i), len(s1j), len(s1k), 1, cost1)
 	procs := runtime.GOMAXPROCS(0)
@@ -252,8 +257,7 @@ func runF1(cfg config) error {
 	tab.AddRowf("full", "-", tFull.Mean, "1.00 ", "", "")
 	var t1 time.Duration
 	for _, w := range workerSweep() {
-		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1, w, 4)
-		si, sj, sk := spansFor(w)
+		tile, si, sj, sk := parallelTiles(tr, w)
 		cost := wavefront.SpanCost(si, sj, sk, 1)
 		t := bench.Measure(cfg.reps, func() {
 			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: w}))
@@ -268,7 +272,7 @@ func runF1(cfg config) error {
 		if w > procs {
 			mark = "*"
 		}
-		tab.AddRowf(w, fmt.Sprintf("%dx%dx%d", ti, tj, tk), t.Mean,
+		tab.AddRowf(w, tile, t.Mean,
 			fmt.Sprintf("%.2f%s", bench.Speedup(tFull.Mean, t.Mean), mark),
 			fmt.Sprintf("%.2f%s", bench.Speedup(t1, t.Mean), mark), sim)
 	}
@@ -282,16 +286,14 @@ func runF2(cfg config) error {
 	tab.Caption = "expected: efficiency decays as workers approach the wavefront width;\nlarger n sustains efficiency to higher worker counts"
 	for _, n := range lengths {
 		tr := triple(4000+int64(n), n, 0.3)
-		si := wavefront.Partition(tr.A.Len()+1, core.DefaultBlockSize)
-		sj := wavefront.Partition(tr.B.Len()+1, core.DefaultBlockSize)
-		sk := wavefront.Partition(tr.C.Len()+1, core.DefaultBlockSize)
-		cost := wavefront.SpanCost(si, sj, sk, 1)
-		sim1 := wavefront.Simulate(len(si), len(sj), len(sk), 1, cost)
+		_, s1i, s1j, s1k := parallelTiles(tr, 1)
+		sim1 := wavefront.Simulate(len(s1i), len(s1j), len(s1k), 1, wavefront.SpanCost(s1i, s1j, s1k, 1))
 		for _, w := range workerSweep() {
 			t := bench.Measure(cfg.reps, func() {
 				mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: w}))
 			})
-			sim := sim1 / wavefront.Simulate(len(si), len(sj), len(sk), w, cost)
+			_, si, sj, sk := parallelTiles(tr, w)
+			sim := sim1 / wavefront.Simulate(len(si), len(sj), len(sk), w, wavefront.SpanCost(si, sj, sk, 1))
 			tab.AddRowf(n, w, t.Mean, sim, sim/float64(w))
 		}
 	}
@@ -486,7 +488,7 @@ func runF8(cfg config) error {
 		"the common path. Counters are per alignment; on a host with fewer\n" +
 		"cores than workers the pool may fall back to solo runs (all zeros)."
 	for _, w := range workerSweep() {
-		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1, w, 4)
+		tile, _, _, _ := parallelTiles(tr, w)
 		var d wavefront.SchedStats
 		t := bench.Measure(cfg.reps, func() {
 			before := wavefront.Stats()
@@ -497,7 +499,7 @@ func runF8(cfg config) error {
 		if d.Blocks > 0 {
 			stealRate = float64(d.Steals) / float64(d.Blocks)
 		}
-		tab.AddRowf(w, fmt.Sprintf("%dx%dx%d", ti, tj, tk), t.Mean,
+		tab.AddRowf(w, tile, t.Mean,
 			d.Blocks, d.Keeps, d.Steals, fmt.Sprintf("%.1f%%", 100*stealRate))
 	}
 	return cfg.render(tab)

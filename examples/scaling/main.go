@@ -15,7 +15,6 @@ import (
 	"time"
 
 	repro "repro"
-	"repro/internal/core"
 	"repro/internal/wavefront"
 )
 
@@ -24,15 +23,10 @@ func main() {
 	g := repro.NewGenerator(repro.DNA, 99)
 	tr := g.RelatedTriple(n, repro.MutationModel{SubstitutionRate: 0.3, InsertionRate: 0.02, DeletionRate: 0.02})
 
-	si := wavefront.Partition(tr.A.Len()+1, core.DefaultBlockSize)
-	sj := wavefront.Partition(tr.B.Len()+1, core.DefaultBlockSize)
-	sk := wavefront.Partition(tr.C.Len()+1, core.DefaultBlockSize)
-	cost := wavefront.SpanCost(si, sj, sk, 1)
-	sim1 := wavefront.Simulate(len(si), len(sj), len(sk), 1, cost)
-
-	fmt.Printf("n=%d, block=%d, GOMAXPROCS=%d\n", n, core.DefaultBlockSize, runtime.GOMAXPROCS(0))
-	fmt.Printf("%-8s %-12s %-14s %s\n", "workers", "measured", "meas-speedup", "sim-speedup")
+	fmt.Printf("n=%d, GOMAXPROCS=%d\n", n, runtime.GOMAXPROCS(0))
+	fmt.Printf("%-8s %-10s %-12s %-14s %s\n", "workers", "tile", "measured", "meas-speedup", "sim-speedup")
 	var t1 time.Duration
+	var sim1 float64
 	for _, w := range []int{1, 2, 4, 8} {
 		start := time.Now()
 		res, err := repro.Align(tr, repro.Options{Algorithm: repro.AlgorithmParallel, Workers: w})
@@ -40,11 +34,18 @@ func main() {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
+		// The planner picks a tile shape per worker count; simulate the
+		// schedule of the tiles this run used.
+		d := res.Plan.TileDims
+		si := wavefront.Partition(tr.A.Len()+1, d[0])
+		sj := wavefront.Partition(tr.B.Len()+1, d[1])
+		sk := wavefront.Partition(tr.C.Len()+1, d[2])
+		makespan := wavefront.Simulate(len(si), len(sj), len(sk), w, wavefront.SpanCost(si, sj, sk, 1))
 		if w == 1 {
-			t1 = elapsed
+			t1, sim1 = elapsed, makespan
 		}
-		sim := sim1 / wavefront.Simulate(len(si), len(sj), len(sk), w, cost)
-		fmt.Printf("%-8d %-12s %-14.2f %.2f   (score %d)\n",
-			w, elapsed.Round(time.Microsecond), float64(t1)/float64(elapsed), sim, res.Score)
+		fmt.Printf("%-8d %-10s %-12s %-14.2f %.2f   (score %d)\n",
+			w, fmt.Sprintf("%dx%dx%d", d[0], d[1], d[2]), elapsed.Round(time.Microsecond),
+			float64(t1)/float64(elapsed), sim1/makespan, res.Score)
 	}
 }

@@ -297,6 +297,33 @@ func TestMemoryCap(t *testing.T) {
 	}
 }
 
+func TestScoreEqualsFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	for trial := 0; trial < 15; trial++ {
+		tr := randomTriple(rng, rng.Intn(25), rng.Intn(25), rng.Intn(25))
+		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1, 4} {
+			got, err := Score(context.Background(), tr, dnaSch, Options{Workers: workers, BlockSize: 8})
+			if err != nil {
+				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+			}
+			if got != ref.Score {
+				t.Fatalf("trial %d workers=%d: Score = %d, full = %d", trial, workers, got, ref.Score)
+			}
+		}
+	}
+}
+
+func TestScoreMemoryCap(t *testing.T) {
+	tr := dnaTriple(t, "ACGTACGT", "ACGTACGT", "ACGTACGT")
+	if _, err := Score(context.Background(), tr, dnaSch, Options{MaxBytes: 8}); err == nil {
+		t.Fatal("memory cap not enforced")
+	}
+}
+
 func TestMemoryAccountors(t *testing.T) {
 	tr := dnaTriple(t, "ACG", "AC", "A")
 	if got := FullMatrixBytes(tr); got != 4*4*3*2 {

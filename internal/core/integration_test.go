@@ -32,23 +32,3 @@ func TestLongSequencesLinearSpace(t *testing.T) {
 		t.Fatalf("test misconfigured: full lattice %d fits the cap", need)
 	}
 }
-
-// TestLongSequencesBandedFastPath checks the banded tube on a long,
-// highly similar triple against the same band reference.
-func TestLongSequencesBandedFastPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long-input integration test")
-	}
-	tr := relatedTriple(2027, 200, 0.03)
-	ref, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	banded, err := AlignBanded(context.Background(), tr, dnaSch, Options{}, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if banded.Score != ref.Score {
-		t.Fatalf("banded(12) %d != optimum %d on 97%%-identity input", banded.Score, ref.Score)
-	}
-}

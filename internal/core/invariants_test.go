@@ -41,9 +41,6 @@ func TestColumnCountBounds(t *testing.T) {
 		"affine": func(tr seq.Triple) (*alignment.Alignment, error) {
 			return AlignAffine(context.Background(), tr, dnaSch, Options{})
 		},
-		"banded": func(tr seq.Triple) (*alignment.Alignment, error) {
-			return AlignBanded(context.Background(), tr, dnaSch, Options{}, 3)
-		},
 	}
 	for trial := 0; trial < 10; trial++ {
 		tr := randomTriple(rng, rng.Intn(15), rng.Intn(15), rng.Intn(15))

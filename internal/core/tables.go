@@ -32,7 +32,7 @@ type scoreTablesOf[T mat.Cell] struct {
 }
 
 // scoreTables is the Score-width instantiation the non-negotiated kernels
-// (affine, pruned, diagonal, banded) build.
+// (affine, bounded, astar, diagonal, linear) build.
 type scoreTables = scoreTablesOf[mat.Score]
 
 // newScoreTables builds the three pair-score planes from the arena. Release

@@ -333,15 +333,6 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatalf("AlignDiagonal score %d, AlignFull %d", diag.Score, full.Score)
 		}
 
-		width := tr.A.Len() + tr.B.Len() + tr.C.Len() + 1
-		banded, err := AlignBanded(ctx, tr, sch, Options{}, width)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if banded.Score != full.Score {
-			t.Fatalf("AlignBanded(width=%d) score %d, AlignFull %d", width, banded.Score, full.Score)
-		}
-
 		if tr.A.Len()+tr.B.Len()+tr.C.Len() <= 12 {
 			brute, err := BruteForceScore(tr, sch)
 			if err != nil {

@@ -212,16 +212,3 @@ func Tensor3Bytes(ni, nj, nk int) int64 {
 func PlaneBytes(rows, cols int) int64 {
 	return int64(rows) * int64(cols) * int64(scoreSize)
 }
-
-// Max returns the larger of two scores.
-func Max(a, b Score) Score {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Max3 returns the largest of three scores.
-func Max3(a, b, c Score) Score {
-	return Max(Max(a, b), c)
-}

@@ -2,7 +2,6 @@ package mat
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 func TestNewPlaneZeroed(t *testing.T) {
@@ -191,41 +190,6 @@ func TestBytesAccounting(t *testing.T) {
 	}
 	if got := PlaneBytes(8, 8); got != 256 {
 		t.Fatalf("PlaneBytes = %d, want 256", got)
-	}
-}
-
-func TestMaxHelpers(t *testing.T) {
-	cases := []struct{ a, b, c, max2, max3 Score }{
-		{1, 2, 3, 2, 3},
-		{-5, -9, -7, -5, -5},
-		{0, 0, 0, 0, 0},
-		{NegInf, 4, NegInf, 4, 4},
-	}
-	for _, c := range cases {
-		if got := Max(c.a, c.b); got != c.max2 {
-			t.Errorf("Max(%d,%d) = %d, want %d", c.a, c.b, got, c.max2)
-		}
-		if got := Max3(c.a, c.b, c.c); got != c.max3 {
-			t.Errorf("Max3(%d,%d,%d) = %d, want %d", c.a, c.b, c.c, got, c.max3)
-		}
-	}
-}
-
-func TestMaxProperties(t *testing.T) {
-	commutes := func(a, b Score) bool { return Max(a, b) == Max(b, a) }
-	if err := quick.Check(commutes, nil); err != nil {
-		t.Error(err)
-	}
-	geBoth := func(a, b Score) bool {
-		m := Max(a, b)
-		return m >= a && m >= b && (m == a || m == b)
-	}
-	if err := quick.Check(geBoth, nil); err != nil {
-		t.Error(err)
-	}
-	assoc := func(a, b, c Score) bool { return Max3(a, b, c) == Max(a, Max(b, c)) }
-	if err := quick.Check(assoc, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -58,24 +58,3 @@ func BenchmarkGlobalAffine(b *testing.B) {
 		pairSink = GlobalAffine(a, bb, sch).Score
 	}
 }
-
-func BenchmarkMyersMiller(b *testing.B) {
-	a, bb := benchPair(500)
-	sch, err := scoring.DNADefault().WithGaps(-4, -1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pairSink = MyersMiller(a, bb, sch).Score
-	}
-}
-
-func BenchmarkLocal(b *testing.B) {
-	a, bb := benchPair(500)
-	sch := scoring.DNADefault()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pairSink = Local(a, bb, sch).Score
-	}
-}

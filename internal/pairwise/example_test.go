@@ -32,34 +32,3 @@ func ExampleHirschberg() {
 	// Output:
 	// same optimum in linear space: true
 }
-
-func ExampleMyersMiller() {
-	sch, _ := scoring.DNADefault().WithGaps(-4, -1)
-	a := seq.MustNew("a", "ACGTACGTACGT", seq.DNA).Codes()
-	b := seq.MustNew("b", "ACGTGT", seq.DNA).Codes()
-	gotoh := pairwise.GlobalAffine(a, b, sch)
-	mm := pairwise.MyersMiller(a, b, sch)
-	fmt.Println("affine optimum:", gotoh.Score, "linear-space:", mm.Score)
-	// Output:
-	// affine optimum: 2 linear-space: 2
-}
-
-func ExampleLocal() {
-	sch := scoring.DNADefault()
-	a := seq.MustNew("a", "TTTTACGTTTT", seq.DNA).Codes()
-	b := seq.MustNew("b", "GGGACGGGG", seq.DNA).Codes()
-	r := pairwise.Local(a, b, sch)
-	fmt.Printf("local score %d over a[%d:%d]\n", r.Score, r.StartA, r.EndA)
-	// Output:
-	// local score 6 over a[4:7]
-}
-
-func ExampleFit() {
-	sch := scoring.DNADefault()
-	query := seq.MustNew("q", "ACGT", seq.DNA).Codes()
-	ref := seq.MustNew("r", "TTACGTTT", seq.DNA).Codes()
-	r := pairwise.Fit(query, ref, sch)
-	fmt.Printf("query fits ref[%d:%d] with score %d\n", r.StartB, r.EndB, r.Score)
-	// Output:
-	// query fits ref[2:6] with score 8
-}

@@ -1,4 +1,5 @@
-// Package pairwise implements two-sequence global and local alignment.
+// Package pairwise implements two-sequence global alignment under linear
+// and affine gap penalties.
 //
 // It is a substrate of the three-sequence aligner in three roles: its
 // forward/backward score matrices feed the Carrillo–Lipman pruning bounds,

@@ -45,6 +45,48 @@ func bruteGlobal(a, b []int8, sch *scoring.Scheme) mat.Score {
 	return best
 }
 
+// bruteGlobalAffine enumerates every global alignment under the affine
+// gap model; prev is the op of the column before (OpBoth at the start), so
+// each maximal run of OpA or OpB pays gapOpen once, as RescoreAffine
+// charges it. Exponential, only for tiny inputs.
+func bruteGlobalAffine(a, b []int8, sch *scoring.Scheme, prev Op) mat.Score {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	gap := func(op Op) mat.Score {
+		if op == prev {
+			return sch.GapExtend()
+		}
+		return sch.GapOpen() + sch.GapExtend()
+	}
+	best := mat.NegInf
+	if len(a) > 0 && len(b) > 0 {
+		best = max(best, sch.Sub(a[0], b[0])+bruteGlobalAffine(a[1:], b[1:], sch, OpBoth))
+	}
+	if len(a) > 0 {
+		best = max(best, gap(OpA)+bruteGlobalAffine(a[1:], b, sch, OpA))
+	}
+	if len(b) > 0 {
+		best = max(best, gap(OpB)+bruteGlobalAffine(a, b[1:], sch, OpB))
+	}
+	return best
+}
+
+// affSchemes are DNA schemes spanning the affine range from a zero open
+// penalty (the linear model) to a harsh one.
+func affSchemes(t *testing.T) []*scoring.Scheme {
+	t.Helper()
+	var out []*scoring.Scheme
+	for _, gp := range [][2]int{{0, -2}, {-2, -1}, {-5, -1}, {-10, -3}} {
+		s, err := scoring.DNADefault().WithGaps(gp[0], gp[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 func randomCodes(rng *rand.Rand, n int) []int8 {
 	out := make([]int8, n)
 	for i := range out {
@@ -201,64 +243,25 @@ func TestHirschbergEdgeShapes(t *testing.T) {
 	}
 }
 
-func TestBandedFullWidthEqualsGlobal(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 40; trial++ {
-		a := randomCodes(rng, rng.Intn(25))
-		b := randomCodes(rng, rng.Intn(25))
-		g := Global(a, b, dnaScheme)
-		w := len(a) + len(b) + 1
-		r, err := Banded(a, b, dnaScheme, w)
-		if err != nil {
-			t.Fatalf("trial %d: Banded: %v", trial, err)
+func TestGlobalAffineMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	for _, sch := range affSchemes(t) {
+		for trial := 0; trial < 50; trial++ {
+			a := randomCodes(rng, rng.Intn(7))
+			b := randomCodes(rng, rng.Intn(7))
+			r := GlobalAffine(a, b, sch)
+			if want := bruteGlobalAffine(a, b, sch, OpBoth); r.Score != want {
+				t.Fatalf("open=%d extend=%d trial %d: GlobalAffine = %d, brute force = %d (a=%v b=%v)",
+					sch.GapOpen(), sch.GapExtend(), trial, r.Score, want, a, b)
+			}
+			if got, err := RescoreAffine(r.Ops, a, b, sch); err != nil || got != r.Score {
+				t.Fatalf("open=%d extend=%d trial %d: RescoreAffine = %d (%v), reported %d",
+					sch.GapOpen(), sch.GapExtend(), trial, got, err, r.Score)
+			}
+			if na, nb := Consumed(r.Ops); na != len(a) || nb != len(b) {
+				t.Fatalf("trial %d: ops consume %d/%d, want %d/%d", trial, na, nb, len(a), len(b))
+			}
 		}
-		if r.Score != g.Score {
-			t.Fatalf("trial %d: Banded(full) = %d, Global = %d", trial, r.Score, g.Score)
-		}
-	}
-}
-
-func TestBandedNarrowIsLowerBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 40; trial++ {
-		n := 5 + rng.Intn(25)
-		a := randomCodes(rng, n)
-		b := randomCodes(rng, n)
-		g := Global(a, b, dnaScheme)
-		r, err := Banded(a, b, dnaScheme, 2)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if r.Score > g.Score {
-			t.Fatalf("trial %d: banded %d beats optimum %d", trial, r.Score, g.Score)
-		}
-		if got, err := Rescore(r.Ops, a, b, dnaScheme); err != nil || got != r.Score {
-			t.Fatalf("trial %d: banded rescore mismatch: %d (%v) != %d", trial, got, err, r.Score)
-		}
-	}
-}
-
-func TestBandedTooNarrowErrors(t *testing.T) {
-	a := codes(t, "ACGTACGT")
-	b := codes(t, "AC")
-	if _, err := Banded(a, b, dnaScheme, 3); err == nil {
-		t.Fatal("band narrower than length difference accepted")
-	}
-}
-
-func TestBandedSimilarSequencesExact(t *testing.T) {
-	// For highly similar sequences a narrow band contains the optimum.
-	g := seq.NewGenerator(seq.DNA, 10)
-	parent := g.Random("p", 120)
-	child := g.Mutate("c", parent, seq.MutationModel{SubstitutionRate: 0.05})
-	a, b := parent.Codes(), child.Codes()
-	want := Global(a, b, dnaScheme).Score
-	got, err := Banded(a, b, dnaScheme, 10)
-	if err != nil {
-		t.Fatalf("Banded: %v", err)
-	}
-	if got.Score != want {
-		t.Fatalf("Banded(10) = %d, Global = %d", got.Score, want)
 	}
 }
 
@@ -323,37 +326,6 @@ func TestGlobalAffineEmpty(t *testing.T) {
 	// One sequence empty: one gap run of length 3.
 	if got := GlobalAffine(codes(t, "ACG"), nil, sch).Score; got != -7 {
 		t.Fatalf("affine vs empty = %d, want -7", got)
-	}
-}
-
-func TestLocalBasics(t *testing.T) {
-	a := codes(t, "TTTTACGTTTTT")
-	b := codes(t, "GGACGTGG")
-	r := Local(a, b, dnaScheme)
-	if r.Score != 8 { // "ACGT" exact match = 4*2
-		t.Fatalf("local score = %d, want 8", r.Score)
-	}
-	if r.EndA-r.StartA != 4 || r.EndB-r.StartB != 4 {
-		t.Fatalf("local span = a[%d:%d] b[%d:%d], want length-4 spans", r.StartA, r.EndA, r.StartB, r.EndB)
-	}
-	if got, err := Rescore(r.Ops, a[r.StartA:r.EndA], b[r.StartB:r.EndB], dnaScheme); err != nil || got != r.Score {
-		t.Fatalf("local rescore = %d (%v), want %d", got, err, r.Score)
-	}
-}
-
-func TestLocalNeverNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		a := randomCodes(rng, rng.Intn(30))
-		b := randomCodes(rng, rng.Intn(30))
-		r := Local(a, b, dnaScheme)
-		if r.Score < 0 {
-			t.Fatalf("local score negative: %d", r.Score)
-		}
-		glob := Global(a, b, dnaScheme).Score
-		if glob > r.Score {
-			t.Fatalf("global %d exceeds local %d", glob, r.Score)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestPartitionEdgeCases pins the boundary behaviour the tiling code
@@ -173,6 +174,22 @@ func TestDeque(t *testing.T) {
 // TestTryGoCapacity checks pool admission: a saturated pool rejects
 // without blocking, and a freed slot is granted again.
 func TestTryGoCapacity(t *testing.T) {
+	// A helper from an earlier test may still hold a slot: its block is
+	// done, but it has not yet re-registered as idle. Wait for every slot
+	// to be free before counting them.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		pool.mu.Lock()
+		busy := pool.spawned - pool.idle
+		pool.mu.Unlock()
+		if busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pool slots still busy after 10s", busy)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Occupy the whole current capacity with parked tasks.
 	_, capacity := poolSizes()
 	if capacity == 0 {

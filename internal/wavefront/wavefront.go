@@ -108,12 +108,6 @@ func Run3D(nbi, nbj, nbk, workers int, fn func(bi, bj, bk int)) {
 	}
 }
 
-// Run2D executes fn for every block of an nbi×nbj grid in wavefront order;
-// see Run3D for the contract.
-func Run2D(nbi, nbj, workers int, fn func(bi, bj int)) {
-	Run3D(nbi, nbj, 1, workers, func(bi, bj, _ int) { fn(bi, bj) })
-}
-
 // Run3DContext is Run3D with cooperative cancellation, panic containment,
 // and a stall watchdog. Up to workers-1 helpers are recruited from the
 // shared pool (when the pool is saturated the run proceeds with fewer,
@@ -172,8 +166,8 @@ func runSequential(ctx context.Context, nbi, nbj, nbk int, fn func(bi, bj, bk in
 	return nil
 }
 
-// Run2DContext is Run2D with the cancellation and panic-containment
-// guarantees of Run3DContext.
+// Run2DContext executes fn for every block of an nbi×nbj grid in
+// wavefront order, with the contract of Run3DContext.
 func Run2DContext(ctx context.Context, nbi, nbj, workers int, fn func(bi, bj int)) error {
 	return Run3DContext(ctx, nbi, nbj, 1, workers, func(bi, bj, _ int) { fn(bi, bj) })
 }

@@ -1,6 +1,7 @@
 package wavefront
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -201,13 +202,16 @@ func TestRun2D(t *testing.T) {
 	var clock atomic.Int64
 	stamp := [ni][nj]int64{}
 	var mu sync.Mutex
-	Run2D(ni, nj, 4, func(bi, bj int) {
+	err := Run2DContext(context.Background(), ni, nj, 4, func(bi, bj int) {
 		atomic.AddInt32(&counts[bi][bj], 1)
 		s := clock.Add(1)
 		mu.Lock()
 		stamp[bi][bj] = s
 		mu.Unlock()
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < ni; i++ {
 		for j := 0; j < nj; j++ {
 			if counts[i][j] != 1 {
