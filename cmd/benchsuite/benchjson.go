@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/msa"
 	"repro/internal/pairwise"
+	"repro/internal/plan"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 	"repro/internal/wavefront"
@@ -285,10 +286,16 @@ func writeBenchJSON(path string, cfg config) error {
 	if err != nil {
 		return err
 	}
+	// The sweep rows time a whole bounded request as the planner runs it:
+	// the center-star-refined seed and the band fill, sharing one set of
+	// pairwise forward planes.
+	boundedSpec, ok := plan.Lookup("bounded")
+	if !ok {
+		return fmt.Errorf("benchsuite: no bounded kernel registered")
+	}
 	runBoundedRow := func(l boundedLoad) func() {
 		return func() {
-			s := mustAlign(msa.CenterStarRefined(l.tr, sch))
-			if _, _, err := core.AlignBounded(ctx, l.tr, sch, core.Options{}, s.Score); err != nil {
+			if _, _, err := boundedSpec.Run(ctx, l.tr, sch, core.Options{}); err != nil {
 				panic(err)
 			}
 		}

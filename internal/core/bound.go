@@ -29,21 +29,15 @@ type boundCtx struct {
 	bound         mat.Score
 }
 
-func newBoundCtx(ca, cb, cc []int8, sch *scoring.Scheme, bound mat.Score) *boundCtx {
-	return &boundCtx{
-		tAB:   pairwise.Through(ca, cb, sch),
-		tAC:   pairwise.Through(ca, cc, sch),
-		tBC:   pairwise.Through(cb, cc, sch),
-		bound: bound,
-	}
-}
-
-// release returns the three projection planes to the arena.
-func (bc *boundCtx) release() {
-	mat.PutPlane(bc.tAB)
-	mat.PutPlane(bc.tAC)
-	mat.PutPlane(bc.tBC)
-	bc.tAB, bc.tAC, bc.tBC = nil, nil, nil
+// newBoundCtx turns the triple's three Forward planes into its through
+// planes in place, adding each pair's suffix lattice into its forward
+// plane. The context only views the planes; whoever filled them releases
+// them.
+func newBoundCtx(fwd pairwise.Planes, ca, cb, cc []int8, sch *scoring.Scheme, bound mat.Score) *boundCtx {
+	pairwise.AddBackward(fwd[pairwise.AB], ca, cb, sch)
+	pairwise.AddBackward(fwd[pairwise.AC], ca, cc, sch)
+	pairwise.AddBackward(fwd[pairwise.BC], cb, cc, sch)
+	return &boundCtx{tAB: fwd[pairwise.AB], tAC: fwd[pairwise.AC], tBC: fwd[pairwise.BC], bound: bound}
 }
 
 // planeBytes reports the resident footprint of the projection planes.

@@ -58,3 +58,25 @@ func BenchmarkGlobalAffine(b *testing.B) {
 		pairSink = GlobalAffine(a, bb, sch).Score
 	}
 }
+
+// BenchmarkForward and BenchmarkBackward time the plane fills a bounded
+// request makes six of (three forward, three suffix) at n=300.
+func BenchmarkForward(b *testing.B) {
+	a, bb := benchPair(300)
+	sch := scoring.DNADefault()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mat.PutPlane(Forward(a, bb, sch))
+	}
+}
+
+func BenchmarkBackward(b *testing.B) {
+	a, bb := benchPair(300)
+	sch := scoring.DNADefault()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f := Forward(a, bb, sch)
+		AddBackward(f, a, bb, sch)
+		mat.PutPlane(f)
+	}
+}

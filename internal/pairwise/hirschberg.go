@@ -54,3 +54,11 @@ func hirschRec(a, b []int8, sch *scoring.Scheme, out *[]Op) {
 	hirschRec(a[:mid], b[:bestJ], sch, out)
 	hirschRec(a[mid:], b[bestJ:], sch, out)
 }
+
+func reverseCodes(s []int8) []int8 {
+	out := make([]int8, len(s))
+	for i, c := range s {
+		out[len(s)-1-i] = c
+	}
+	return out
+}

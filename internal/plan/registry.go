@@ -7,6 +7,7 @@ import (
 	"repro/internal/alignment"
 	"repro/internal/core"
 	"repro/internal/msa"
+	"repro/internal/pairwise"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 )
@@ -155,11 +156,19 @@ func wrapHeuristic(f func(seq.Triple, *scoring.Scheme) (*alignment.Alignment, er
 
 // runBounded runs a Carrillo–Lipman bounded-search kernel — the contiguous
 // band fill or the A* frontier — seeded with the center-star-refined lower
-// bound, surfacing its PruneStats.
+// bound, surfacing its PruneStats. The three pairwise Forward planes are
+// filled once: they give the seed its pair optima and center-star
+// alignments, and the band fill turns them into its through planes. A*
+// needs only suffix planes, so it fills those itself.
 func runBounded(frontier bool) RunFunc {
 	return func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
-		bound, err := msa.CenterStarRefined(tr, sch)
+		if err := tr.Validate(); err != nil {
+			return nil, nil, err
+		}
+		fwd := pairwise.Forwards(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch)
+		bound, err := msa.CenterStarRefinedOn(tr, sch, fwd)
 		if err != nil {
+			fwd.Release()
 			return nil, nil, err
 		}
 		var (
@@ -167,9 +176,10 @@ func runBounded(frontier bool) RunFunc {
 			st  core.PruneStats
 		)
 		if frontier {
+			fwd.Release()
 			aln, st, err = core.AlignAStar(ctx, tr, sch, opt, bound.Score)
 		} else {
-			aln, st, err = core.AlignBounded(ctx, tr, sch, opt, bound.Score)
+			aln, st, err = core.AlignBoundedOn(ctx, tr, sch, opt, fwd, bound.Score)
 		}
 		if err != nil {
 			return nil, nil, err
