@@ -163,15 +163,24 @@ func (m *Multi) RowStrings() []string {
 // ColumnCodes iterates the alignment's columns as residue-code rows
 // (scoring.Gap for gap positions). Each inner slice has NumRows entries.
 func (m *Multi) ColumnCodes() [][]int8 {
+	out := make([][]int8, 0, len(m.Cols))
+	m.eachColumn(func(col []int8) {
+		out = append(out, append([]int8(nil), col...))
+	})
+	return out
+}
+
+// eachColumn calls f with each column's residue codes (scoring.Gap for
+// gap positions), in order. col is one buffer reused for every column.
+func (m *Multi) eachColumn(f func(col []int8)) {
 	n := len(m.Seqs)
 	codes := make([][]int8, n)
 	for i, s := range m.Seqs {
 		codes[i] = s.Codes()
 	}
 	idx := make([]int, n)
-	out := make([][]int8, len(m.Cols))
-	for ci, c := range m.Cols {
-		col := make([]int8, n)
+	col := make([]int8, n)
+	for _, c := range m.Cols {
 		for i := 0; i < n; i++ {
 			if c.Consumes(i) {
 				col[i] = codes[i][idx[i]]
@@ -180,9 +189,8 @@ func (m *Multi) ColumnCodes() [][]int8 {
 				col[i] = scoring.Gap
 			}
 		}
-		out[ci] = col
+		f(col)
 	}
-	return out
 }
 
 // SPScore recomputes the linear-gap sum-of-pairs score column by column
@@ -190,13 +198,13 @@ func (m *Multi) ColumnCodes() [][]int8 {
 func (m *Multi) SPScore(sch *scoring.Scheme) mat.Score {
 	var total mat.Score
 	n := len(m.Seqs)
-	for _, col := range m.ColumnCodes() {
+	m.eachColumn(func(col []int8) {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				total += sch.Pair(col[i], col[j])
 			}
 		}
-	}
+	})
 	return total
 }
 
