@@ -202,22 +202,6 @@ func (a *Alignment) ComputeStats() Stats {
 	return st
 }
 
-// conservationMark returns the per-column annotation used by Format:
-// '*' all three identical residues, ':' exactly two identical residues,
-// ' ' otherwise.
-func conservationMark(col [3]int8) byte {
-	switch {
-	case col[0] >= 0 && col[0] == col[1] && col[1] == col[2]:
-		return '*'
-	case (col[0] >= 0 && col[0] == col[1]) ||
-		(col[0] >= 0 && col[0] == col[2]) ||
-		(col[1] >= 0 && col[1] == col[2]):
-		return ':'
-	default:
-		return ' '
-	}
-}
-
 // Format writes a block-wrapped, human-readable rendering with a
 // conservation line, similar to CLUSTAL output.
 func (a *Alignment) Format(w io.Writer, width int) error {

@@ -215,8 +215,8 @@ func TestConservationMark(t *testing.T) {
 		{[3]int8{-1, 2, 2}, ':'},
 	}
 	for _, c := range cases {
-		if got := conservationMark(c.col); got != c.want {
-			t.Errorf("conservationMark(%v) = %q, want %q", c.col, got, c.want)
+		if got := conservationMarkN(c.col[:]); got != c.want {
+			t.Errorf("conservationMarkN(%v) = %q, want %q", c.col, got, c.want)
 		}
 	}
 }

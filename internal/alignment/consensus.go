@@ -35,11 +35,4 @@ func majorityByte(a, b, c byte) byte {
 
 // Conservation returns the per-column annotation line used by Format:
 // '*' for three identical residues, ':' for exactly two, ' ' otherwise.
-func (a *Alignment) Conservation() string {
-	cols := a.columnCodes()
-	marks := make([]byte, len(cols))
-	for i, col := range cols {
-		marks[i] = conservationMark(col)
-	}
-	return string(marks)
-}
+func (a *Alignment) Conservation() string { return a.Multi().ConservationString() }

@@ -18,13 +18,8 @@ func WriteClustal(w io.Writer, a *Alignment) error {
 	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "CLUSTAL-like multiple sequence alignment (repro three-sequence aligner)\n\n")
-	ra, rb, rc := a.Rows()
-	cols := a.columnCodes()
-	marks := make([]byte, len(cols))
-	for i, col := range cols {
-		marks[i] = conservationMark(col)
-	}
-	names := []string{a.Triple.A.Name(), a.Triple.B.Name(), a.Triple.C.Name()}
+	m := a.Multi()
+	rows, marks, names := m.RowStrings(), m.ConservationString(), m.Names()
 	nameW := 0
 	for _, n := range names {
 		if len(n) > nameW {
@@ -34,20 +29,19 @@ func WriteClustal(w io.Writer, a *Alignment) error {
 	if nameW < 8 {
 		nameW = 8
 	}
-	rows := []string{ra, rb, rc}
 	counts := [3]int{}
 	const width = 60
-	for lo := 0; lo < len(ra); lo += width {
+	for lo := 0; lo < len(marks); lo += width {
 		hi := lo + width
-		if hi > len(ra) {
-			hi = len(ra)
+		if hi > len(marks) {
+			hi = len(marks)
 		}
 		for r := 0; r < 3; r++ {
 			chunk := rows[r][lo:hi]
 			counts[r] += len(chunk) - strings.Count(chunk, "-")
 			fmt.Fprintf(bw, "%-*s %s %d\n", nameW, names[r], chunk, counts[r])
 		}
-		fmt.Fprintf(bw, "%-*s %s\n\n", nameW, "", string(marks[lo:hi]))
+		fmt.Fprintf(bw, "%-*s %s\n\n", nameW, "", marks[lo:hi])
 	}
 	return bw.Flush()
 }
@@ -55,35 +49,12 @@ func WriteClustal(w io.Writer, a *Alignment) error {
 // WriteAlignedFASTA writes the three gapped rows as FASTA records, the
 // interchange format most MSA tools accept.
 func WriteAlignedFASTA(w io.Writer, a *Alignment, width int) error {
+	// Validate the triple first: Multi.Validate reads row 0 before it
+	// checks rows for nil.
 	if err := a.Validate(); err != nil {
 		return err
 	}
-	if width <= 0 {
-		width = 60
-	}
-	bw := bufio.NewWriter(w)
-	ra, rb, rc := a.Rows()
-	for i, rec := range []struct{ name, row string }{
-		{a.Triple.A.Name(), ra},
-		{a.Triple.B.Name(), rb},
-		{a.Triple.C.Name(), rc},
-	} {
-		_ = i
-		if _, err := fmt.Fprintf(bw, ">%s\n", rec.name); err != nil {
-			return err
-		}
-		for lo := 0; lo < len(rec.row) || lo == 0 && rec.row == ""; lo += width {
-			hi := lo + width
-			if hi > len(rec.row) {
-				hi = len(rec.row)
-			}
-			fmt.Fprintln(bw, rec.row[lo:hi])
-			if rec.row == "" {
-				break
-			}
-		}
-	}
-	return bw.Flush()
+	return WriteAlignedFASTAMulti(w, a.Multi(), width)
 }
 
 // ParseAlignedFASTA reads three equal-length gapped FASTA rows and

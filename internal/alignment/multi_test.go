@@ -71,6 +71,22 @@ func legacyRows(a *Alignment) (ra, rb, rc string) {
 	return string(bufA), string(bufB), string(bufC)
 }
 
+// legacyConservationMark is the pre-Multi three-row column annotation:
+// '*' all three identical residues, ':' exactly two identical residues,
+// ' ' otherwise.
+func legacyConservationMark(col [3]int8) byte {
+	switch {
+	case col[0] >= 0 && col[0] == col[1] && col[1] == col[2]:
+		return '*'
+	case (col[0] >= 0 && col[0] == col[1]) ||
+		(col[0] >= 0 && col[0] == col[2]) ||
+		(col[1] >= 0 && col[1] == col[2]):
+		return ':'
+	default:
+		return ' '
+	}
+}
+
 // legacyFormat is the pre-Multi three-row Format, kept verbatim as the
 // byte-identical reference for the wrapper.
 func legacyFormat(a *Alignment, w *strings.Builder, width int) {
@@ -81,7 +97,7 @@ func legacyFormat(a *Alignment, w *strings.Builder, width int) {
 	cols := a.columnCodes()
 	marks := make([]byte, len(cols))
 	for i, col := range cols {
-		marks[i] = conservationMark(col)
+		marks[i] = legacyConservationMark(col)
 	}
 	nameW := 0
 	for _, n := range []string{a.Triple.A.Name(), a.Triple.B.Name(), a.Triple.C.Name()} {

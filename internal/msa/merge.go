@@ -1,7 +1,6 @@
 package msa
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/alignment"
@@ -135,10 +134,7 @@ func CenterStarN(seqs []*seq.Sequence, sch *scoring.Scheme) (*alignment.Multi, e
 		m.Score = 0
 		return m, nil
 	}
-	codes := make([][]int8, n)
-	for i, s := range seqs {
-		codes[i] = s.Codes()
-	}
+	codes := rowCodes(seqs)
 	// Summed optimal pairwise score per candidate center.
 	sums := make([]mat.Score, n)
 	for i := 0; i < n; i++ {
@@ -201,12 +197,22 @@ func CenterStarN(seqs []*seq.Sequence, sch *scoring.Scheme) (*alignment.Multi, e
 }
 
 // mergeStarMasks merges N-1 center-vs-satellite op lists into column masks
-// over rows [center, sat1, sat2, ...]: the N-row generalization of
-// mergeStar. Satellite inserts drain in satellite order (deterministic),
-// then a center-consuming column ORs in every satellite matching there.
+// over rows [center, sat1, sat2, ...] ("once a gap, always a gap").
+// Satellite inserts drain in satellite order (deterministic), then a
+// center-consuming column ORs in every satellite matching there.
 func mergeStarMasks(opLists [][]pairwise.Op) []alignment.Mask {
+	// The star has one column per op of the first list plus one per
+	// insert of every other satellite.
+	size := 0
+	for si, ops := range opLists {
+		for _, op := range ops {
+			if si == 0 || op == pairwise.OpB {
+				size++
+			}
+		}
+	}
 	pos := make([]int, len(opLists))
-	var cols []alignment.Mask
+	cols := make([]alignment.Mask, 0, size)
 	for {
 		inserted := false
 		for si, ops := range opLists {
@@ -226,7 +232,6 @@ func mergeStarMasks(opLists [][]pairwise.Op) []alignment.Mask {
 				done = false
 				break
 			}
-			_ = si
 		}
 		if done {
 			break
@@ -244,133 +249,4 @@ func mergeStarMasks(opLists [][]pairwise.Op) []alignment.Mask {
 		cols = append(cols, col)
 	}
 	return cols
-}
-
-// RefineMultiContext improves an N-row profile by iterative refinement: one
-// row at a time is removed and optimally re-aligned against the profile of
-// the remaining rows, keeping the result whenever the scheme's SP objective
-// improves. It honors ctx between re-alignments. maxRounds ≤ 0 selects the
-// same default as Refine.
-func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Scheme, maxRounds int) (*alignment.Multi, error) {
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("msa: refine input: %w", err)
-	}
-	if maxRounds <= 0 {
-		maxRounds = 10
-	}
-	n := m.NumRows()
-	cur := &alignment.Multi{Seqs: m.Seqs, Cols: append([]alignment.Mask(nil), m.Cols...)}
-	cur.Score = cur.SPScoreFor(sch)
-	if n < 2 {
-		return cur, nil
-	}
-	for round := 0; round < maxRounds; round++ {
-		improved := false
-		for out := 0; out < n; out++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cand, err := realignOneMulti(cur, sch, out)
-			if err != nil {
-				return nil, err
-			}
-			cand.Score = cand.SPScoreFor(sch)
-			if cand.Score > cur.Score {
-				cur = cand
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return cur, nil
-}
-
-// realignOneMulti removes row `out` from the profile and re-aligns its
-// sequence optimally (linear objective) against the profile induced by the
-// remaining rows — the N-row generalization of realignOne.
-func realignOneMulti(cur *alignment.Multi, sch *scoring.Scheme, out int) (*alignment.Multi, error) {
-	n := cur.NumRows()
-	outBit := alignment.Mask(1) << uint(out)
-	allCodes := cur.ColumnCodes()
-	type profCol struct {
-		mask  alignment.Mask // remaining-row consumption bits
-		codes []int8         // all-row codes; position out ignored
-	}
-	var prof []profCol
-	for ci, c := range cur.Cols {
-		rest := c &^ outBit
-		if rest == 0 {
-			continue
-		}
-		prof = append(prof, profCol{mask: rest, codes: allCodes[ci]})
-	}
-
-	r := cur.Seqs[out].Codes()
-	nr, mc := len(r), len(prof)
-	f := mat.NewPlane(nr+1, mc+1)
-	matchCost := func(ri int8, c profCol) mat.Score {
-		var s mat.Score
-		for i, code := range c.codes {
-			if i != out {
-				s += sch.Pair(ri, code)
-			}
-		}
-		return s
-	}
-	gapRCost := func(c profCol) mat.Score {
-		var s mat.Score
-		for i, code := range c.codes {
-			if i != out {
-				s += sch.Pair(scoring.Gap, code)
-			}
-		}
-		return s
-	}
-	gapColCost := mat.Score(n-1) * sch.GapExtend()
-	for j := 1; j <= mc; j++ {
-		f.Set(0, j, f.At(0, j-1)+gapRCost(prof[j-1]))
-	}
-	for i := 1; i <= nr; i++ {
-		f.Set(i, 0, f.At(i-1, 0)+gapColCost)
-		for j := 1; j <= mc; j++ {
-			best := f.At(i-1, j-1) + matchCost(r[i-1], prof[j-1])
-			if v := f.At(i-1, j) + gapColCost; v > best {
-				best = v
-			}
-			if v := f.At(i, j-1) + gapRCost(prof[j-1]); v > best {
-				best = v
-			}
-			f.Set(i, j, best)
-		}
-	}
-
-	var rev []alignment.Mask
-	i, j := nr, mc
-	for i > 0 || j > 0 {
-		v := f.At(i, j)
-		switch {
-		case i > 0 && j > 0 && v == f.At(i-1, j-1)+matchCost(r[i-1], prof[j-1]):
-			rev = append(rev, prof[j-1].mask|outBit)
-			i, j = i-1, j-1
-		case i > 0 && v == f.At(i-1, j)+gapColCost:
-			rev = append(rev, outBit)
-			i--
-		case j > 0 && v == f.At(i, j-1)+gapRCost(prof[j-1]):
-			rev = append(rev, prof[j-1].mask)
-			j--
-		default:
-			return nil, fmt.Errorf("msa: multi refine traceback stuck at (%d,%d)", i, j)
-		}
-	}
-	cols := make([]alignment.Mask, len(rev))
-	for k := range rev {
-		cols[k] = rev[len(rev)-1-k]
-	}
-	res := &alignment.Multi{Seqs: cur.Seqs, Cols: cols}
-	if err := res.Validate(); err != nil {
-		return nil, fmt.Errorf("msa: multi refine produced inconsistent profile: %w", err)
-	}
-	return res, nil
 }

@@ -38,6 +38,15 @@ func tripleCodes(tr seq.Triple) [3][]int8 {
 	return [3][]int8{tr.A.Codes(), tr.B.Codes(), tr.C.Codes()}
 }
 
+// rowCodes returns the residue codes of each sequence.
+func rowCodes(seqs []*seq.Sequence) [][]int8 {
+	codes := make([][]int8, len(seqs))
+	for i, s := range seqs {
+		codes[i] = s.Codes()
+	}
+	return codes
+}
+
 // pairOptima returns the three pairs' optimal scores, indexed like
 // pairwise.Planes, each computed in linear space.
 func pairOptima(codes [3][]int8, sch *scoring.Scheme) [3]mat.Score {
@@ -91,56 +100,22 @@ func CenterStar(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment, error
 func centerStar(tr seq.Triple, sch *scoring.Scheme, opt [3]mat.Score, ops pairAligner) (*alignment.Alignment, mat.Score, error) {
 	center, _ := pickCenter(opt)
 	sat1, sat2 := (center+1)%3, (center+2)%3
-	moves := mergeStar(ops(center, sat1), ops(center, sat2), center, sat1, sat2)
+	// Star mask bits 0/1/2 are center/sat1/sat2; move bits are A/B/C.
+	star := mergeStarMasks([][]pairwise.Op{ops(center, sat1), ops(center, sat2)})
+	moves := make([]alignment.Move, len(star))
+	for i, c := range star {
+		for bit, row := range [3]int{center, sat1, sat2} {
+			if c.Consumes(bit) {
+				moves[i] |= alignment.Move(1) << uint(row)
+			}
+		}
+	}
 	aln := &alignment.Alignment{Triple: tr, Moves: moves}
 	if err := aln.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("msa: center-star produced inconsistent alignment: %w", err)
 	}
 	aln.Score = aln.SPScore(sch)
 	return aln, opt[0] + opt[1] + opt[2], nil
-}
-
-// mergeStar merges two center-vs-satellite pairwise alignments into a
-// three-way move list. Both op lists traverse the center sequence; columns
-// where a satellite inserts relative to the center (OpB) become columns
-// gapped in the center and the other satellite.
-func mergeStar(ops1, ops2 []pairwise.Op, center, sat1, sat2 int) []alignment.Move {
-	bit := func(idx int) alignment.Move {
-		switch idx {
-		case 0:
-			return alignment.ConsumeA
-		case 1:
-			return alignment.ConsumeB
-		default:
-			return alignment.ConsumeC
-		}
-	}
-	cBit, s1Bit, s2Bit := bit(center), bit(sat1), bit(sat2)
-	var moves []alignment.Move
-	i, j := 0, 0
-	for i < len(ops1) || j < len(ops2) {
-		switch {
-		case i < len(ops1) && ops1[i] == pairwise.OpB:
-			moves = append(moves, s1Bit)
-			i++
-		case j < len(ops2) && ops2[j] == pairwise.OpB:
-			moves = append(moves, s2Bit)
-			j++
-		default:
-			// Both alignments consume the center here.
-			m := cBit
-			if ops1[i] == pairwise.OpBoth {
-				m |= s1Bit
-			}
-			if ops2[j] == pairwise.OpBoth {
-				m |= s2Bit
-			}
-			moves = append(moves, m)
-			i++
-			j++
-		}
-	}
-	return moves
 }
 
 // Progressive aligns the triple progressively: the closest pair (by
@@ -168,24 +143,23 @@ func Progressive(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment, erro
 	}
 	ops := pairwise.Global(codes[p], codes[q], sch).Ops
 
-	// Profile columns as residue-code pairs (scoring.Gap for gaps).
-	prof := make([]profCol, 0, len(ops))
-	pi, qi := 0, 0
-	for _, op := range ops {
-		col := profCol{scoring.Gap, scoring.Gap}
+	// The pair's alignment over the triple's rows, the outsider unconsumed.
+	pair := make([]alignment.Mask, len(ops))
+	for i, op := range ops {
 		if op != pairwise.OpB {
-			col.x = codes[p][pi]
-			pi++
+			pair[i] |= 1 << uint(p)
 		}
 		if op != pairwise.OpA {
-			col.y = codes[q][qi]
-			qi++
+			pair[i] |= 1 << uint(q)
 		}
-		prof = append(prof, col)
 	}
-	moves, err := alignToProfile(codes[outsider], prof, sch, outsider, p, q)
+	cols, err := alignToProfile(pair, codes[:], sch, outsider)
 	if err != nil {
 		return nil, fmt.Errorf("msa: progressive: %w", err)
+	}
+	moves := make([]alignment.Move, len(cols))
+	for i, c := range cols {
+		moves[i] = alignment.Move(c)
 	}
 	aln := &alignment.Alignment{Triple: tr, Moves: moves}
 	if err := aln.Validate(); err != nil {

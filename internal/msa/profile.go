@@ -8,20 +8,52 @@ import (
 	"repro/internal/scoring"
 )
 
-// profCol is one column of a two-row profile: the residue codes of its
-// rows p and q, scoring.Gap where a row is gapped. No column gaps both.
-type profCol struct{ x, y int8 }
+// alignToProfile removes row out from the alignment cols, whose rows have
+// the residue codes codes, and aligns out's residues optimally against the
+// profile that the k = len(codes)−1 ≥ 1 other rows induce on cols. It
+// returns the new column masks. Columns only out consumes drop out of the
+// profile, so cols may leave out's bit clear throughout, as Progressive's
+// pair alignment does.
+//
+// Only cross pairs are scored — the profile's own pairs are fixed — so a
+// residue c against profile column j scores Σ Pair(c, x) over the column's
+// codes x (scoring.Gap where a row is gapped), a gap in out scores
+// Σ Pair(Gap, x), and a residue against a column of gaps scores
+// k·gapExtend. Those costs are read from dense tables built once per call,
+// one row per residue code out uses, so the O(len(out)·columns) interior
+// makes no Scheme.Pair calls. The profile is held flat, as column masks
+// and an m×k code block. The traceback prefers a residue column, then a
+// gap column in the profile, then a gap in out.
+func alignToProfile(cols []alignment.Mask, codes [][]int8, sch *scoring.Scheme, out int) ([]alignment.Mask, error) {
+	k := len(codes) - 1
+	outBit := alignment.Mask(1) << uint(out)
+	// prof[j] is profile column j's mask, block[j*k:j*k+k] its codes.
+	prof := make([]alignment.Mask, 0, len(cols))
+	block := mat.GetCodes(len(cols) * k)
+	defer mat.PutCodes(block)
+	var idx [alignment.MaxRows]int
+	for _, c := range cols {
+		rest := c &^ outBit
+		if rest == 0 {
+			continue
+		}
+		at := len(prof) * k
+		prof = append(prof, rest)
+		for row, rc := range codes {
+			if row == out {
+				continue
+			}
+			x := scoring.Gap
+			if rest.Consumes(row) {
+				x = rc[idx[row]]
+				idx[row]++
+			}
+			block[at] = x
+			at++
+		}
+	}
 
-// alignToProfile aligns the residues r of row out optimally against the
-// two-row profile prof of rows p and q and returns the three-way moves.
-// Only cross pairs are scored — the profile's own pair is fixed — so a
-// residue against column c scores Pair(r, c.x) + Pair(r, c.y), a gap in r
-// scores Pair(Gap, c.x) + Pair(Gap, c.y), and a residue against a gapped
-// column scores 2·gapExtend. Those costs are read from dense tables built
-// once per call, one row per residue code r uses, so the O(len(r)·len(prof))
-// interior makes no Scheme.Pair calls. The traceback prefers a residue
-// column, then a gap column in the profile, then a gap in r.
-func alignToProfile(r []int8, prof []profCol, sch *scoring.Scheme, out, p, q int) ([]alignment.Move, error) {
+	r := codes[out]
 	n, m := len(r), len(prof)
 	size := sch.Alphabet().Size()
 	// gapR[j]: r gapped against column j. match[c*m+j]: residue code c
@@ -30,8 +62,12 @@ func alignToProfile(r []int8, prof []profCol, sch *scoring.Scheme, out, p, q int
 	defer mat.PutScores(gapR)
 	match := mat.GetScores(size * m)
 	defer mat.PutScores(match)
-	for j, c := range prof {
-		gapR[j] = sch.Pair(scoring.Gap, c.x) + sch.Pair(scoring.Gap, c.y)
+	for j := range prof {
+		var s mat.Score
+		for _, x := range block[j*k : j*k+k] {
+			s += sch.Pair(scoring.Gap, x)
+		}
+		gapR[j] = s
 	}
 	var filled [128]bool // residue codes are non-negative int8
 	for _, c := range r {
@@ -40,13 +76,17 @@ func alignToProfile(r []int8, prof []profCol, sch *scoring.Scheme, out, p, q int
 		}
 		filled[c] = true
 		row := match[int(c)*m : int(c)*m+m]
-		for j, col := range prof {
-			row[j] = sch.Pair(c, col.x) + sch.Pair(c, col.y)
+		for j := range row {
+			var s mat.Score
+			for _, x := range block[j*k : j*k+k] {
+				s += sch.Pair(c, x)
+			}
+			row[j] = s
 		}
 	}
 	matchRow := func(c int8) []mat.Score { return match[int(c)*m : int(c)*m+m : int(c)*m+m] }
 
-	gapCol := 2 * sch.GapExtend()
+	gapCol := mat.Score(k) * sch.GapExtend()
 	f := mat.GetPlane(n+1, m+1)
 	defer mat.PutPlane(f)
 	row0 := f.Row(0)[: m+1 : m+1]
@@ -67,37 +107,26 @@ func alignToProfile(r []int8, prof []profCol, sch *scoring.Scheme, out, p, q int
 		}
 	}
 
-	bit := [3]alignment.Move{alignment.ConsumeA, alignment.ConsumeB, alignment.ConsumeC}
-	colMove := func(c profCol) alignment.Move {
-		var mv alignment.Move
-		if c.x != scoring.Gap {
-			mv |= bit[p]
-		}
-		if c.y != scoring.Gap {
-			mv |= bit[q]
-		}
-		return mv
-	}
-	moves := make([]alignment.Move, 0, n+m)
+	res := make([]alignment.Mask, 0, n+m)
 	i, j := n, m
 	for i > 0 || j > 0 {
 		v := f.At(i, j)
 		switch {
 		case i > 0 && j > 0 && v == f.At(i-1, j-1)+matchRow(r[i-1])[j-1]:
-			moves = append(moves, colMove(prof[j-1])|bit[out])
+			res = append(res, prof[j-1]|outBit)
 			i, j = i-1, j-1
 		case i > 0 && v == f.At(i-1, j)+gapCol:
-			moves = append(moves, bit[out])
+			res = append(res, outBit)
 			i--
 		case j > 0 && v == f.At(i, j-1)+gapR[j-1]:
-			moves = append(moves, colMove(prof[j-1]))
+			res = append(res, prof[j-1])
 			j--
 		default:
 			return nil, fmt.Errorf("profile traceback stuck at (%d,%d)", i, j)
 		}
 	}
-	for l, h := 0, len(moves)-1; l < h; l, h = l+1, h-1 {
-		moves[l], moves[h] = moves[h], moves[l]
+	for l, h := 0, len(res)-1; l < h; l, h = l+1, h-1 {
+		res[l], res[h] = res[h], res[l]
 	}
-	return moves, nil
+	return res, nil
 }

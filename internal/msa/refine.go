@@ -33,18 +33,62 @@ func RefineContext(ctx context.Context, aln *alignment.Alignment, sch *scoring.S
 	if maxRounds <= 0 {
 		maxRounds = 10
 	}
-	cur := &alignment.Alignment{Triple: aln.Triple, Moves: append([]alignment.Move(nil), aln.Moves...)}
+	cur := aln.Multi()
 	cur.Score = cur.SPScore(sch)
+	codes := rowCodes(cur.Seqs)
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for out := 0; out < 3; out++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cand, err := realignOne(cur, sch, out)
+			cand, err := realignOne(cur, codes, sch, out)
 			if err != nil {
 				return nil, err
 			}
+			cand.Score = cand.SPScore(sch)
+			if cand.Score > cur.Score {
+				cur = cand
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return cur.ToAlignment()
+}
+
+// RefineMultiContext improves an N-row profile by iterative refinement: one
+// row at a time is removed and optimally re-aligned against the profile of
+// the remaining rows, keeping the result whenever the scheme's SP objective
+// improves. It honors ctx between re-alignments. maxRounds ≤ 0 selects the
+// same default as Refine.
+func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Scheme, maxRounds int) (*alignment.Multi, error) {
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("msa: refine input: %w", err)
+	}
+	if maxRounds <= 0 {
+		maxRounds = 10
+	}
+	n := m.NumRows()
+	cur := &alignment.Multi{Seqs: m.Seqs, Cols: append([]alignment.Mask(nil), m.Cols...)}
+	cur.Score = cur.SPScoreFor(sch)
+	if n < 2 {
+		return cur, nil
+	}
+	codes := rowCodes(cur.Seqs)
+	for round := 0; round < maxRounds; round++ {
+		improved := false
+		for out := 0; out < n; out++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			cand, err := realignOne(cur, codes, sch, out)
+			if err != nil {
+				return nil, err
+			}
+			cand.Score = cand.SPScoreFor(sch)
 			if cand.Score > cur.Score {
 				cur = cand
 				improved = true
@@ -57,45 +101,19 @@ func RefineContext(ctx context.Context, aln *alignment.Alignment, sch *scoring.S
 	return cur, nil
 }
 
-// realignOne removes sequence `out` (0=A, 1=B, 2=C) from the alignment and
-// re-aligns it optimally against the profile induced by the other two
-// rows, exactly as Progressive's final stage does.
-func realignOne(cur *alignment.Alignment, sch *scoring.Scheme, out int) (*alignment.Alignment, error) {
-	codes := tripleCodes(cur.Triple)
-	bit := [3]alignment.Move{alignment.ConsumeA, alignment.ConsumeB, alignment.ConsumeC}
-	p, q := (out+1)%3, (out+2)%3
-	if p > q {
-		p, q = q, p
-	}
-
-	// Build the two-row profile from the current alignment, dropping
-	// columns where both kept rows are gapped.
-	prof := make([]profCol, 0, len(cur.Moves))
-	ip, iq := 0, 0
-	for _, m := range cur.Moves {
-		col := profCol{scoring.Gap, scoring.Gap}
-		if m&bit[p] != 0 {
-			col.x = codes[p][ip]
-			ip++
-		}
-		if m&bit[q] != 0 {
-			col.y = codes[q][iq]
-			iq++
-		}
-		if col.x != scoring.Gap || col.y != scoring.Gap {
-			prof = append(prof, col)
-		}
-	}
-	moves, err := alignToProfile(codes[out], prof, sch, out, p, q)
+// realignOne removes row out from cur, whose rows have the residue codes
+// codes, and re-aligns it optimally against the profile of the other rows
+// (linear objective; see alignToProfile). The result's Score is left zero.
+func realignOne(cur *alignment.Multi, codes [][]int8, sch *scoring.Scheme, out int) (*alignment.Multi, error) {
+	cols, err := alignToProfile(cur.Cols, codes, sch, out)
 	if err != nil {
 		return nil, fmt.Errorf("msa: refine: %w", err)
 	}
-	out3 := &alignment.Alignment{Triple: cur.Triple, Moves: moves}
-	if err := out3.Validate(); err != nil {
+	res := &alignment.Multi{Seqs: cur.Seqs, Cols: cols}
+	if err := res.Validate(); err != nil {
 		return nil, fmt.Errorf("msa: refine produced inconsistent alignment: %w", err)
 	}
-	out3.Score = out3.SPScore(sch)
-	return out3, nil
+	return res, nil
 }
 
 // CenterStarRefined runs CenterStar followed by Refine — the strongest

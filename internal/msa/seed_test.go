@@ -14,9 +14,9 @@ import (
 
 // The ref* functions are the heuristics as they were before the shared
 // forward planes and the dense-table profile DP: every pairwise alignment
-// from its own pairwise.Global or GlobalScore fill, and a profile DP that
-// calls Scheme.Pair in its inner loop. They are the oracles the rewritten
-// paths must match bit for bit.
+// from its own pairwise.Global or GlobalScore fill, a three-row star merge,
+// and a two-row profile DP that calls Scheme.Pair in its inner loop. They
+// are the oracles the rewritten paths must match bit for bit.
 
 func refPickCenter(codes [3][]int8, sch *scoring.Scheme) (int, [3]mat.Score) {
 	var pairScore [3]mat.Score
@@ -39,10 +39,57 @@ func refCenterStar(tr seq.Triple, sch *scoring.Scheme) *alignment.Alignment {
 	sat1, sat2 := (center+1)%3, (center+2)%3
 	aln1 := pairwise.Global(codes[center], codes[sat1], sch)
 	aln2 := pairwise.Global(codes[center], codes[sat2], sch)
-	aln := &alignment.Alignment{Triple: tr, Moves: mergeStar(aln1.Ops, aln2.Ops, center, sat1, sat2)}
+	aln := &alignment.Alignment{Triple: tr, Moves: refMergeStar(aln1.Ops, aln2.Ops, center, sat1, sat2)}
 	aln.Score = aln.SPScore(sch)
 	return aln
 }
+
+// refMergeStar merges two center-vs-satellite pairwise alignments into a
+// three-way move list. Both op lists traverse the center sequence; columns
+// where a satellite inserts relative to the center (OpB) become columns
+// gapped in the center and the other satellite.
+func refMergeStar(ops1, ops2 []pairwise.Op, center, sat1, sat2 int) []alignment.Move {
+	bit := func(idx int) alignment.Move {
+		switch idx {
+		case 0:
+			return alignment.ConsumeA
+		case 1:
+			return alignment.ConsumeB
+		default:
+			return alignment.ConsumeC
+		}
+	}
+	cBit, s1Bit, s2Bit := bit(center), bit(sat1), bit(sat2)
+	var moves []alignment.Move
+	i, j := 0, 0
+	for i < len(ops1) || j < len(ops2) {
+		switch {
+		case i < len(ops1) && ops1[i] == pairwise.OpB:
+			moves = append(moves, s1Bit)
+			i++
+		case j < len(ops2) && ops2[j] == pairwise.OpB:
+			moves = append(moves, s2Bit)
+			j++
+		default:
+			// Both alignments consume the center here.
+			m := cBit
+			if ops1[i] == pairwise.OpBoth {
+				m |= s1Bit
+			}
+			if ops2[j] == pairwise.OpBoth {
+				m |= s2Bit
+			}
+			moves = append(moves, m)
+			i++
+			j++
+		}
+	}
+	return moves
+}
+
+// profCol is one column of a two-row profile: the residue codes of its
+// rows p and q, scoring.Gap where a row is gapped. No column gaps both.
+type profCol struct{ x, y int8 }
 
 // refProfileDP aligns r (row out) against the profile of rows p and q
 // with Scheme.Pair closures, as realignOne and Progressive once did.
@@ -296,17 +343,23 @@ func TestHeuristicsMatchReference(t *testing.T) {
 	}
 }
 
-// TestRealignOneMatchesReference checks the dense-table realignOne against
-// the Scheme.Pair reference on every held-out row of center-star and
-// progressive starting alignments.
+// TestRealignOneMatchesReference checks the dense-table realignOne on
+// triples against the two-row Scheme.Pair reference on every held-out row
+// of center-star and progressive starting alignments.
 func TestRealignOneMatchesReference(t *testing.T) {
 	for _, c := range seedCases(t) {
 		for _, start := range []*alignment.Alignment{refCenterStar(c.tr, c.sch), refProgressive(c.tr, c.sch)} {
+			m := start.Multi()
 			for out := 0; out < 3; out++ {
-				got, err := realignOne(start, c.sch, out)
+				res, err := realignOne(m, rowCodes(m.Seqs), c.sch, out)
 				if err != nil {
 					t.Fatalf("%s out=%d: %v", c.name, out, err)
 				}
+				got, err := res.ToAlignment()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got.Score = got.SPScore(c.sch)
 				if want := refRealignOne(start, c.sch, out); !sameAlignment(got, want) {
 					t.Fatalf("%s out=%d: realignOne %d %q, reference %d %q", c.name, out,
 						got.Score, movesBytes(got.Moves), want.Score, movesBytes(want.Moves))

@@ -122,6 +122,9 @@ func (s *Server) msaSequences(req *MsaRequest) ([]*repro.Sequence, error) {
 			len(seqs), s.cfg.MaxMsaSequences)
 	}
 	for _, sq := range seqs {
+		if sq.Len() == 0 {
+			return nil, badRequestf("sequence %q is empty", sq.Name())
+		}
 		if sq.Len() > s.cfg.MaxSequenceLen {
 			return nil, badRequestf("sequence %q has %d residues; the server caps sequences at %d",
 				sq.Name(), sq.Len(), s.cfg.MaxSequenceLen)
@@ -131,8 +134,9 @@ func (s *Server) msaSequences(req *MsaRequest) ([]*repro.Sequence, error) {
 }
 
 // msaOptions maps the wire knobs onto repro.MSAOptions by reusing the
-// /v1/align option resolution for the shared fields.
-func (s *Server) msaOptions(req *MsaRequest) (repro.MSAOptions, error) {
+// /v1/align option resolution for the shared fields, and rejects a scheme
+// over another alphabet than the family's.
+func (s *Server) msaOptions(req *MsaRequest, seqs []*repro.Sequence) (repro.MSAOptions, error) {
 	base, err := s.resolveOptions(&AlignRequest{
 		Scheme:         req.Scheme,
 		Algorithm:      req.Algorithm,
@@ -144,6 +148,10 @@ func (s *Server) msaOptions(req *MsaRequest) (repro.MSAOptions, error) {
 	})
 	if err != nil {
 		return repro.MSAOptions{}, err
+	}
+	if alpha := seqs[0].Alphabet(); base.Scheme != nil && base.Scheme.Alphabet() != alpha {
+		return repro.MSAOptions{}, badRequestf("scheme %q scores %s, sequences are %s",
+			req.Scheme, base.Scheme.Alphabet().Name(), alpha.Name())
 	}
 	return repro.MSAOptions{
 		Options:      base,
@@ -194,7 +202,7 @@ func (s *Server) handleMsa(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	opt, err := s.msaOptions(&req)
+	opt, err := s.msaOptions(&req, seqs)
 	if err != nil {
 		s.fail(err)
 		writeError(w, errorStatus(err), err)
@@ -265,7 +273,7 @@ func (s *Server) handleMsaPlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	opt, err := s.msaOptions(&req)
+	opt, err := s.msaOptions(&req, seqs)
 	if err != nil {
 		writeError(w, errorStatus(err), err)
 		return

@@ -66,12 +66,26 @@ func TestServeMsaInline(t *testing.T) {
 	}
 }
 
+// msaSmokeFamily is a six-sequence DNA family drawn from a random 60-mer
+// ancestor: per site, 6% redrawn uniformly from ACGT and 2% deleted.
+var msaSmokeFamily = []string{
+	"AGTATGTTTCAATAGTGACAAAGACAGGCAACGCGAGGCTCCGATTAAGCATCGGAA",
+	"AAGTATGTTTCAATAGGTGACAACAGAAGGCATCGCGAGGCTCCGATTAAGCATCGGA",
+	"AAGTATGTTTCAATAGGGACTAAAGCAGGCAACGCGAGGTCCGATGAAGCATGGAA",
+	"AAGTATGTTTCAATAGGTGACTAAAGACAGGCACCGCGAGGCTCCGATTAAGCATCGAA",
+	"AAGTATGTTTCAAGGTGACTAAAGACAGGCAACGCGGGGCTCCGATTAAGCATCCGAA",
+	"AAGTATGTTTCAATAGGTGACTAAAGACAGGCAACGCGAGGCTGCGATTAAGCATCGGAA",
+}
+
+// TestServeMsaFASTA drives /v1/msa end to end with a FASTA family and
+// explain: every row degaps to its input, the level of two 3-way merges
+// fans through the batch path, the guide tree is explained, and the msa_*
+// counters reach /statsz.
 func TestServeMsaFASTA(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	fam, _ := msaFamilyJSON(t, 21, 4, 30)
 	var fasta strings.Builder
-	for _, s := range fam {
-		fmt.Fprintf(&fasta, ">%s\n%s\n", s.Name(), s.String())
+	for i, s := range msaSmokeFamily {
+		fmt.Fprintf(&fasta, ">m%d\n%s\n", i, s)
 	}
 	body, _ := json.Marshal(map[string]any{"fasta": fasta.String(), "explain": true})
 	var out MsaResponse
@@ -79,11 +93,34 @@ func TestServeMsaFASTA(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-	if len(out.Names) != 4 || out.Names[0] != fam[0].Name() {
-		t.Fatalf("names = %v", out.Names)
+	if out.NumSequences != 6 || len(out.Rows) != 6 || len(out.Names) != 6 || out.Names[0] != "m0" {
+		t.Fatalf("num_sequences=%d rows=%d names=%v", out.NumSequences, len(out.Rows), out.Names)
 	}
-	if out.GuideTree == "" || len(out.Merges) == 0 {
+	for i, row := range out.Rows {
+		if len(row) != out.Columns {
+			t.Errorf("row %d has %d chars, columns = %d", i, len(row), out.Columns)
+		}
+		if strings.ReplaceAll(row, "-", "") != msaSmokeFamily[i] {
+			t.Errorf("row %d does not degap to input %d", i, i)
+		}
+	}
+	if out.OptimalityGap < 0 {
+		t.Errorf("optimality_gap = %d, want >= 0", out.OptimalityGap)
+	}
+	if out.BatchedMerges < 2 {
+		t.Errorf("batched_merges = %d, want >= 2", out.BatchedMerges)
+	}
+	if !strings.Contains(out.GuideTree, "guide tree over 6 leaves") || len(out.Merges) == 0 {
 		t.Errorf("explain response missing guide tree (%q) or merges (%d)", out.GuideTree, len(out.Merges))
+	}
+	var st map[string]any
+	getJSON(t, ts, "/statsz", &st)
+	for key, min := range map[string]float64{
+		"msa_requests": 1, "msa_completed": 1, "msa_sequences": 6, "msa_merges": 3, "msa_batched_merges": 2,
+	} {
+		if v, ok := st[key].(float64); !ok || v < min {
+			t.Errorf("statsz %s = %v, want >= %v", key, st[key], min)
+		}
 	}
 }
 
@@ -121,6 +158,8 @@ func TestServeMsaRejectsBadRequests(t *testing.T) {
 		{"both forms", `{"sequences":["ACGT","ACGA"],"fasta":">a\nACGT\n"}`},
 		{"bad residue", `{"sequences":["ACGT","ACGZ"]}`},
 		{"bad alphabet", `{"sequences":["ACGT","ACGA"],"alphabet":"klingon"}`},
+		{"empty sequence", `{"sequences":["ACGT",""]}`},
+		{"scheme of another alphabet", `{"sequences":["ACGT","ACGA"],"scheme":"blosum62"}`},
 		{"name mismatch", `{"sequences":["ACGT","ACGA"],"names":["x"]}`},
 		{"too many", `{"sequences":["ACGT","ACGA","ACGC","ACGG","AACG"]}`},
 		{"too long", fmt.Sprintf(`{"sequences":[%q,%q]}`, strings.Repeat("A", 51), "ACGT")},
