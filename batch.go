@@ -67,12 +67,12 @@ func AlignBatch(triples []Triple, opt Options) []BatchResult {
 // Cancelling ctx stops the batch after the in-flight alignments notice it;
 // triples not yet started are marked with the context error.
 //
-// AlgorithmAuto resolves per triple against the effective scoring scheme
-// and the chosen split: affine schemes get AlgorithmAffine (or
-// AlgorithmAffineParallel on a narrow batch, or AlgorithmAffineLinear over
-// MaxBytes), linear ones AlgorithmFull / AlgorithmParallel (or
-// AlgorithmLinear) — so a batch under BLOSUM62 optimizes the same affine
-// objective a single Align call would.
+// AlgorithmAuto resolves per triple against the effective scoring scheme:
+// affine schemes get AlgorithmAffineParallel (AlgorithmAffineLinear over
+// MaxBytes), linear ones AlgorithmParallel (AlgorithmParallelLinear), at
+// one worker in a wide batch and at the item's workers in a narrow one —
+// so a batch under BLOSUM62 optimizes the same affine objective a single
+// Align call would.
 func AlignBatchContext(ctx context.Context, triples []Triple, opt Options) []BatchResult {
 	items := make([]BatchItem, len(triples))
 	for i, tr := range triples {
@@ -127,11 +127,7 @@ func AlignBatchItemsContext(ctx context.Context, items []BatchItem) []BatchResul
 				out[i].Err = fmt.Errorf("repro: batch cancelled: %w", err)
 				continue // claim and mark the remaining triples too
 			}
-			it := items[i].Opt
-			if !intraParallel {
-				it.Workers = 1
-			}
-			res, err := alignRecover(ctx, items[i].Triple, it, intraParallel)
+			res, err := alignRecover(ctx, items[i].Triple, itemOptions(items[i], intraParallel))
 			out[i] = BatchResult{Index: i, Result: res, Err: err}
 		}
 	}
@@ -152,15 +148,26 @@ func AlignBatchItemsContext(ctx context.Context, items []BatchItem) []BatchResul
 	return out
 }
 
+// itemOptions is the Options one batch item runs with: a wide batch runs
+// each alignment on one worker, a narrow one keeps the item's own.
+func itemOptions(it BatchItem, intraParallel bool) Options {
+	opt := it.Opt
+	if !intraParallel {
+		opt.Workers = 1
+	}
+	return opt
+}
+
 // planOrder returns the claim order for a batch: item indexes sorted by
 // planned DP cell count, largest first (stable, so equal-work items keep
-// submission order). Unplannable items — invalid triple, unknown scheme or
-// algorithm, budget too small — count as zero work and sort last; their
-// error surfaces when the claimer aligns them.
-func planOrder(items []BatchItem, parallel bool) []int {
+// submission order). Each item is planned at the workers it will run with.
+// Unplannable items — invalid triple, unknown scheme or algorithm, budget
+// too small — count as zero work and sort last; their error surfaces when
+// the claimer aligns them.
+func planOrder(items []BatchItem, intraParallel bool) []int {
 	keys := make([]uint64, len(items))
 	for i := range items {
-		keys[i] = planCells(items[i], parallel)
+		keys[i] = planCells(items[i].Triple, itemOptions(items[i], intraParallel))
 	}
 	order := make([]int, len(items))
 	for i := range order {
@@ -171,15 +178,15 @@ func planOrder(items []BatchItem, parallel bool) []int {
 }
 
 // planCells estimates one item's DP work for batch ordering.
-func planCells(it BatchItem, parallel bool) uint64 {
-	if it.Triple.Validate() != nil {
+func planCells(tr Triple, opt Options) uint64 {
+	if tr.Validate() != nil {
 		return 0
 	}
-	sch, err := resolveScheme(it.Triple, it.Opt)
+	sch, err := resolveScheme(tr, opt)
 	if err != nil {
 		return 0
 	}
-	pl, _, err := plan.Resolve(planRequest(it.Triple, sch, it.Opt, parallel))
+	pl, _, err := plan.Resolve(planRequest(tr, sch, opt))
 	if err != nil {
 		return 0
 	}
@@ -189,9 +196,9 @@ func planCells(it BatchItem, parallel bool) uint64 {
 // alignRecover is one batch claimer's alignWith call with panic
 // containment: a panic inside one alignment becomes that triple's error
 // (with the worker stack) instead of crashing the whole batch.
-func alignRecover(ctx context.Context, tr Triple, opt Options, parallel bool) (res *Result, err error) {
+func alignRecover(ctx context.Context, tr Triple, opt Options) (res *Result, err error) {
 	defer recoverAlignPanic(&res, &err)
-	return alignWith(ctx, tr, opt, parallel)
+	return alignWith(ctx, tr, opt)
 }
 
 // recoverAlignPanic converts an in-flight panic into an error carrying the

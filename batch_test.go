@@ -117,8 +117,9 @@ func TestAlignBatchAffineAutoMatchesSingle(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("triple %d: %v", i, r.Err)
 		}
-		if r.Result.Algorithm != AlgorithmAffine {
-			t.Fatalf("triple %d: batch resolved Auto to %q, want affine", i, r.Result.Algorithm)
+		if r.Result.Algorithm != AlgorithmAffineParallel || r.Result.Plan.Workers != 1 {
+			t.Fatalf("triple %d: batch resolved Auto to %q at %d workers, want affine-parallel at 1",
+				i, r.Result.Algorithm, r.Result.Plan.Workers)
 		}
 		ref, err := Align(triples[i], opt)
 		if err != nil {

@@ -41,7 +41,7 @@ func BenchmarkT1SequentialRuntime(b *testing.B) {
 		tr := benchTriple(1000+int64(n), n, 0.3)
 		b.Run(fmt.Sprintf("algo=full/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				aln, err := core.AlignFull(context.Background(), tr, scoring.DNADefault(), core.Options{})
+				aln, err := core.AlignParallel(context.Background(), tr, scoring.DNADefault(), core.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -51,7 +51,7 @@ func BenchmarkT1SequentialRuntime(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("algo=linear/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				aln, err := core.AlignLinear(context.Background(), tr, scoring.DNADefault(), core.Options{})
+				aln, err := core.AlignParallelLinear(context.Background(), tr, scoring.DNADefault(), core.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,7 +288,7 @@ func BenchmarkT5Affine(b *testing.B) {
 		tr := benchTriple(10000+int64(n), n, 0.3)
 		b.Run(fmt.Sprintf("model=linear/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				aln, err := core.AlignFull(context.Background(), tr, scoring.DNADefault(), core.Options{})
+				aln, err := core.AlignParallel(context.Background(), tr, scoring.DNADefault(), core.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,7 +297,7 @@ func BenchmarkT5Affine(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("model=affine/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				aln, err := core.AlignAffine(context.Background(), tr, affSch, core.Options{})
+				aln, err := core.AlignAffineParallel(context.Background(), tr, affSch, core.Options{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

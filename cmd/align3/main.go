@@ -12,8 +12,11 @@
 //	align3 -msa -in family.fasta
 //	align3 -msa -in family.fasta -explain
 //
-// Exact algorithms: full, parallel, linear, parallel-linear, diagonal,
-// pruned, pruned-parallel, affine, affine-linear, affine-parallel.
+// Exact algorithms: parallel, parallel-linear, bounded, astar,
+// affine-parallel, affine-linear. Each takes its parallelism from
+// -workers; -workers 1 runs one thread. The names full, full-packed,
+// parallel-packed, diagonal, linear, affine, pruned and pruned-parallel
+// are aliases: they run, and report, the kernel they name.
 // Heuristics: center-star, center-star-refined, progressive.
 // Formats: pretty (default), clustal, fasta, stats, json, quiet.
 // Gzip-compressed input is detected automatically; -both-strands also

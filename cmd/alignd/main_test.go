@@ -28,9 +28,11 @@ func TestRunReportsListenError(t *testing.T) {
 	}
 }
 
-// TestServeDrainExitsCleanly boots the real daemon, aligns once, then
-// delivers SIGTERM and asserts the drain contract: /readyz flips to 503
-// while the process is still serving, and run returns nil (exit 0).
+// TestServeDrainExitsCleanly boots the real daemon with the result cache
+// on, aligns the same triple twice — a cache miss, then a hit, which
+// proves the -cache-bytes flag reaches the server — then delivers SIGTERM
+// and asserts the drain contract: /readyz flips to 503 while the process
+// is still serving, and run returns nil (exit 0).
 func TestServeDrainExitsCleanly(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -41,7 +43,7 @@ func TestServeDrainExitsCleanly(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", addr, "-drain-grace", "300ms", "-workers", "2"}, io.Discard)
+		done <- run([]string{"-addr", addr, "-drain-grace", "300ms", "-workers", "2", "-cache-bytes", "1048576"}, io.Discard)
 	}()
 	base := "http://" + addr
 	waitFor(t, func() bool {
@@ -53,14 +55,19 @@ func TestServeDrainExitsCleanly(t *testing.T) {
 		return resp.StatusCode == http.StatusOK
 	})
 
-	resp, err := http.Post(base+"/v1/align", "application/json",
-		strings.NewReader(`{"a":"ACGTACGTAC","b":"ACGTTCGTAC","c":"ACGAACGTAC"}`))
-	if err != nil {
-		t.Fatalf("align: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("align status = %d, want 200", resp.StatusCode)
+	for _, want := range []string{"miss", "hit"} {
+		resp, err := http.Post(base+"/v1/align", "application/json",
+			strings.NewReader(`{"a":"ACGTACGTAC","b":"ACGTTCGTAC","c":"ACGAACGTAC"}`))
+		if err != nil {
+			t.Fatalf("align: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("align status = %d, want 200", resp.StatusCode)
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("X-Cache = %q, want %q", got, want)
+		}
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

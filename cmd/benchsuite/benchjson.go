@@ -310,14 +310,16 @@ func writeBenchJSON(path string, cfg config) error {
 		frac  float64 // evaluated fraction (bounded-search rows only)
 		sched bool    // goes through the wavefront block scheduler
 	}{
-		// The full and parallel kernels run the lane-packed interior; the
-		// rows keep the -packed names they were first measured under, which
-		// are also the planner's rate keys for those kernels.
+		// The blocked kernel runs the lane-packed interior; the rows keep
+		// the -packed names they were first measured under, which are also
+		// the planner's rate keys for it: full-packed at one worker (the
+		// sequential fill), parallel-packed at GOMAXPROCS. The linear and
+		// affine7 rows time their kernels at one worker too.
 		{"full-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignFull(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{Workers: 1}))
 		}, cells(tr), 0, false},
 		{"full-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignFull(ctx, tr, sch, core.Options{CellWidth: 16}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{Workers: 1, CellWidth: 16}))
 		}, cells(tr), 0, false},
 		{"parallel-packed", n, lattice(tr), func() {
 			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{}))
@@ -331,10 +333,10 @@ func writeBenchJSON(path string, cfg config) error {
 			}
 		}, cells(tr), 0, false},
 		{"linear", n, core.LinearBytes(tr), func() {
-			mustAlign(core.AlignLinear(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallelLinear(ctx, tr, sch, core.Options{Workers: 1}))
 		}, cells(tr), 0, false},
 		{"affine7", nAff, 7 * lattice(trAff), func() {
-			mustAlign(core.AlignAffine(ctx, trAff, affSch, core.Options{}))
+			mustAlign(core.AlignAffineParallel(ctx, trAff, affSch, core.Options{Workers: 1}))
 		}, cells(trAff), 0, false},
 		{"pairwise-global", nPair, pairCells * 4, func() {
 			pairwise.Global(pa, pb, sch)
@@ -372,7 +374,7 @@ func writeBenchJSON(path string, cfg config) error {
 		{"bounded-id95", nB, b95.stats.EvaluatedCells * 4, runBoundedRow(b95),
 			b95.stats.TotalCells, b95.stats.Fraction(), false},
 		{"full-packed-id80", nB, lattice(b80.tr), func() {
-			mustAlign(core.AlignFull(ctx, b80.tr, sch, core.Options{}))
+			mustAlign(core.AlignParallel(ctx, b80.tr, sch, core.Options{Workers: 1}))
 		}, b80.stats.TotalCells, 0, false},
 	}
 

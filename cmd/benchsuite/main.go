@@ -195,10 +195,10 @@ func runT1(cfg config) error {
 	for _, n := range lengths {
 		tr := triple(1000+int64(n), n, 0.3)
 		tFull := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tLin := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignLinear(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallelLinear(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tab.AddRowf(n, cells(tr), tFull.Mean,
 			bench.CellRate(cells(tr), tFull.Mean)/1e6,
@@ -247,12 +247,13 @@ func runF1(cfg config) error {
 	tab := bench.NewTable(fmt.Sprintf("F1: speedup vs workers (n=%d, adaptive tiles, GOMAXPROCS=%d)", n, procs),
 		"workers", "tile", "time", "vs-full", "vs-1w", "sim-speedup")
 	tab.Caption = fmt.Sprintf("expected: near-linear sim-speedup until the wavefront width saturates;\n"+
-		"measured speedup (vs-full: the sequential full kernel; vs-1w: parallel at 1 worker)\n"+
+		"measured speedup (vs-full: the blocked kernel at Workers: 1, timed as its own\n"+
+		"baseline row; vs-1w: the 1-worker row of the sweep)\n"+
 		"tracks it only up to the cores GOMAXPROCS grants\n"+
 		"* = workers exceed GOMAXPROCS=%d; measured speedup is invalid there,\n"+
 		"read sim-speedup for the scaling curve", procs)
 	tFull := bench.Measure(cfg.reps, func() {
-		mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+		mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 	})
 	tab.AddRowf("full", "-", tFull.Mean, "1.00 ", "", "")
 	var t1 time.Duration
@@ -397,10 +398,10 @@ func runT5(cfg config) error {
 		tr := triple(10000+int64(n), n, 0.3)
 		var linScore, affScore int32
 		tLin := bench.Measure(cfg.reps, func() {
-			linScore = mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{})).Score
+			linScore = mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1})).Score
 		})
 		tAff := bench.Measure(cfg.reps, func() {
-			affScore = mustAlign(core.AlignAffine(context.Background(), tr, affSch, core.Options{})).Score
+			affScore = mustAlign(core.AlignAffineParallel(context.Background(), tr, affSch, core.Options{Workers: 1})).Score
 		})
 		tAffLin := bench.Measure(cfg.reps, func() {
 			aln := mustAlign(core.AlignAffineLinear(context.Background(), tr, affSch, core.Options{}))
@@ -533,7 +534,7 @@ func runF9(cfg config) error {
 			}
 		})
 		tFull := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tab.AddRowf(fmt.Sprintf("%.0f%%", id*100), st.EvaluatedCells, st.TotalCells,
 			st.Fraction(), tBounded.Mean, tAStar.Mean, tFull.Mean)

@@ -88,9 +88,9 @@
 // hint with a one-sided failure mode: kernels re-verify the bound at
 // dispatch and silently run 32-bit cells when it does not hold, so a
 // stale plan can cost memory bandwidth but can never truncate a score.
-// The full-lattice kernels (AlgorithmFull, AlgorithmParallel — the Auto
-// defaults for linear-gap schemes) additionally vectorize the interior
-// loop along the unit-stride axis; the differential tests pin them
+// The full-lattice linear-gap kernel (AlgorithmParallel, the Auto default
+// for linear-gap schemes, at any worker count) additionally vectorizes the
+// interior loop along the unit-stride axis; the differential tests pin it
 // bit-identical to a verbatim scalar recurrence.
 //
 // The underlying algorithm implementations live in internal/core; sequence

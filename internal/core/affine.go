@@ -89,10 +89,14 @@ func moveDelta(s alignment.Move) (di, dj, dk int) {
 	return
 }
 
-// AlignAffine computes an optimal three-sequence alignment under the
-// quasi-natural affine sum-of-pairs objective. With GapOpen == 0 it returns
-// the same optimum as AlignFull. Memory is seven full lattices.
-func AlignAffine(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
+// AlignAffineParallel computes an optimal three-sequence alignment under
+// the quasi-natural affine sum-of-pairs objective with the blocked-
+// wavefront schedule over a goroutine pool — the paper's parallelization
+// applied to the seven-state recurrence. Options.Workers is its only
+// parallelism knob; Workers: 1 is the sequential fill. With GapOpen == 0
+// it returns the same optimum as AlignParallel. Memory is seven full
+// lattices.
+func AlignAffineParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
@@ -103,10 +107,7 @@ func AlignAffine(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Op
 	if 7*FullMatrixBytes(tr) > opt.maxBytes() {
 		return nil, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, 7*FullMatrixBytes(tr), opt.maxBytes())
 	}
-	if len(ca) == 0 && len(cb) == 0 && len(cc) == 0 {
-		return &alignment.Alignment{Triple: tr, Moves: nil, Score: 0}, nil
-	}
-	moves, score, err := affineDPMoves(ctx, ca, cb, cc, sch, 7, 0)
+	moves, score, err := affineDPMoves(ctx, ca, cb, cc, sch, opt, alignment.MoveXXX, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -119,12 +120,13 @@ func AlignAffine(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Op
 
 // affineDPMoves solves the 7-state affine DP over a (sub-)box with
 // explicit boundary states: q0 is the mask of the column immediately
-// before the box (7 at the true origin), and sEnd, when non-zero,
-// constrains the box's final column mask (used by the linear-space
-// divide-and-conquer to glue sub-solutions without double-charging gap
-// opens). It returns the move list and its quasi-natural score under
-// those boundary conditions.
-func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, q0, sEnd alignment.Move) ([]alignment.Move, mat.Score, error) {
+// before the box (7 at the true origin, where the first column pays its
+// opens), and sEnd, when non-zero, constrains the box's final column mask
+// (used by the linear-space divide-and-conquer to glue sub-solutions
+// without double-charging gap opens). The seven lattices are filled by
+// the blocked wavefront at opt's workers and tile shape. It returns the
+// move list and its quasi-natural score under those boundary conditions.
+func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, q0, sEnd alignment.Move) ([]alignment.Move, mat.Score, error) {
 	n, m, p := len(ca), len(cb), len(cc)
 
 	if n == 0 && m == 0 && p == 0 {
@@ -147,16 +149,69 @@ func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, 
 	}
 	seedAffineOrigin(&d, q0)
 
-	sj := wavefront.Span{Lo: 0, Hi: m + 1}
-	sk := wavefront.Span{Lo: 0, Hi: p + 1}
-	for i := 0; i <= n; i++ {
-		if err := checkCtx(ctx); err != nil {
-			return nil, 0, err
-		}
-		fillRangeAffine(&d, st, &f, wavefront.Span{Lo: i, Hi: i + 1}, sj, sk)
+	// 28 bytes per cell: seven 4-byte lattices, one per affine gap state.
+	ti, tj, tk := opt.tileDims(n+1, m+1, p+1, 28)
+	si := wavefront.Partition(n+1, ti)
+	sj := wavefront.Partition(m+1, tj)
+	sk := wavefront.Partition(p+1, tk)
+	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
+		fillRangeAffine(&d, st, &f, si[bi], sj[bj], sk[bk])
+	}); err != nil {
+		return nil, 0, err
 	}
-
 	return affineTraceback(d, ca, cb, cc, sch, sEnd)
+}
+
+// fillRangeAffine evaluates all seven state lattices over one block in
+// lexicographic order, one grouped-open lane pass per (i, j) lane. Every
+// predecessor cell a state transition reads lies in this block or in an
+// axis-predecessor block, so the blocked wavefront schedule of Run3D is
+// sufficient — the same argument as the linear-gap kernel, applied per
+// state. The pass writes every cell of the block; the caller seeds the
+// origin (seedAffineOrigin) before the block that holds it runs.
+func fillRangeAffine(d *[7]*mat.Tensor3, st *scoreTables, f *affineFill, si, sj, sk wavefront.Span) {
+	if fpFill.Fire() {
+		panic("faultpoint: core.fill.block")
+	}
+	var cur, l10, l01, l11 affineLanes
+	for i := si.Lo; i < si.Hi; i++ {
+		var abRow, acRow []mat.Score
+		if i > 0 {
+			abRow, acRow = st.ab.Row(i), st.ac.Row(i)
+		}
+		for j := sj.Lo; j < sj.Hi; j++ {
+			tensorLanes(d, i, j, &cur)
+			var p10, p01, p11 *affineLanes
+			var sAB mat.Score
+			var bcRow []mat.Score
+			if i > 0 {
+				tensorLanes(d, i-1, j, &l10)
+				p10 = &l10
+			}
+			if j > 0 {
+				tensorLanes(d, i, j-1, &l01)
+				p01 = &l01
+				bcRow = st.bc.Row(j)
+			}
+			if i > 0 && j > 0 {
+				tensorLanes(d, i-1, j-1, &l11)
+				p11 = &l11
+				sAB = abRow[j]
+			}
+			lo := sk.Lo
+			if i == 0 && j == 0 && lo == 0 {
+				lo = 1 // the origin carries the boundary seed
+			}
+			f.lane(&cur, p10, p01, p11, sAB, acRow, bcRow, lo, sk.Hi)
+		}
+	}
+}
+
+// tensorLanes gathers the (i, j) lanes of the seven state lattices.
+func tensorLanes(d *[7]*mat.Tensor3, i, j int, dst *affineLanes) {
+	for s := range d {
+		dst[s] = d[s].Lane(i, j)
+	}
 }
 
 // affineTraceback selects the final state (constrained by sEnd when

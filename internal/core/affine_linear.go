@@ -11,13 +11,13 @@ import (
 )
 
 // AlignAffineLinear computes the same quasi-natural affine optimum as
-// AlignAffine in O(7·m·p) working memory instead of seven full lattices —
+// AlignAffineParallel in O(7·m·p) working memory instead of seven full lattices —
 // the three-dimensional, seven-state analogue of Myers–Miller. The
 // divide-and-conquer splits A at its midpoint; the state joined across the
 // split plane is the mask of the prefix's last column, so gap runs
 // crossing the plane charge their opens exactly once. Sub-problems inherit
 // boundary masks (q0 entering, sEnd leaving) and bottom out in the
-// boundary-aware full DP.
+// boundary-aware full DP at one worker.
 func AlignAffineLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
@@ -53,7 +53,7 @@ func affineLinearRec(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme
 		return nil, err
 	}
 	if len(ca) <= 1 || (len(ca)+1)*(len(cb)+1)*(len(cc)+1) <= affineSmallVolume {
-		moves, _, err := affineDPMoves(ctx, ca, cb, cc, sch, q0, sEnd)
+		moves, _, err := affineDPMoves(ctx, ca, cb, cc, sch, Options{Workers: 1}, q0, sEnd)
 		return moves, err
 	}
 	mid := len(ca) / 2

@@ -17,7 +17,7 @@ func TestAlignAffineLinearEqualsFullAffine(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	for trial := 0; trial < 30; trial++ {
 		tr := randomTriple(rng, rng.Intn(12), rng.Intn(12), rng.Intn(12))
-		ref, err := AlignAffine(context.Background(), tr, sch, Options{})
+		ref, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestAlignAffineLinearExercisesRecursion(t *testing.T) {
 	}
 	for seed := int64(0); seed < 4; seed++ {
 		tr := relatedTriple(800+seed, 40, 0.2) // 41³ ≈ 69k > affineSmallVolume
-		ref, err := AlignAffine(context.Background(), tr, sch, Options{})
+		ref, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestAlignAffineLinearZeroOpenEqualsLinearModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(703))
 	for trial := 0; trial < 10; trial++ {
 		tr := randomTriple(rng, rng.Intn(15), rng.Intn(15), rng.Intn(15))
-		lin, err := AlignFull(context.Background(), tr, dnaSch, Options{}) // gapOpen == 0
+		lin, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1}) // gapOpen == 0
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestAlignAffineLinearEmptyShapes(t *testing.T) {
 		{"", "", ""}, {"ACGT", "", ""}, {"", "ACG", "AG"}, {"ACGT", "ACG", ""},
 	} {
 		tr := dnaTriple(t, s[0], s[1], s[2])
-		ref, err := AlignAffine(context.Background(), tr, sch, Options{})
+		ref, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestQuasiNaturalScoreMatchesDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(705))
 	for trial := 0; trial < 15; trial++ {
 		tr := randomTriple(rng, rng.Intn(10), rng.Intn(10), rng.Intn(10))
-		aln, err := AlignAffine(context.Background(), tr, sch, Options{})
+		aln, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestAlignAffineLinearProtein(t *testing.T) {
 	sch := scoring.BLOSUM62()
 	g := seq.NewGenerator(seq.Protein, 707)
 	tr := g.RelatedTriple(14, seq.Uniform(0.2))
-	ref, err := AlignAffine(context.Background(), tr, sch, Options{})
+	ref, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

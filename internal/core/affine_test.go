@@ -70,11 +70,11 @@ func TestAlignAffineZeroOpenEqualsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 15; trial++ {
 		tr := randomTriple(rng, rng.Intn(10), rng.Intn(10), rng.Intn(10))
-		lin, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		lin, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aff, err := AlignAffine(context.Background(), tr, dnaSch, Options{}) // gapOpen == 0
+		aff, err := AlignAffineParallel(context.Background(), tr, dnaSch, Options{Workers: 1}) // gapOpen == 0
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,12 +99,12 @@ func TestAlignAffineMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, err := AlignAffine(context.Background(), tr, sch, Options{})
+		aln, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if aln.Score != want {
-			t.Fatalf("trial %d (%s): AlignAffine = %d, brute = %d",
+			t.Fatalf("trial %d (%s): AlignAffineParallel = %d, brute = %d",
 				trial, tr.Describe(), aln.Score, want)
 		}
 	}
@@ -120,7 +120,7 @@ func TestAlignAffineNaturalRescoreNeverBelowDP(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 10; trial++ {
 		tr := randomTriple(rng, 3+rng.Intn(8), 3+rng.Intn(8), 3+rng.Intn(8))
-		aln, err := AlignAffine(context.Background(), tr, sch, Options{})
+		aln, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestAlignAffinePrefersSingleLongGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := dnaTriple(t, "ACGTACGTACGT", "ACGTACGT", "ACGTACGTACGT")
-	aln, err := AlignAffine(context.Background(), tr, sch, Options{})
+	aln, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAlignAffinePrefersSingleLongGap(t *testing.T) {
 
 func TestAlignAffineEmpty(t *testing.T) {
 	sch, _ := scoring.DNADefault().WithGaps(-4, -1)
-	aln, err := AlignAffine(context.Background(), dnaTriple(t, "", "", ""), sch, Options{})
+	aln, err := AlignAffineParallel(context.Background(), dnaTriple(t, "", "", ""), sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAlignAffineEmpty(t *testing.T) {
 	}
 	// One sequence only: a single gap run in each of the two pairs that
 	// involve the non-empty sequence.
-	aln, err = AlignAffine(context.Background(), dnaTriple(t, "ACG", "", ""), sch, Options{})
+	aln, err = AlignAffineParallel(context.Background(), dnaTriple(t, "ACG", "", ""), sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAlignAffineProtein(t *testing.T) {
 	sch := scoring.BLOSUM62() // affine by default: -11/-1
 	g := seq.NewGenerator(seq.Protein, 53)
 	tr := g.RelatedTriple(12, seq.Uniform(0.15))
-	aln, err := AlignAffine(context.Background(), tr, sch, Options{})
+	aln, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestAlignAffineParallelEqualsSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 12; trial++ {
 		tr := randomTriple(rng, rng.Intn(14), rng.Intn(14), rng.Intn(14))
-		ref, err := AlignAffine(context.Background(), tr, sch, Options{})
+		ref, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

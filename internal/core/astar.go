@@ -71,7 +71,7 @@ func (h *astarHeap) pop() astarNode {
 	return top
 }
 
-// AlignAStar computes the same optimum as AlignFull by best-first search
+// AlignAStar computes the same optimum as AlignParallel by best-first search
 // over the alignment lattice — Schroedl's A* formulation of bounded
 // multiple alignment, specialized to three sequences. The heuristic
 // h(i, j, k) = B_AB(i,j) + B_AC(i,k) + B_BC(j,k) sums the pairwise suffix
@@ -88,7 +88,7 @@ func (h *astarHeap) pop() astarNode {
 // whose admissible region is a thin tube. The search keeps expanding until
 // the best open f drops below the optimum, so every node on every optimal
 // path holds its exact score and the preference-ordered traceback —
-// reading absent nodes as NegInf — reproduces AlignFull's moves exactly.
+// reading absent nodes as NegInf — reproduces AlignParallel's moves exactly.
 //
 // The search is cancellable via ctx and enforces Options.MaxBytes against
 // its live node estimate; an overrun returns ErrTooLarge like any dense

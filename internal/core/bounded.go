@@ -12,7 +12,7 @@ import (
 	"repro/internal/wavefront"
 )
 
-// AlignBounded computes the same optimum as AlignFull while allocating
+// AlignBounded computes the same optimum as AlignParallel while allocating
 // only the Carrillo–Lipman admissible band: memory scales with the cells
 // the bound admits, not with n·m·p, which is what lets exact alignment of
 // similar triples run far past the full-lattice memory ceiling.
@@ -36,7 +36,7 @@ import (
 // The fill runs the 2D blocked wavefront over (i, j) — each (i, j) lane is
 // filled atomically, so the k-1 dependency stays inside the lane — and is
 // cancelled per block via the scheduler, like every parallel kernel here.
-// Scores and moves are bit-identical to AlignFull: band values never
+// Scores and moves are bit-identical to AlignParallel: band values never
 // exceed the true DP values, so the preference-ordered traceback can never
 // match a spurious predecessor.
 //

@@ -82,7 +82,7 @@ func TestBoundedKernelsMatchFull(t *testing.T) {
 	)
 
 	for _, w := range loads {
-		ref, err := AlignFull(context.Background(), w.tr, w.sch, Options{})
+		ref, err := AlignParallel(context.Background(), w.tr, w.sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 		} else {
 			tr = relatedTriple(rng.Int63(), 10+rng.Intn(30), 0.1+0.3*rng.Float64())
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestBoundedKernelsRejectOversizedBand(t *testing.T) {
 func TestAlignBoundedPastFullMatrixCeiling(t *testing.T) {
 	const budget = 8 << 20
 	tr := relatedTriple(2026, 400, 0.04)
-	if _, err := AlignFull(context.Background(), tr, dnaSch, Options{MaxBytes: budget}); !errors.Is(err, ErrTooLarge) {
+	if _, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: budget}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("full kernel accepted an oversized lattice: err = %v", err)
 	}
 	// Exact reference via the linear-space kernel (score-only check: its

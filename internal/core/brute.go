@@ -56,7 +56,7 @@ func bruteRec(ca, cb, cc []int8, sch *scoring.Scheme) mat.Score {
 
 // BruteForceAffineScore evaluates the quasi-natural affine SP optimum by
 // exhaustive enumeration over (suffixes, previous column mask); the oracle
-// for AlignAffine.
+// for the affine kernels.
 func BruteForceAffineScore(tr seq.Triple, sch *scoring.Scheme) (mat.Score, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {

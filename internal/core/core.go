@@ -1,24 +1,23 @@
 // Package core implements exact optimal three-sequence alignment — the
 // primary contribution of the reproduced paper — as a family of algorithms
-// over the same objective:
+// over the same objective. Each exact kernel exists once per gap model and
+// space class; its parallelism is Options.Workers, and Workers: 1 is the
+// sequential fill.
 //
-//   - AlignFull: sequential full-matrix 3D dynamic programming with
-//     traceback, on the lane-packed k-lane interior. O(n·m·p) time and
-//     space.
-//   - AlignParallel: the paper's parallel algorithm. The 3D lattice is
-//     tiled into blocks evaluated in wavefront order by a goroutine pool;
-//     blocks on an anti-diagonal plane are independent.
-//   - AlignLinear: 3D Hirschberg divide-and-conquer; O(n·m·p) time with
-//     only O(m·p) working memory, which is what makes long sequences
-//     feasible.
-//   - AlignParallelLinear: the Hirschberg recursion with every plane sweep
-//     parallelized by a 2D blocked wavefront, and independent sub-problems
-//     solved concurrently.
+//   - AlignParallel: the paper's algorithm. The 3D lattice is tiled into
+//     blocks evaluated in wavefront order by a goroutine pool; blocks on an
+//     anti-diagonal plane are independent. O(n·m·p) time and space, on the
+//     lane-packed k-lane interior.
+//   - AlignParallelLinear: 3D Hirschberg divide-and-conquer; O(n·m·p) time
+//     with only O(m·p) working memory, which is what makes long sequences
+//     feasible. Every plane sweep runs a 2D blocked wavefront, and
+//     independent sub-problems are solved concurrently.
 //   - AlignBounded and AlignAStar: Carrillo–Lipman bounded search over the
 //     admissible band (or the A* frontier) derived from pairwise
 //     projection bounds; memory scales with the cells the bound admits.
-//   - AlignAffine: the 7-state generalization of Gotoh's algorithm with
-//     quasi-natural affine gap costs.
+//   - AlignAffineParallel and AlignAffineLinear: the 7-state
+//     generalization of Gotoh's algorithm with quasi-natural affine gap
+//     costs, over seven full lattices or in linear space.
 //   - AlignDiagonal: the plane-synchronized cell-level wavefront, kept as
 //     the ablation the blocked schedule is measured against.
 //
@@ -66,11 +65,11 @@ type Options struct {
 	// adaptive heuristic.
 	TileDims [3]int
 	// CellWidth selects the lattice cell storage width in bits for the
-	// width-aware kernels (AlignFull and AlignParallel): 16 requests an
-	// int16 lattice, 0 or 32 the default int32. The kernels re-verify the
-	// request with the Int16Safe bound and keep int32 silently when the
-	// narrow width could overflow, so a stale or hostile value can cost
-	// bandwidth but never correctness.
+	// width-aware kernel (AlignParallel): 16 requests an int16 lattice,
+	// 0 or 32 the default int32. The kernel re-verifies the request with
+	// the Int16Safe bound and keeps int32 silently when the narrow width
+	// could overflow, so a stale or hostile value can cost bandwidth but
+	// never correctness.
 	CellWidth int
 }
 
@@ -106,15 +105,15 @@ func (o Options) maxBytes() int64 {
 	return o.MaxBytes
 }
 
-// FullMatrixBytes reports the lattice allocation AlignFull and
-// AlignParallel perform for the given triple; the T2 experiment tabulates
-// it against LinearBytes.
+// FullMatrixBytes reports the 32-bit lattice allocation AlignParallel
+// performs for the given triple; the T2 experiment tabulates it against
+// LinearBytes.
 func FullMatrixBytes(tr seq.Triple) int64 {
 	return mat.Tensor3Bytes(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1)
 }
 
-// LinearBytes reports the peak lattice allocation of AlignLinear: two
-// (m+1)×(p+1) planes for each of the forward and backward sweeps.
+// LinearBytes reports the peak lattice allocation of AlignParallelLinear:
+// two (m+1)×(p+1) planes for each of the forward and backward sweeps.
 func LinearBytes(tr seq.Triple) int64 {
 	return 4 * mat.PlaneBytes(tr.B.Len()+1, tr.C.Len()+1)
 }
@@ -231,64 +230,22 @@ func prepare(tr seq.Triple, sch *scoring.Scheme) (ca, cb, cc []int8, err error) 
 	return tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), nil
 }
 
-// AlignFull computes an optimal alignment with the sequential full-matrix
-// algorithm. The unit-stride k lane runs the lane-packed interior (see
-// packed.go): an AVX2 max-plus scan where the host has it, unrolled
-// bounds-check-free windows elsewhere. The context is polled at every
-// i-plane boundary. When Options.CellWidth asks for — and the Int16Safe
-// bound admits — a 16-bit lattice, the fill runs over int16 cells at half
-// the memory traffic and produces bit-identical scores.
-func AlignFull(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if useInt16(opt, sch, ca, cb, cc) {
-		return alignFullOf[int16](ctx, tr, ca, cb, cc, sch, opt)
-	}
-	return alignFullOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt)
-}
-
 // latticeNeed is the width-aware admission size of the full lattice.
 func latticeNeed[T mat.Cell](ca, cb, cc []int8) int64 {
 	return int64(mat.CellBytes[T]()) * int64(len(ca)+1) * int64(len(cb)+1) * int64(len(cc)+1)
 }
 
-func alignFullOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	if err := checkCtx(ctx); err != nil {
-		return nil, err
-	}
-	if need := latticeNeed[T](ca, cb, cc); need > opt.maxBytes() {
-		return nil, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, need, opt.maxBytes())
-	}
-	st := newScoreTablesOf[T](ca, cb, cc, sch)
-	defer st.release()
-	t := mat.GetTensor3Of[T](len(ca)+1, len(cb)+1, len(cc)+1)
-	defer mat.PutTensor3Of(t)
-	ge2 := T(2 * sch.GapExtend())
-	var lv laneVec
-	initLaneVec(&lv, ca, cb, cc, sch, ge2)
-	sj := wavefront.Span{Lo: 0, Hi: len(cb) + 1}
-	sk := wavefront.Span{Lo: 0, Hi: len(cc) + 1}
-	for i := 0; i <= len(ca); i++ {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		fillRangePacked(t, st, ge2, wavefront.Span{Lo: i, Hi: i + 1}, sj, sk, &lv)
-	}
-	moves, err := tracebackTensor(t, ca, cb, cc, sch)
-	if err != nil {
-		return nil, err
-	}
-	return &alignment.Alignment{Triple: tr, Moves: moves, Score: mat.Score(t.At(len(ca), len(cb), len(cc)))}, nil
-}
-
-// AlignParallel computes the same optimum as AlignFull using the blocked
-// wavefront schedule over a goroutine pool — the paper's parallel
-// algorithm — with every tile filled by the lane-packed interior. The full
-// lattice is retained, so traceback is exact. Cancellation is checked per
-// block by the wavefront scheduler. Like AlignFull it honors a
-// planner-negotiated Options.CellWidth of 16.
+// AlignParallel computes an optimal alignment with the blocked wavefront
+// schedule over a goroutine pool — the paper's parallel algorithm — with
+// every tile filled by the lane-packed interior (see packed.go): an AVX2
+// max-plus scan where the host has it, unrolled bounds-check-free windows
+// elsewhere. Options.Workers is its only parallelism knob; at Workers: 1
+// the tiles run in order on the caller, which is the sequential fill. The
+// full lattice is retained, so traceback is exact. Cancellation is checked
+// per block by the wavefront scheduler. When Options.CellWidth asks for —
+// and the Int16Safe bound admits — a 16-bit lattice, the fill runs over
+// int16 cells at half the memory traffic and produces bit-identical
+// scores.
 func AlignParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {

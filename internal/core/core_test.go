@@ -61,20 +61,20 @@ func TestAlignFullKnownCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		tr := dnaTriple(t, c.a, c.b, c.c)
-		aln, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		aln, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
-			t.Fatalf("AlignFull(%q,%q,%q): %v", c.a, c.b, c.c, err)
+			t.Fatalf("AlignParallel(%q,%q,%q): %v", c.a, c.b, c.c, err)
 		}
 		checkAlignment(t, aln, dnaSch)
 		if aln.Score != c.want {
-			t.Errorf("AlignFull(%q,%q,%q) = %d, want %d", c.a, c.b, c.c, aln.Score, c.want)
+			t.Errorf("AlignParallel(%q,%q,%q) = %d, want %d", c.a, c.b, c.c, aln.Score, c.want)
 		}
 	}
 }
 
 func TestAlignFullIdenticalSequencesAllXXX(t *testing.T) {
 	tr := dnaTriple(t, "ACGTACGT", "ACGTACGT", "ACGTACGT")
-	aln, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	aln, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +96,12 @@ func TestAlignFullMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		aln, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if aln.Score != want {
-			t.Fatalf("trial %d (%s): AlignFull = %d, brute = %d", trial, tr.Describe(), aln.Score, want)
+			t.Fatalf("trial %d (%s): AlignParallel = %d, brute = %d", trial, tr.Describe(), aln.Score, want)
 		}
 		checkAlignment(t, aln, dnaSch)
 	}
@@ -119,12 +119,12 @@ func TestAlignFullMatchesBruteForceProtein(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, err := AlignFull(context.Background(), tr, sch, Options{})
+		aln, err := AlignParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if aln.Score != want {
-			t.Fatalf("trial %d: AlignFull = %d, brute = %d", trial, aln.Score, want)
+			t.Fatalf("trial %d: AlignParallel = %d, brute = %d", trial, aln.Score, want)
 		}
 	}
 }
@@ -136,7 +136,6 @@ func TestAllAlgorithmsAgreeOnScore(t *testing.T) {
 	}
 	algos := []algo{
 		{"parallel", AlignParallel},
-		{"linear", AlignLinear},
 		{"parallel-linear", AlignParallelLinear},
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -147,7 +146,7 @@ func TestAllAlgorithmsAgreeOnScore(t *testing.T) {
 		} else {
 			tr = relatedTriple(rng.Int63(), 10+rng.Intn(25), 0.2)
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,14 +178,13 @@ func TestAlgorithmsHandleEmptySequences(t *testing.T) {
 	}
 	for _, s := range shapes {
 		tr := dnaTriple(t, s[0], s[1], s[2])
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("%v full: %v", s, err)
 		}
 		checkAlignment(t, ref, dnaSch)
 		for name, run := range map[string]func(context.Context, seq.Triple, *scoring.Scheme, Options) (*alignment.Alignment, error){
 			"parallel":        AlignParallel,
-			"linear":          AlignLinear,
 			"parallel-linear": AlignParallelLinear,
 		} {
 			aln, err := run(context.Background(), tr, dnaSch, Options{Workers: 4, BlockSize: 3})
@@ -203,7 +201,7 @@ func TestAlgorithmsHandleEmptySequences(t *testing.T) {
 
 func TestAlignParallelManyConfigurations(t *testing.T) {
 	tr := relatedTriple(7, 40, 0.25)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +223,12 @@ func TestReversalSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		tr := randomTriple(rng, 4+rng.Intn(12), 4+rng.Intn(12), 4+rng.Intn(12))
-		fwd, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		fwd, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rev := seq.Triple{A: tr.A.Reverse(), B: tr.B.Reverse(), C: tr.C.Reverse()}
-		bwd, err := AlignFull(context.Background(), rev, dnaSch, Options{})
+		bwd, err := AlignParallel(context.Background(), rev, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +241,7 @@ func TestReversalSymmetry(t *testing.T) {
 func TestSequencePermutationSymmetry(t *testing.T) {
 	// The SP objective is symmetric in the three sequences.
 	tr := relatedTriple(31, 18, 0.3)
-	base, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	base, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +251,7 @@ func TestSequencePermutationSymmetry(t *testing.T) {
 		{A: tr.B, B: tr.C, C: tr.A},
 	}
 	for i, p := range perms {
-		aln, err := AlignFull(context.Background(), p, dnaSch, Options{})
+		aln, err := AlignParallel(context.Background(), p, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,34 +263,32 @@ func TestSequencePermutationSymmetry(t *testing.T) {
 
 func TestPrepareErrors(t *testing.T) {
 	tr := dnaTriple(t, "AC", "AC", "AC")
-	if _, err := AlignFull(context.Background(), tr, nil, Options{}); err == nil {
+	if _, err := AlignParallel(context.Background(), tr, nil, Options{Workers: 1}); err == nil {
 		t.Error("nil scheme accepted")
 	}
-	if _, err := AlignFull(context.Background(), tr, scoring.BLOSUM62(), Options{}); err == nil {
+	if _, err := AlignParallel(context.Background(), tr, scoring.BLOSUM62(), Options{Workers: 1}); err == nil {
 		t.Error("alphabet mismatch accepted")
 	}
 	mixed := seq.Triple{A: tr.A, B: tr.B, C: seq.MustNew("C", "ARN", seq.Protein)}
-	if _, err := AlignFull(context.Background(), mixed, dnaSch, Options{}); err == nil {
+	if _, err := AlignParallel(context.Background(), mixed, dnaSch, Options{Workers: 1}); err == nil {
 		t.Error("mixed-alphabet triple accepted")
 	}
-	if _, err := AlignFull(context.Background(), seq.Triple{A: tr.A, B: tr.B}, dnaSch, Options{}); err == nil {
+	if _, err := AlignParallel(context.Background(), seq.Triple{A: tr.A, B: tr.B}, dnaSch, Options{Workers: 1}); err == nil {
 		t.Error("missing sequence accepted")
 	}
 }
 
 func TestMemoryCap(t *testing.T) {
 	tr := dnaTriple(t, "ACGTACGTAC", "ACGTACGTAC", "ACGTACGTAC")
-	_, err := AlignFull(context.Background(), tr, dnaSch, Options{MaxBytes: 100})
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	for _, workers := range []int{1, 0} {
+		if _, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: workers, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("workers=%d err = %v, want ErrTooLarge", workers, err)
+		}
 	}
-	if _, err := AlignParallel(context.Background(), tr, dnaSch, Options{MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("parallel err = %v, want ErrTooLarge", err)
-	}
-	if _, err := AlignLinear(context.Background(), tr, dnaSch, Options{MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
+	if _, err := AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("linear err = %v, want ErrTooLarge", err)
 	}
-	if _, err := AlignAffine(context.Background(), tr, dnaSch, Options{MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
+	if _, err := AlignAffineParallel(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("affine err = %v, want ErrTooLarge", err)
 	}
 }
@@ -301,7 +297,7 @@ func TestScoreEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 15; trial++ {
 		tr := randomTriple(rng, rng.Intn(25), rng.Intn(25), rng.Intn(25))
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,7 +337,7 @@ func TestProteinEndToEnd(t *testing.T) {
 	}
 	g := seq.NewGenerator(seq.Protein, 41)
 	tr := g.RelatedTriple(25, seq.Uniform(0.2))
-	ref, err := AlignFull(context.Background(), tr, sch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +349,7 @@ func TestProteinEndToEnd(t *testing.T) {
 	if par.Score != ref.Score {
 		t.Fatalf("parallel protein %d != %d", par.Score, ref.Score)
 	}
-	lin, err := AlignLinear(context.Background(), tr, sch, Options{})
+	lin, err := AlignParallelLinear(context.Background(), tr, sch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

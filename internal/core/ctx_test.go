@@ -25,14 +25,14 @@ func TestKernelsPreCancelled(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"full", func() error { _, err := AlignFull(ctx, tr, dnaSch, Options{}); return err }},
+		{"parallel/1", func() error { _, err := AlignParallel(ctx, tr, dnaSch, Options{Workers: 1}); return err }},
 		{"parallel", func() error { _, err := AlignParallel(ctx, tr, dnaSch, Options{}); return err }},
-		{"linear", func() error { _, err := AlignLinear(ctx, tr, dnaSch, Options{}); return err }},
+		{"parallel-linear/1", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{Workers: 1}); return err }},
 		{"parallel-linear", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{}); return err }},
 		{"diagonal", func() error { _, err := AlignDiagonal(ctx, tr, dnaSch, Options{}); return err }},
 		{"bounded", func() error { _, _, err := AlignBounded(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"astar", func() error { _, _, err := AlignAStar(ctx, tr, dnaSch, Options{}, -1000); return err }},
-		{"affine", func() error { _, err := AlignAffine(ctx, tr, affSch, Options{}); return err }},
+		{"affine-parallel/1", func() error { _, err := AlignAffineParallel(ctx, tr, affSch, Options{Workers: 1}); return err }},
 		{"affine-linear", func() error { _, err := AlignAffineLinear(ctx, tr, affSch, Options{}); return err }},
 		{"affine-parallel", func() error { _, err := AlignAffineParallel(ctx, tr, affSch, Options{}); return err }},
 		{"score", func() error { _, err := Score(ctx, tr, dnaSch, Options{}); return err }},
@@ -60,7 +60,7 @@ func TestKernelMidPlaneCancel(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		aln, err = AlignFull(ctx, tr, dnaSch, Options{})
+		aln, err = AlignParallel(ctx, tr, dnaSch, Options{Workers: 1})
 	}()
 	cancel()
 	<-done

@@ -11,7 +11,7 @@ import (
 	"repro/internal/seq"
 )
 
-// AlignDiagonal computes the same optimum as AlignFull with the
+// AlignDiagonal computes the same optimum as AlignParallel with the
 // plane-synchronized wavefront: all cells on the anti-diagonal plane
 // i+j+k = d are independent given planes d-1, d-2, d-3, so each plane is
 // split across the worker pool and a barrier separates consecutive planes.

@@ -17,7 +17,7 @@ func TestAlignDiagonalEqualsFull(t *testing.T) {
 		} else {
 			tr = relatedTriple(rng.Int63(), 8+rng.Intn(20), 0.2)
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestAlignDiagonalEmptyShapes(t *testing.T) {
 		{"", "", ""}, {"ACGT", "", ""}, {"", "AC", "GT"}, {"A", "C", "G"},
 	} {
 		tr := dnaTriple(t, s[0], s[1], s[2])
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

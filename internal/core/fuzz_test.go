@@ -24,9 +24,9 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 		if err != nil {
 			return // invalid residues: not this fuzzer's concern
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
-			t.Fatalf("AlignFull: %v", err)
+			t.Fatalf("AlignParallel: %v", err)
 		}
 		checkAlignment(t, ref, dnaSch)
 		runs := map[string]func() (int32, error){
@@ -38,7 +38,7 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 				return aln.Score, nil
 			},
 			"linear": func() (int32, error) {
-				aln, err := AlignLinear(context.Background(), tr, dnaSch, Options{})
+				aln, err := AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1})
 				if err != nil {
 					return 0, err
 				}
@@ -114,9 +114,9 @@ func FuzzAffineFamilyAgrees(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := AlignAffine(context.Background(), tr, sch, Options{})
+		ref, err := AlignAffineParallel(context.Background(), tr, sch, Options{Workers: 1})
 		if err != nil {
-			t.Fatalf("AlignAffine(%q,%q,%q): %v", a, b, c, err)
+			t.Fatalf("AlignAffineParallel(%q,%q,%q): %v", a, b, c, err)
 		}
 		lin, err := AlignAffineLinear(context.Background(), tr, sch, Options{})
 		if err != nil {

@@ -27,19 +27,19 @@ func TestColumnCountBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(901))
 	algos := map[string]func(seq.Triple) (*alignment.Alignment, error){
 		"full": func(tr seq.Triple) (*alignment.Alignment, error) {
-			return AlignFull(context.Background(), tr, dnaSch, Options{})
+			return AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		},
 		"parallel": func(tr seq.Triple) (*alignment.Alignment, error) {
 			return AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 3, BlockSize: 5})
 		},
 		"linear": func(tr seq.Triple) (*alignment.Alignment, error) {
-			return AlignLinear(context.Background(), tr, dnaSch, Options{})
+			return AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1})
 		},
 		"diagonal": func(tr seq.Triple) (*alignment.Alignment, error) {
 			return AlignDiagonal(context.Background(), tr, dnaSch, Options{Workers: 2})
 		},
 		"affine": func(tr seq.Triple) (*alignment.Alignment, error) {
-			return AlignAffine(context.Background(), tr, dnaSch, Options{})
+			return AlignAffineParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		},
 	}
 	for trial := 0; trial < 10; trial++ {
@@ -63,9 +63,15 @@ func TestColumnCountBounds(t *testing.T) {
 func TestDeterministicTracebacks(t *testing.T) {
 	tr := relatedTriple(903, 25, 0.25)
 	for name, run := range map[string]func() (*alignment.Alignment, error){
-		"full":   func() (*alignment.Alignment, error) { return AlignFull(context.Background(), tr, dnaSch, Options{}) },
-		"linear": func() (*alignment.Alignment, error) { return AlignLinear(context.Background(), tr, dnaSch, Options{}) },
-		"affine": func() (*alignment.Alignment, error) { return AlignAffine(context.Background(), tr, dnaSch, Options{}) },
+		"full": func() (*alignment.Alignment, error) {
+			return AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+		},
+		"linear": func() (*alignment.Alignment, error) {
+			return AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1})
+		},
+		"affine": func() (*alignment.Alignment, error) {
+			return AlignAffineParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+		},
 	} {
 		a, err := run()
 		if err != nil {
@@ -90,7 +96,7 @@ func TestDeterministicTracebacks(t *testing.T) {
 // is bitwise the same as the sequential one, so even the traceback agrees.
 func TestParallelTracebackMatchesSequential(t *testing.T) {
 	tr := relatedTriple(905, 30, 0.2)
-	seqAln, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	seqAln, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

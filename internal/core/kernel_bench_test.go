@@ -199,7 +199,7 @@ func BenchmarkKernelAffineFill(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := affineDPMoves(context.Background(), ca, cb, cc, sch, 7, 0); err != nil {
+		if _, _, err := affineDPMoves(context.Background(), ca, cb, cc, sch, Options{Workers: 1}, 7, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -137,11 +137,10 @@ func planeSweep(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, wor
 
 // hctx carries the recursion-invariant state of a Hirschberg run.
 type hctx struct {
-	sch      *scoring.Scheme
-	derived  *scoring.Scheme
-	workers  int
-	tj, tk   int // plane-sweep tile edges
-	parallel bool
+	sch     *scoring.Scheme
+	derived *scoring.Scheme
+	workers int
+	tj, tk  int // plane-sweep tile edges
 	// spawn is the remaining budget of concurrent recursive branches; it
 	// bounds goroutine fan-out without a global queue.
 	spawn atomic.Int32
@@ -189,7 +188,7 @@ func (h *hctx) rec(ctx context.Context, ca, cb, cc []int8) ([]alignment.Move, er
 	rca, rcb, rcc := reverseCodesArena(ca[mid:]), reverseCodesArena(cb), reverseCodesArena(cc)
 	var fwd, bwdRev *mat.Plane
 	var errF, errB error
-	if h.parallel {
+	if h.workers > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -235,7 +234,7 @@ func (h *hctx) rec(ctx context.Context, ca, cb, cc []int8) ([]alignment.Move, er
 
 	var left, right []alignment.Move
 	var errL, errR error
-	if h.parallel && h.spawn.Add(-1) >= 0 {
+	if h.workers > 1 && h.spawn.Add(-1) >= 0 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -269,7 +268,13 @@ func reverseCodesArena(s []int8) []int8 {
 	return out
 }
 
-func alignHirschberg(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, parallel bool) (*alignment.Alignment, error) {
+// AlignParallelLinear computes the same optimum as AlignParallel with the
+// 3D Hirschberg divide-and-conquer, using O(len(B)·len(C)) working memory.
+// With Options.Workers above one, every plane sweep runs a 2D blocked
+// wavefront and independent sub-problems are solved concurrently; at
+// Workers: 1 the recursion runs on the caller. The context is polled at
+// every plane boundary and recursion step.
+func AlignParallelLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
@@ -278,10 +283,9 @@ func alignHirschberg(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, op
 		return nil, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, LinearBytes(tr), opt.maxBytes())
 	}
 	h := &hctx{
-		sch:      sch,
-		derived:  derivePairScheme(sch),
-		workers:  opt.workers(),
-		parallel: parallel,
+		sch:     sch,
+		derived: derivePairScheme(sch),
+		workers: opt.workers(),
 	}
 	// 8 bytes per cell: the sweep reads the previous plane and writes the
 	// current one, two 4-byte lattice slabs per tile.
@@ -297,17 +301,4 @@ func alignHirschberg(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, op
 	}
 	aln.Score = aln.SPScore(sch)
 	return aln, nil
-}
-
-// AlignLinear computes the same optimum as AlignFull with the 3D Hirschberg
-// divide-and-conquer, using O(len(B)·len(C)) working memory. The context
-// is polled at every plane boundary and recursion step.
-func AlignLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	return alignHirschberg(ctx, tr, sch, opt, false)
-}
-
-// AlignParallelLinear is AlignLinear with parallel plane sweeps (2D blocked
-// wavefronts) and concurrent independent sub-problems.
-func AlignParallelLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	return alignHirschberg(ctx, tr, sch, opt, true)
 }

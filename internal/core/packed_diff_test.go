@@ -186,8 +186,8 @@ func TestPackedAlignersMatchFull(t *testing.T) {
 				}
 			}
 			for _, width := range []int{0, 16} {
-				aln, err := AlignFull(ctx, tr, sch, Options{CellWidth: width})
-				check(fmt.Sprintf("AlignFull width %d", width), aln, err)
+				aln, err := AlignParallel(ctx, tr, sch, Options{Workers: 1, CellWidth: width})
+				check(fmt.Sprintf("AlignParallel 1 worker width %d", width), aln, err)
 				for _, w := range []int{2, 4} {
 					aln, err := AlignParallel(ctx, tr, sch, Options{CellWidth: width, Workers: w, BlockSize: 6})
 					check(fmt.Sprintf("AlignParallel width %d w=%d", width, w), aln, err)

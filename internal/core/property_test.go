@@ -152,11 +152,11 @@ func TestPropertyIdenticalTriplesScoreExactly(t *testing.T) {
 func TestPropertyLinearEqualsFullQuick(t *testing.T) {
 	f := func(seed int64, la, lb, lc uint8) bool {
 		tr := quickTriple(seed, la, lb, lc)
-		full, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		full, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			return false
 		}
-		lin, err := AlignLinear(context.Background(), tr, dnaSch, Options{})
+		lin, err := AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			return false
 		}

@@ -17,7 +17,7 @@ func TestTrivialAlignmentValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAlignment(t, aln, dnaSch)
-		opt, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		opt, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 		} else {
 			tr = relatedTriple(rng.Int63(), 10+rng.Intn(20), 0.15)
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 
 func TestAlignPrunedTighterBoundPrunesMore(t *testing.T) {
 	tr := relatedTriple(9, 50, 0.1)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 	// is passed as the bound, as the paper's Carrillo–Lipman setup does
 	// with a good heuristic.
 	tr := relatedTriple(77, 60, 0.05)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPruneStatsFraction(t *testing.T) {
 
 func TestAlignPrunedEmptySequences(t *testing.T) {
 	tr := dnaTriple(t, "", "ACG", "AG")
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
 
 func TestAlignPrunedParallelWithHeuristicBound(t *testing.T) {
 	tr := relatedTriple(71, 40, 0.1)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

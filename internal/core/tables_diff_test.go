@@ -278,7 +278,7 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 	}
 	for _, shape := range diffShapes {
 		tr := diffTriple(sch, 5000+int64(shape[0]+2*shape[1]), shape[0], shape[1], shape[2])
-		full, err := AlignFull(ctx, tr, sch, Options{})
+		full, err := AlignParallel(ctx, tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,14 +289,14 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatal(err)
 		}
 		if par.Score != full.Score {
-			t.Fatalf("AlignParallel score %d, AlignFull %d", par.Score, full.Score)
+			t.Fatalf("AlignParallel score %d, 1-worker AlignParallel %d", par.Score, full.Score)
 		}
 		if len(par.Moves) != len(full.Moves) {
-			t.Fatalf("AlignParallel moves differ from AlignFull")
+			t.Fatalf("AlignParallel moves differ from 1-worker AlignParallel")
 		}
 		for i := range par.Moves {
 			if par.Moves[i] != full.Moves[i] {
-				t.Fatalf("AlignParallel move %d = %v, AlignFull %v", i, par.Moves[i], full.Moves[i])
+				t.Fatalf("AlignParallel move %d = %v, 1-worker AlignParallel %v", i, par.Moves[i], full.Moves[i])
 			}
 		}
 
@@ -305,7 +305,7 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatal(err)
 		}
 		if scoreOnly != full.Score {
-			t.Fatalf("Score %d, AlignFull %d", scoreOnly, full.Score)
+			t.Fatalf("Score %d, 1-worker AlignParallel %d", scoreOnly, full.Score)
 		}
 
 		band, _, err := AlignBounded(ctx, tr, sch, Options{})
@@ -313,16 +313,16 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatal(err)
 		}
 		if band.Score != full.Score {
-			t.Fatalf("AlignBounded score %d, AlignFull %d", band.Score, full.Score)
+			t.Fatalf("AlignBounded score %d, 1-worker AlignParallel %d", band.Score, full.Score)
 		}
 
-		lin, err := AlignLinear(ctx, tr, sch, Options{})
+		lin, err := AlignParallelLinear(ctx, tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAlignment(t, lin, sch)
 		if lin.Score != full.Score {
-			t.Fatalf("AlignLinear score %d, AlignFull %d", lin.Score, full.Score)
+			t.Fatalf("AlignParallelLinear score %d, 1-worker AlignParallel %d", lin.Score, full.Score)
 		}
 
 		diag, err := AlignDiagonal(ctx, tr, sch, Options{})
@@ -330,7 +330,7 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatal(err)
 		}
 		if diag.Score != full.Score {
-			t.Fatalf("AlignDiagonal score %d, AlignFull %d", diag.Score, full.Score)
+			t.Fatalf("AlignDiagonal score %d, 1-worker AlignParallel %d", diag.Score, full.Score)
 		}
 
 		if tr.A.Len()+tr.B.Len()+tr.C.Len() <= 12 {
@@ -339,12 +339,12 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 				t.Fatal(err)
 			}
 			if brute != full.Score {
-				t.Fatalf("BruteForceScore %d, AlignFull %d", brute, full.Score)
+				t.Fatalf("BruteForceScore %d, 1-worker AlignParallel %d", brute, full.Score)
 			}
 		}
 
 		// Affine: sequential vs wavefront must share both score and moves.
-		aff, err := AlignAffine(ctx, tr, affSch, Options{})
+		aff, err := AlignAffineParallel(ctx, tr, affSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,14 +359,14 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatal(err)
 		}
 		if affPar.Score != aff.Score {
-			t.Fatalf("AlignAffineParallel score %d, AlignAffine %d", affPar.Score, aff.Score)
+			t.Fatalf("AlignAffineParallel score %d, 1-worker AlignAffineParallel %d", affPar.Score, aff.Score)
 		}
 		affLin, err := AlignAffineLinear(ctx, tr, affSch, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if affLin.Score != aff.Score {
-			t.Fatalf("AlignAffineLinear score %d, AlignAffine %d", affLin.Score, aff.Score)
+			t.Fatalf("AlignAffineLinear score %d, 1-worker AlignAffineParallel %d", affLin.Score, aff.Score)
 		}
 	}
 }
@@ -387,11 +387,11 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 	shapes := [][3]int{{14, 11, 9}, {25, 20, 30}, {40, 8, 33}}
 	for _, shape := range shapes {
 		tr := diffTriple(sch, 7000+int64(shape[0]+2*shape[1]), shape[0], shape[1], shape[2])
-		full, err := AlignFull(ctx, tr, sch, Options{})
+		full, err := AlignParallel(ctx, tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aff, err := AlignAffine(ctx, tr, affSch, Options{})
+		aff, err := AlignAffineParallel(ctx, tr, affSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,11 +403,11 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 				t.Fatal(err)
 			}
 			if par.Score != full.Score {
-				t.Fatalf("shape %v w=%d: AlignParallel score %d, AlignFull %d", shape, w, par.Score, full.Score)
+				t.Fatalf("shape %v w=%d: AlignParallel score %d, 1-worker AlignParallel %d", shape, w, par.Score, full.Score)
 			}
 			for i := range par.Moves {
 				if par.Moves[i] != full.Moves[i] {
-					t.Fatalf("shape %v w=%d: AlignParallel move %d = %v, AlignFull %v",
+					t.Fatalf("shape %v w=%d: AlignParallel move %d = %v, 1-worker AlignParallel %v",
 						shape, w, i, par.Moves[i], full.Moves[i])
 				}
 			}
@@ -416,11 +416,11 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 				t.Fatal(err)
 			}
 			if affPar.Score != aff.Score {
-				t.Fatalf("shape %v w=%d: AlignAffineParallel score %d, AlignAffine %d", shape, w, affPar.Score, aff.Score)
+				t.Fatalf("shape %v w=%d: AlignAffineParallel score %d, 1-worker AlignAffineParallel %d", shape, w, affPar.Score, aff.Score)
 			}
 			for i := range affPar.Moves {
 				if affPar.Moves[i] != aff.Moves[i] {
-					t.Fatalf("shape %v w=%d: AlignAffineParallel move %d = %v, AlignAffine %v",
+					t.Fatalf("shape %v w=%d: AlignAffineParallel move %d = %v, 1-worker AlignAffineParallel %v",
 						shape, w, i, affPar.Moves[i], aff.Moves[i])
 				}
 			}
@@ -429,21 +429,21 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 				t.Fatal(err)
 			}
 			if band.Score != full.Score {
-				t.Fatalf("shape %v w=%d: AlignBounded score %d, AlignFull %d", shape, w, band.Score, full.Score)
+				t.Fatalf("shape %v w=%d: AlignBounded score %d, 1-worker AlignParallel %d", shape, w, band.Score, full.Score)
 			}
 			linPar, err := AlignParallelLinear(ctx, tr, sch, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if linPar.Score != full.Score {
-				t.Fatalf("shape %v w=%d: AlignParallelLinear score %d, AlignFull %d", shape, w, linPar.Score, full.Score)
+				t.Fatalf("shape %v w=%d: AlignParallelLinear score %d, 1-worker AlignParallel %d", shape, w, linPar.Score, full.Score)
 			}
 			s, err := Score(ctx, tr, sch, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if s != full.Score {
-				t.Fatalf("shape %v w=%d: Score %d, AlignFull %d", shape, w, s, full.Score)
+				t.Fatalf("shape %v w=%d: Score %d, 1-worker AlignParallel %d", shape, w, s, full.Score)
 			}
 		}
 	}

@@ -140,7 +140,7 @@ func TestPencilTilesOddLanes(t *testing.T) {
 	for _, p := range []int{0, 1, 14, 15, 16, 17, 32, 33, 300, 301} {
 		tr := randomTriple(rng, 40, 36, p)
 		for _, width := range []int{0, 16} {
-			ref, err := AlignFull(ctx, tr, lin, Options{CellWidth: width})
+			ref, err := AlignParallel(ctx, tr, lin, Options{Workers: 1, CellWidth: width})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestPencilTilesOddLanes(t *testing.T) {
 				}
 			}
 		}
-		ref, err := AlignAffine(ctx, tr, aff, Options{})
+		ref, err := AlignAffineParallel(ctx, tr, aff, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func ExampleCenterStar() {
 
 	cs, _ := msa.CenterStar(tr, sch)
 	csr, _ := msa.CenterStarRefined(tr, sch)
-	opt, _ := core.AlignFull(context.Background(), tr, sch, core.Options{})
+	opt, _ := core.AlignParallel(context.Background(), tr, sch, core.Options{Workers: 1})
 
 	fmt.Println("center-star <= refined:", cs.Score <= csr.Score)
 	fmt.Println("refined <= optimum:", csr.Score <= opt.Score)

@@ -134,16 +134,15 @@ func CenterStarN(seqs []*seq.Sequence, sch *scoring.Scheme) (*alignment.Multi, e
 		m.Score = 0
 		return m, nil
 	}
-	codes := rowCodes(seqs)
 	// Summed optimal pairwise score per candidate center.
 	sums := make([]mat.Score, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			var s mat.Score
 			if sch.Affine() {
-				s = pairwise.GlobalAffine(codes[i], codes[j], sch).Score
+				s = pairwise.GlobalAffine(seqs[i].Codes(), seqs[j].Codes(), sch).Score
 			} else {
-				s = pairwise.GlobalScore(codes[i], codes[j], sch)
+				s = pairwise.GlobalScore(seqs[i].Codes(), seqs[j].Codes(), sch)
 			}
 			sums[i] += s
 			sums[j] += s
@@ -164,9 +163,9 @@ func CenterStarN(seqs []*seq.Sequence, sch *scoring.Scheme) (*alignment.Multi, e
 	opLists := make([][]pairwise.Op, len(sats))
 	for si, s := range sats {
 		if sch.Affine() {
-			opLists[si] = pairwise.GlobalAffine(codes[center], codes[s], sch).Ops
+			opLists[si] = pairwise.GlobalAffine(seqs[center].Codes(), seqs[s].Codes(), sch).Ops
 		} else {
-			opLists[si] = pairwise.Global(codes[center], codes[s], sch).Ops
+			opLists[si] = pairwise.Global(seqs[center].Codes(), seqs[s].Codes(), sch).Ops
 		}
 	}
 	cols := mergeStarMasks(opLists)

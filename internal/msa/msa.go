@@ -33,50 +33,37 @@ func pickCenter(opt [3]mat.Score) (int, [3]mat.Score) {
 	return best, pairScore
 }
 
-// tripleCodes returns the residue codes of the triple's three sequences.
-func tripleCodes(tr seq.Triple) [3][]int8 {
-	return [3][]int8{tr.A.Codes(), tr.B.Codes(), tr.C.Codes()}
-}
-
-// rowCodes returns the residue codes of each sequence.
-func rowCodes(seqs []*seq.Sequence) [][]int8 {
-	codes := make([][]int8, len(seqs))
-	for i, s := range seqs {
-		codes[i] = s.Codes()
-	}
-	return codes
-}
-
-// pairOptima returns the three pairs' optimal scores, indexed like
-// pairwise.Planes, each computed in linear space.
-func pairOptima(codes [3][]int8, sch *scoring.Scheme) [3]mat.Score {
+// pairOptima returns the three pairs' optimal scores over a triple's rows,
+// indexed like pairwise.Planes, each computed in linear space.
+func pairOptima(rows []*seq.Sequence, sch *scoring.Scheme) [3]mat.Score {
+	a, b, c := rows[0].Codes(), rows[1].Codes(), rows[2].Codes()
 	return [3]mat.Score{
-		pairwise.GlobalScore(codes[0], codes[1], sch),
-		pairwise.GlobalScore(codes[0], codes[2], sch),
-		pairwise.GlobalScore(codes[1], codes[2], sch),
+		pairwise.GlobalScore(a, b, sch),
+		pairwise.GlobalScore(a, c, sch),
+		pairwise.GlobalScore(b, c, sch),
 	}
 }
 
-// pairAligner returns Global(codes[x], codes[y])'s ops for x ≠ y.
+// pairAligner returns Global(rows[x], rows[y])'s ops for x ≠ y.
 type pairAligner func(x, y int) []pairwise.Op
 
 // globalOps runs pairwise.Global on each requested pair, so at most one
 // pair plane is held at a time.
-func globalOps(codes [3][]int8, sch *scoring.Scheme) pairAligner {
+func globalOps(rows []*seq.Sequence, sch *scoring.Scheme) pairAligner {
 	return func(x, y int) []pairwise.Op {
-		return pairwise.Global(codes[x], codes[y], sch).Ops
+		return pairwise.Global(rows[x].Codes(), rows[y].Codes(), sch).Ops
 	}
 }
 
 // planeOps traces each requested pair back on its plane in fwd
 // (transposed when x comes after y in the triple), filling nothing.
-func planeOps(fwd pairwise.Planes, codes [3][]int8, sch *scoring.Scheme) pairAligner {
+func planeOps(fwd pairwise.Planes, rows []*seq.Sequence, sch *scoring.Scheme) pairAligner {
 	return func(x, y int) []pairwise.Op {
 		f := fwd[x+y-1] // (0,1) -> AB, (0,2) -> AC, (1,2) -> BC
 		if x < y {
-			return pairwise.TraceForward(f, codes[x], codes[y], sch).Ops
+			return pairwise.TraceForward(f, rows[x].Codes(), rows[y].Codes(), sch).Ops
 		}
-		return pairwise.TraceForwardT(f, codes[x], codes[y], sch).Ops
+		return pairwise.TraceForwardT(f, rows[x].Codes(), rows[y].Codes(), sch).Ops
 	}
 }
 
@@ -87,8 +74,8 @@ func CenterStar(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment, error
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	codes := tripleCodes(tr)
-	aln, _, err := centerStar(tr, sch, pairOptima(codes, sch), globalOps(codes, sch))
+	rows := []*seq.Sequence{tr.A, tr.B, tr.C}
+	aln, _, err := centerStar(tr, sch, pairOptima(rows, sch), globalOps(rows, sch))
 	return aln, err
 }
 
@@ -126,11 +113,11 @@ func Progressive(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment, erro
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	codes := tripleCodes(tr)
+	rows := []*seq.Sequence{tr.A, tr.B, tr.C}
 	// The "outsider" is the sequence not in the closest pair; pairScore is
 	// indexed by the absent sequence, so the best pair corresponds to the
 	// largest entry.
-	_, pairScore := pickCenter(pairOptima(codes, sch))
+	_, pairScore := pickCenter(pairOptima(rows, sch))
 	outsider := 0
 	for i := 1; i < 3; i++ {
 		if pairScore[i] > pairScore[outsider] {
@@ -141,7 +128,7 @@ func Progressive(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment, erro
 	if p > q {
 		p, q = q, p
 	}
-	ops := pairwise.Global(codes[p], codes[q], sch).Ops
+	ops := pairwise.Global(rows[p].Codes(), rows[q].Codes(), sch).Ops
 
 	// The pair's alignment over the triple's rows, the outsider unconsumed.
 	pair := make([]alignment.Mask, len(ops))
@@ -153,7 +140,7 @@ func Progressive(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment, erro
 			pair[i] |= 1 << uint(q)
 		}
 	}
-	cols, err := alignToProfile(pair, codes[:], sch, outsider)
+	cols, err := alignToProfile(pair, rows, sch, outsider)
 	if err != nil {
 		return nil, fmt.Errorf("msa: progressive: %w", err)
 	}

@@ -60,7 +60,7 @@ func TestHeuristicsValidAndBounded(t *testing.T) {
 			g := seq.NewGenerator(seq.DNA, rng.Int63())
 			tr = g.RelatedTriple(8+rng.Intn(20), seq.Uniform(0.2))
 		}
-		opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+		opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestHeuristicsCloseToOptimalOnSimilarTriples(t *testing.T) {
 	// optimum (this is the regime where center-star's bound is tight).
 	g := seq.NewGenerator(seq.DNA, 5)
 	tr := g.RelatedTriple(60, seq.MutationModel{SubstitutionRate: 0.05})
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestHeuristicScoreIsValidPruningBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCenterStarPicksBestCenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,12 @@ import (
 	"repro/internal/alignment"
 	"repro/internal/mat"
 	"repro/internal/scoring"
+	"repro/internal/seq"
 )
 
-// alignToProfile removes row out from the alignment cols, whose rows have
-// the residue codes codes, and aligns out's residues optimally against the
-// profile that the k = len(codes)−1 ≥ 1 other rows induce on cols. It
+// alignToProfile removes row out from the alignment cols over the
+// sequences rows, and aligns out's residues optimally against the profile
+// that the k = len(rows)−1 ≥ 1 other rows induce on cols. It
 // returns the new column masks. Columns only out consumes drop out of the
 // profile, so cols may leave out's bit clear throughout, as Progressive's
 // pair alignment does.
@@ -24,8 +25,8 @@ import (
 // makes no Scheme.Pair calls. The profile is held flat, as column masks
 // and an m×k code block. The traceback prefers a residue column, then a
 // gap column in the profile, then a gap in out.
-func alignToProfile(cols []alignment.Mask, codes [][]int8, sch *scoring.Scheme, out int) ([]alignment.Mask, error) {
-	k := len(codes) - 1
+func alignToProfile(cols []alignment.Mask, rows []*seq.Sequence, sch *scoring.Scheme, out int) ([]alignment.Mask, error) {
+	k := len(rows) - 1
 	outBit := alignment.Mask(1) << uint(out)
 	// prof[j] is profile column j's mask, block[j*k:j*k+k] its codes.
 	prof := make([]alignment.Mask, 0, len(cols))
@@ -39,13 +40,13 @@ func alignToProfile(cols []alignment.Mask, codes [][]int8, sch *scoring.Scheme, 
 		}
 		at := len(prof) * k
 		prof = append(prof, rest)
-		for row, rc := range codes {
+		for row, s := range rows {
 			if row == out {
 				continue
 			}
 			x := scoring.Gap
 			if rest.Consumes(row) {
-				x = rc[idx[row]]
+				x = s.Codes()[idx[row]]
 				idx[row]++
 			}
 			block[at] = x
@@ -53,7 +54,7 @@ func alignToProfile(cols []alignment.Mask, codes [][]int8, sch *scoring.Scheme, 
 		}
 	}
 
-	r := codes[out]
+	r := rows[out].Codes()
 	n, m := len(r), len(prof)
 	size := sch.Alphabet().Size()
 	// gapR[j]: r gapped against column j. match[c*m+j]: residue code c

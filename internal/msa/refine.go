@@ -35,14 +35,13 @@ func RefineContext(ctx context.Context, aln *alignment.Alignment, sch *scoring.S
 	}
 	cur := aln.Multi()
 	cur.Score = cur.SPScore(sch)
-	codes := rowCodes(cur.Seqs)
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for out := 0; out < 3; out++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cand, err := realignOne(cur, codes, sch, out)
+			cand, err := realignOne(cur, sch, out)
 			if err != nil {
 				return nil, err
 			}
@@ -77,14 +76,13 @@ func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Sc
 	if n < 2 {
 		return cur, nil
 	}
-	codes := rowCodes(cur.Seqs)
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		for out := 0; out < n; out++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cand, err := realignOne(cur, codes, sch, out)
+			cand, err := realignOne(cur, sch, out)
 			if err != nil {
 				return nil, err
 			}
@@ -101,11 +99,11 @@ func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Sc
 	return cur, nil
 }
 
-// realignOne removes row out from cur, whose rows have the residue codes
-// codes, and re-aligns it optimally against the profile of the other rows
-// (linear objective; see alignToProfile). The result's Score is left zero.
-func realignOne(cur *alignment.Multi, codes [][]int8, sch *scoring.Scheme, out int) (*alignment.Multi, error) {
-	cols, err := alignToProfile(cur.Cols, codes, sch, out)
+// realignOne removes row out from cur and re-aligns it optimally against
+// the profile of the other rows (linear objective; see alignToProfile).
+// The result's Score is left zero.
+func realignOne(cur *alignment.Multi, sch *scoring.Scheme, out int) (*alignment.Multi, error) {
+	cols, err := alignToProfile(cur.Cols, cur.Seqs, sch, out)
 	if err != nil {
 		return nil, fmt.Errorf("msa: refine: %w", err)
 	}
@@ -122,8 +120,8 @@ func CenterStarRefined(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	codes := tripleCodes(tr)
-	aln, upper, err := centerStar(tr, sch, pairOptima(codes, sch), globalOps(codes, sch))
+	rows := []*seq.Sequence{tr.A, tr.B, tr.C}
+	aln, upper, err := centerStar(tr, sch, pairOptima(rows, sch), globalOps(rows, sch))
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +133,7 @@ func CenterStarRefined(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment
 // keeps: a bounded search reuses them for its through planes. tr must be
 // valid.
 func CenterStarRefinedOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*alignment.Alignment, error) {
-	aln, upper, err := centerStar(tr, sch, fwd.Optima(), planeOps(fwd, tripleCodes(tr), sch))
+	aln, upper, err := centerStar(tr, sch, fwd.Optima(), planeOps(fwd, []*seq.Sequence{tr.A, tr.B, tr.C}, sch))
 	if err != nil {
 		return nil, err
 	}

@@ -191,9 +191,8 @@ func checkRefineMulti(t *testing.T, name string, fam []*seq.Sequence, sch *scori
 		}
 	}
 	for si, start := range []*alignment.Multi{star, chain} {
-		codes := rowCodes(start.Seqs)
 		for out := range fam {
-			got, err := realignOne(start, codes, sch, out)
+			got, err := realignOne(start, sch, out)
 			if err != nil {
 				t.Fatalf("%s start=%d out=%d: %v", name, si, out, err)
 			}

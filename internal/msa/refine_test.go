@@ -32,7 +32,7 @@ func TestRefineNeverWorsensAndStaysBounded(t *testing.T) {
 		if got := refined.SPScore(dnaSch); got != refined.Score {
 			t.Fatalf("trial %d: reported %d, recomputed %d", trial, refined.Score, got)
 		}
-		opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+		opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestRefineFixedPointOnOptimal(t *testing.T) {
 	// Refining an exact optimum cannot change its score.
 	g := seq.NewGenerator(seq.DNA, 601)
 	tr := g.RelatedTriple(30, seq.Uniform(0.2))
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCenterStarRefined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,13 @@ func refPickCenter(codes [3][]int8, sch *scoring.Scheme) (int, [3]mat.Score) {
 	return best, pairScore
 }
 
+// refCodes returns the residue codes of the triple's three sequences.
+func refCodes(tr seq.Triple) [3][]int8 {
+	return [3][]int8{tr.A.Codes(), tr.B.Codes(), tr.C.Codes()}
+}
+
 func refCenterStar(tr seq.Triple, sch *scoring.Scheme) *alignment.Alignment {
-	codes := tripleCodes(tr)
+	codes := refCodes(tr)
 	center, _ := refPickCenter(codes, sch)
 	sat1, sat2 := (center+1)%3, (center+2)%3
 	aln1 := pairwise.Global(codes[center], codes[sat1], sch)
@@ -152,7 +157,7 @@ func refProfileDP(r []int8, prof []profCol, sch *scoring.Scheme, out, p, q int) 
 }
 
 func refRealignOne(cur *alignment.Alignment, sch *scoring.Scheme, out int) *alignment.Alignment {
-	codes := tripleCodes(cur.Triple)
+	codes := refCodes(cur.Triple)
 	bit := [3]alignment.Move{alignment.ConsumeA, alignment.ConsumeB, alignment.ConsumeC}
 	p, q := (out+1)%3, (out+2)%3
 	if p > q {
@@ -200,7 +205,7 @@ func refRefine(aln *alignment.Alignment, sch *scoring.Scheme) *alignment.Alignme
 }
 
 func refProgressive(tr seq.Triple, sch *scoring.Scheme) *alignment.Alignment {
-	codes := tripleCodes(tr)
+	codes := refCodes(tr)
 	_, pairScore := refPickCenter(codes, sch)
 	outsider := 0
 	for i := 1; i < 3; i++ {
@@ -286,7 +291,7 @@ func sameAlignment(a, b *alignment.Alignment) bool {
 func TestSeedMatchesCenterStarRefined(t *testing.T) {
 	atBound, belowBound := 0, 0
 	for _, c := range seedCases(t) {
-		codes := tripleCodes(c.tr)
+		codes := refCodes(c.tr)
 		fwd := pairwise.Forwards(codes[0], codes[1], codes[2], c.sch)
 		seed, err := CenterStarRefinedOn(c.tr, c.sch, fwd)
 		if err != nil {
@@ -351,7 +356,7 @@ func TestRealignOneMatchesReference(t *testing.T) {
 		for _, start := range []*alignment.Alignment{refCenterStar(c.tr, c.sch), refProgressive(c.tr, c.sch)} {
 			m := start.Multi()
 			for out := 0; out < 3; out++ {
-				res, err := realignOne(m, rowCodes(m.Seqs), c.sch, out)
+				res, err := realignOne(m, c.sch, out)
 				if err != nil {
 					t.Fatalf("%s out=%d: %v", c.name, out, err)
 				}

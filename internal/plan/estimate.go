@@ -1,6 +1,10 @@
 package plan
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/wavefront"
+)
 
 // Data-dependent cost model for the Carrillo–Lipman bounded-search kernels.
 //
@@ -23,7 +27,7 @@ import "math"
 const MinBoundedLen = 128
 
 // AStarFractionMax is the predicted evaluated fraction below which a
-// sequential automatic request prefers the A* frontier over the contiguous
+// one-worker automatic request prefers the A* frontier over the contiguous
 // band: the frontier beats the band only when the admissible region is a
 // thin tube, since each expanded node costs a heap operation and a map
 // probe instead of a handful of adds.
@@ -103,7 +107,7 @@ func astarBytes(s Shape, frac float64) uint64 {
 // boundedCandidate is the Carrillo–Lipman kernel automatic selection would
 // run for this request, or nil when none applies: the request must be
 // linear-gap, carry an identity-probe prediction, and be long enough in
-// every dimension that band planning pays for itself. Sequential requests
+// every dimension that band planning pays for itself. One-worker requests
 // with a very thin predicted band get the A* frontier; everything else gets
 // the parallel contiguous band.
 func boundedCandidate(req Request, gap GapModel) *KernelSpec {
@@ -120,7 +124,7 @@ func boundedCandidate(req Request, gap GapModel) *KernelSpec {
 	if min < MinBoundedLen {
 		return nil
 	}
-	if !req.Parallel && req.EvalFraction <= AStarFractionMax {
+	if wavefront.Workers(req.Workers) == 1 && req.EvalFraction <= AStarFractionMax {
 		return kernels["astar"]
 	}
 	return kernels["bounded"]

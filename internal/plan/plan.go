@@ -158,8 +158,7 @@ type Request struct {
 	// Gap is the scheme's gap model; zero means GapLinear.
 	Gap GapModel
 	// Algorithm is the requested kernel name or an alias Lookup resolves;
-	// empty means automatic selection by gap model, parallelism, and
-	// budget.
+	// empty means automatic selection by gap model and budget.
 	Algorithm string
 	// Workers is the requested pool size; non-positive means GOMAXPROCS.
 	Workers int
@@ -175,9 +174,6 @@ type Request struct {
 	// planner downgrades along the space-class ladder until the estimated
 	// footprint fits, instead of rejecting.
 	MaxMemoryBytes int64
-	// Parallel selects the intra-alignment parallel variants on automatic
-	// requests (false when an outer batch supplies the parallelism).
-	Parallel bool
 	// MaxAbsColumn bounds the absolute SP score of a single alignment
 	// column under the request's scheme (core.MaxAbsColumn). Together with
 	// the shape it lets the planner negotiate the lattice cell width: when
@@ -430,22 +426,14 @@ func autoBudget(req Request) uint64 {
 }
 
 // autoSpec picks the kernel for an automatic request: the gap model's
-// primary (parallel or sequential per the split), downgraded once to its
-// linear-space sibling when the primary's lattice exceeds the budget —
-// the selection rule the old resolveAlgorithm switch hard-coded.
+// blocked full-lattice kernel, downgraded once to its linear-space sibling
+// when the lattice exceeds the budget — the selection rule the old
+// resolveAlgorithm switch hard-coded.
 func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []Downgrade) {
-	var primary string
-	switch {
-	case gap == GapAffine && req.Parallel:
-		primary = "affine-parallel"
-	case gap == GapAffine:
-		primary = "affine"
-	case req.Parallel:
-		primary = "parallel"
-	default:
-		primary = "full"
+	spec := kernels["parallel"]
+	if gap == GapAffine {
+		spec = kernels["affine-parallel"]
 	}
-	spec := kernels[primary]
 	cand := boundedCandidate(req, gap)
 	if planEstBytes(spec, req) <= budget {
 		// The primary fits; the Carrillo–Lipman band still wins the slot

@@ -10,15 +10,19 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/scoring"
 )
 
-// TestRegistryComplete pins the registry: 12 kernels, each with a working
-// estimator and a run function, and every alias resolving to a registered
-// kernel without shadowing one.
+// TestRegistryComplete pins the registry: 9 kernels, each with a working
+// estimator and a run function, and 8 aliases, each resolving to a
+// registered kernel without shadowing one.
 func TestRegistryComplete(t *testing.T) {
 	ks := Kernels()
-	if len(ks) != 12 {
-		t.Fatalf("registry has %d kernels, want 12", len(ks))
+	if len(ks) != 9 {
+		t.Fatalf("registry has %d kernels, want 9", len(ks))
+	}
+	if len(aliases) != 8 {
+		t.Fatalf("registry has %d aliases, want 8", len(aliases))
 	}
 	if err := checkRegistry(); err != nil {
 		t.Fatal(err)
@@ -66,7 +70,10 @@ func TestPlannerProperties(t *testing.T) {
 		if affine {
 			gap = GapAffine
 		}
-		req := Request{Shape: shape, Gap: gap, Parallel: parallel}
+		req := Request{Shape: shape, Gap: gap, Workers: 1}
+		if parallel {
+			req.Workers = 2
+		}
 		if explicit {
 			req.Algorithm = "full"
 		}
@@ -138,7 +145,7 @@ func TestShapeOverflowSaturates(t *testing.T) {
 	}
 
 	// Without a budget the plan must carry the saturated estimates.
-	pl, _, err := Resolve(Request{Shape: huge, Parallel: true})
+	pl, _, err := Resolve(Request{Shape: huge})
 	if err != nil {
 		t.Fatalf("Resolve(huge): %v", err)
 	}
@@ -151,41 +158,51 @@ func TestShapeOverflowSaturates(t *testing.T) {
 
 	// With a budget, no kernel fits a saturated estimate: the planner must
 	// reject with ErrTooLarge — never admit via wraparound.
-	_, _, err = Resolve(Request{Shape: huge, Parallel: true, MaxMemoryBytes: 1 << 30})
+	_, _, err = Resolve(Request{Shape: huge, MaxMemoryBytes: 1 << 30})
 	if !errors.Is(err, core.ErrTooLarge) {
 		t.Fatalf("Resolve(huge, budget) err = %v, want ErrTooLarge", err)
 	}
 }
 
 // TestAutoMatchesLegacyHeuristic pins automatic selection to the decision
-// table of the old resolveAlgorithm switch in tsa.go.
+// table of the old resolveAlgorithm switch in tsa.go, at one worker (a wide
+// batch item or a one-core host) and at two: the gap model picks the
+// blocked kernel, and its linear-space sibling when the lattice exceeds
+// the hard cap. The dna12 and dna96 rows are the facade's own scenarios:
+// 12- and 96-residue DNA triples under the default scheme's column bound.
 func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 	small := Shape{NA: 10, NB: 10, NC: 10}
 	big := Shape{NA: 200, NB: 200, NC: 200} // full lattice ≈ 32 MiB
+	dna12 := Shape{NA: 12, NB: 12, NC: 12}
+	dna96 := Shape{NA: 96, NB: 96, NC: 96}
+	col := core.MaxAbsColumn(scoring.DNADefault())
 	cases := []struct {
 		name     string
 		shape    Shape
 		gap      GapModel
-		parallel bool
 		maxBytes int64
 		want     string
 	}{
-		{"linear-parallel", small, GapLinear, true, 0, "parallel"},
-		{"linear-sequential", small, GapLinear, false, 0, "full"},
-		{"affine-parallel", small, GapAffine, true, 0, "affine-parallel"},
-		{"affine-sequential", small, GapAffine, false, 0, "affine"},
-		{"capped-linear-parallel", big, GapLinear, true, 1 << 20, "parallel-linear"},
-		{"capped-linear-sequential", big, GapLinear, false, 1 << 20, "linear"},
-		{"capped-affine", big, GapAffine, true, 1 << 20, "affine-linear"},
-		{"capped-affine-sequential", big, GapAffine, false, 1 << 20, "affine-linear"},
+		{"linear", small, GapLinear, 0, "parallel"},
+		{"affine", small, GapAffine, 0, "affine-parallel"},
+		{"capped-linear", big, GapLinear, 1 << 20, "parallel-linear"},
+		{"capped-affine", big, GapAffine, 1 << 20, "affine-linear"},
+		{"small-linear", dna12, GapLinear, 0, "parallel"},
+		{"small-affine", dna12, GapAffine, 0, "affine-parallel"},
+		{"big-capped", dna96, GapLinear, 1 << 20, "parallel-linear"},
+		{"big-affine-capped", dna96, GapAffine, 4 << 20, "affine-linear"},
 	}
 	for _, tc := range cases {
-		pl, _, err := Resolve(Request{Shape: tc.shape, Gap: tc.gap, Parallel: tc.parallel, MaxBytes: tc.maxBytes})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if pl.Algorithm != tc.want {
-			t.Errorf("%s: planned %s, want %s", tc.name, pl.Algorithm, tc.want)
+		for _, workers := range []int{1, 2} {
+			pl, _, err := Resolve(Request{
+				Shape: tc.shape, Gap: tc.gap, Workers: workers, MaxBytes: tc.maxBytes, MaxAbsColumn: col,
+			})
+			if err != nil {
+				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
+			}
+			if pl.Algorithm != tc.want {
+				t.Errorf("%s/workers=%d: planned %s, want %s", tc.name, workers, pl.Algorithm, tc.want)
+			}
 		}
 	}
 }
@@ -206,7 +223,7 @@ func TestBudgetLadder(t *testing.T) {
 	}
 
 	// Budget between planes and pairs: the exact linear-space kernel fits.
-	pl, _, err := Resolve(Request{Shape: shape, Parallel: true, MaxMemoryBytes: int64(planes) + 1024})
+	pl, _, err := Resolve(Request{Shape: shape, MaxMemoryBytes: int64(planes) + 1024})
 	if err != nil {
 		t.Fatalf("planes budget: %v", err)
 	}
@@ -220,7 +237,7 @@ func TestBudgetLadder(t *testing.T) {
 	// Budget below even the planes: nothing exact fits; an automatic
 	// request bottoms out on the degraded heuristic only if the heuristic
 	// fits, which it does not here — expect ErrTooLarge.
-	_, _, err = Resolve(Request{Shape: shape, Parallel: true, MaxMemoryBytes: 1024})
+	_, _, err = Resolve(Request{Shape: shape, MaxMemoryBytes: 1024})
 	if !errors.Is(err, core.ErrTooLarge) {
 		t.Fatalf("tiny budget: err = %v, want ErrTooLarge", err)
 	}
@@ -239,7 +256,7 @@ func TestLastResortHeuristic(t *testing.T) {
 		t.Fatalf("shape does not order pairs<planes<lattice: %d %d %d", pairs, planes, lattice)
 	}
 	budget := int64(pairs) + 1024
-	pl, spec, err := Resolve(Request{Shape: shape, Parallel: true, MaxMemoryBytes: budget})
+	pl, spec, err := Resolve(Request{Shape: shape, MaxMemoryBytes: budget})
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
@@ -263,7 +280,7 @@ func TestLastResortHeuristic(t *testing.T) {
 func TestExplicitAlgorithmIdentity(t *testing.T) {
 	shape := Shape{NA: 300, NB: 300, NC: 300}
 	for _, k := range Kernels() {
-		pl, _, err := Resolve(Request{Shape: shape, Algorithm: k.Name, Parallel: true})
+		pl, _, err := Resolve(Request{Shape: shape, Algorithm: k.Name})
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
@@ -272,11 +289,11 @@ func TestExplicitAlgorithmIdentity(t *testing.T) {
 		}
 	}
 	for alias, to := range aliases {
-		pl, _, err := Resolve(Request{Shape: shape, Algorithm: alias, Parallel: true})
+		pl, _, err := Resolve(Request{Shape: shape, Algorithm: alias})
 		if err != nil {
 			t.Fatalf("%s: %v", alias, err)
 		}
-		want, _, err := Resolve(Request{Shape: shape, Algorithm: to, Parallel: true})
+		want, _, err := Resolve(Request{Shape: shape, Algorithm: to})
 		if err != nil {
 			t.Fatalf("%s: %v", to, err)
 		}
@@ -320,7 +337,7 @@ func TestEvalFractionForIdentity(t *testing.T) {
 
 // TestBoundedAutoSelection covers the identity-probe selection paths:
 // a thin predicted band wins the automatic slot outright, no prediction
-// (or a short triple) keeps the legacy choice, and a sequential request
+// (or a short triple) keeps the legacy choice, and a one-worker request
 // with a very thin band prefers the A* frontier once the lattice kernels
 // are priced out.
 func TestBoundedAutoSelection(t *testing.T) {
@@ -328,7 +345,7 @@ func TestBoundedAutoSelection(t *testing.T) {
 	// Thin band, everything fits: bounded is predicted faster than the
 	// packed lattice primary (0.05·cells at the bounded rate beats the full
 	// lattice even at the packed kernels' higher per-cell rate).
-	pl, spec, err := Resolve(Request{Shape: big, Parallel: true, EvalFraction: 0.05})
+	pl, spec, err := Resolve(Request{Shape: big, Workers: 2, EvalFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +366,7 @@ func TestBoundedAutoSelection(t *testing.T) {
 
 	// No prediction: the legacy primary keeps the slot and no evaluated-cell
 	// estimate is surfaced.
-	pl, _, err = Resolve(Request{Shape: big, Parallel: true})
+	pl, _, err = Resolve(Request{Shape: big, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +377,7 @@ func TestBoundedAutoSelection(t *testing.T) {
 
 	// Short triple: band planning is pure overhead below MinBoundedLen.
 	small := Shape{NA: 96, NB: 96, NC: 96}
-	pl, _, err = Resolve(Request{Shape: small, Parallel: true, EvalFraction: 0.05})
+	pl, _, err = Resolve(Request{Shape: small, Workers: 2, EvalFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,23 +385,23 @@ func TestBoundedAutoSelection(t *testing.T) {
 		t.Fatalf("short triple planned %s, want parallel", pl.Algorithm)
 	}
 
-	// Sequential, very thin band, lattice priced out by the hard cap: the
+	// One worker, very thin band, lattice priced out by the hard cap: the
 	// A* frontier is the preferred downgrade.
 	// (24 MiB cap: prices out the ~109 MB lattice while admitting the A*
 	// node estimate — ~64 B per expanded cell at fraction 0.01 ≈ 20 MB.)
-	pl, _, err = Resolve(Request{Shape: big, EvalFraction: 0.01, MaxBytes: 24 << 20})
+	pl, _, err = Resolve(Request{Shape: big, Workers: 1, EvalFraction: 0.01, MaxBytes: 24 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pl.Algorithm != "astar" {
-		t.Fatalf("sequential thin-band capped request planned %s, want astar", pl.Algorithm)
+		t.Fatalf("one-worker thin-band capped request planned %s, want astar", pl.Algorithm)
 	}
 	if len(pl.Downgrades) != 1 {
 		t.Fatalf("expected one recorded downgrade, got %v", pl.Downgrades)
 	}
-	if d := pl.Downgrades[0]; d.From != "full" || d.To != "astar" || d.Forced ||
+	if d := pl.Downgrades[0]; d.From != "parallel" || d.To != "astar" || d.Forced ||
 		d.BudgetBytes != 24<<20 || d.EstBytes != big.Cells()*4 {
-		t.Fatalf("downgrade %+v, want full→astar, est %d over a %d budget", d, big.Cells()*4, 24<<20)
+		t.Fatalf("downgrade %+v, want parallel→astar, est %d over a %d budget", d, big.Cells()*4, 24<<20)
 	}
 }
 
@@ -395,7 +412,7 @@ func TestBoundedBudgetLadderRung(t *testing.T) {
 	shape := Shape{NA: 300, NB: 300, NC: 300} // lattice ≈ 109 MB
 	budget := int64(32 << 20)
 	pl, spec, err := Resolve(Request{
-		Shape: shape, Algorithm: "full", EvalFraction: 0.12, MaxMemoryBytes: budget,
+		Shape: shape, Algorithm: "parallel", EvalFraction: 0.12, MaxMemoryBytes: budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -404,11 +421,11 @@ func TestBoundedBudgetLadderRung(t *testing.T) {
 		t.Fatalf("ladder landed on %s (exact=%v degraded=%v), want bounded", pl.Algorithm, spec.Exact, pl.Degraded)
 	}
 	if len(pl.Downgrades) != 1 {
-		t.Fatalf("downgrades %v, want exactly the full→bounded rung", pl.Downgrades)
+		t.Fatalf("downgrades %v, want exactly the parallel→bounded rung", pl.Downgrades)
 	}
-	if d := pl.Downgrades[0]; d.From != "full" || d.To != "bounded" || d.Forced ||
+	if d := pl.Downgrades[0]; d.From != "parallel" || d.To != "bounded" || d.Forced ||
 		d.BudgetBytes != uint64(budget) || d.EstBytes != shape.Cells()*4 {
-		t.Fatalf("downgrade %+v, want full→bounded, est %d over a %d budget", d, shape.Cells()*4, budget)
+		t.Fatalf("downgrade %+v, want parallel→bounded, est %d over a %d budget", d, shape.Cells()*4, budget)
 	}
 	if pl.EstBytes > uint64(budget) {
 		t.Fatalf("EstBytes %d over budget %d", pl.EstBytes, budget)
@@ -416,12 +433,12 @@ func TestBoundedBudgetLadderRung(t *testing.T) {
 
 	// Without the prediction the same request must skip the rung and fall
 	// through to the sweep planes as before.
-	pl, _, err = Resolve(Request{Shape: shape, Algorithm: "full", MaxMemoryBytes: budget})
+	pl, _, err = Resolve(Request{Shape: shape, Algorithm: "parallel", MaxMemoryBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Algorithm != "linear" {
-		t.Fatalf("prediction-free ladder landed on %s, want linear", pl.Algorithm)
+	if pl.Algorithm != "parallel-linear" {
+		t.Fatalf("prediction-free ladder landed on %s, want parallel-linear", pl.Algorithm)
 	}
 }
 
@@ -443,7 +460,7 @@ func TestTileDims(t *testing.T) {
 	if pl.TileDims != [3]int{8, 8, 8} {
 		t.Fatalf("BlockSize override ignored: %v", pl.TileDims)
 	}
-	pl, _, err = Resolve(Request{Shape: shape, Algorithm: "linear"})
+	pl, _, err = Resolve(Request{Shape: shape, Algorithm: "parallel-linear"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +502,7 @@ func TestDowngradeJSON(t *testing.T) {
 // TestRegistryCheckRejectsBadAliases: the init self-check refuses an alias
 // that targets nothing or shadows a registered kernel.
 func TestRegistryCheckRejectsBadAliases(t *testing.T) {
-	for alias, to := range map[string]string{"gone": "no-such-kernel", "linear": "full"} {
+	for alias, to := range map[string]string{"gone": "no-such-kernel", "parallel-linear": "parallel"} {
 		aliases[alias] = to
 		err := checkRegistry()
 		delete(aliases, alias)

@@ -55,6 +55,9 @@ type KernelSpec struct {
 	// table: predicted rate = Calibration[RateKey] × RateScale.
 	RateKey   string
 	RateScale float64
+	// soloRateKey, when set, replaces RateKey at one worker: the blocked
+	// kernel's sequential fill is calibrated by its own benchsuite row.
+	soloRateKey string
 	// RateOnEvaluated marks the calibrated rate (and EstCellsFrac) as
 	// per-*evaluated*-cell rather than per-lattice-cell: the bounded-search
 	// kernels' throughput is measured over the cells the bound admits, so
@@ -102,13 +105,18 @@ var (
 
 // aliases maps retired algorithm names onto the kernel that serves them,
 // so every public name keeps parsing while plans report the canonical
-// kernel.
+// kernel. The retired sequential names (full, linear, affine) alias the
+// blocked kernel of the same gap model and space class: parallelism is
+// Options.Workers, and one worker is the sequential fill.
 var aliases = map[string]string{
-	"full-packed":     "full",
+	"full":            "parallel",
+	"full-packed":     "parallel",
 	"parallel-packed": "parallel",
+	"diagonal":        "parallel",
+	"linear":          "parallel-linear",
+	"affine":          "affine-parallel",
 	"pruned":          "bounded",
 	"pruned-parallel": "bounded",
-	"diagonal":        "parallel",
 }
 
 // Lookup finds a kernel spec by algorithm name, resolving retired aliases
@@ -206,29 +214,16 @@ func pairCells(s Shape) uint64 { return s.PairCells() }
 
 func init() {
 	register(&KernelSpec{
-		// The sequential full lattice on the lane-packed k-lane interior
+		// The paper's blocked wavefront on the lane-packed k-lane interior
 		// (AVX2 max-plus scan where the host has it, unrolled
-		// bounds-check-free windows elsewhere); calibrated by the
-		// benchsuite row that measures exactly this code.
-		Name: "full", Gaps: GapLinear, Space: SpaceLattice,
-		Exact: true, Traceback: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "full-packed", RateScale: 1,
-		Downgrade: "linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignFull),
-	})
-	register(&KernelSpec{
+		// bounds-check-free windows elsewhere). At one worker the tiles
+		// run in order on the caller, calibrated by the benchsuite row
+		// that times exactly that sequential fill.
 		Name: "parallel", Gaps: GapLinear, Space: SpaceLattice,
 		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "parallel-packed", RateScale: 1,
+		RateKey: "parallel-packed", soloRateKey: "full-packed", RateScale: 1,
 		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
 		Run: wrap(core.AlignParallel),
-	})
-	register(&KernelSpec{
-		Name: "linear", Gaps: GapLinear, Space: SpacePlanes,
-		Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "linear", RateScale: 1,
-		EstBytes: planeBytes(16),
-		Run:      wrap(core.AlignLinear),
 	})
 	register(&KernelSpec{
 		Name: "parallel-linear", Gaps: GapLinear, Space: SpacePlanes,
@@ -258,17 +253,10 @@ func init() {
 		Name: "astar", Gaps: GapLinear, Space: SpaceBand,
 		Exact: true, Traceback: true, BytesPerCell: 4,
 		RateKey: "astar", RateScale: 1, RateOnEvaluated: true,
-		Downgrade:    "linear",
+		Downgrade:    "parallel-linear",
 		EstBytes:     func(s Shape) uint64 { return astarBytes(s, 1) },
 		EstBytesFrac: astarBytes, EstCellsFrac: fracCells,
 		Run: runBounded(true),
-	})
-	register(&KernelSpec{
-		Name: "affine", Gaps: GapAffine, Space: SpaceLattice,
-		Exact: true, Traceback: true, BytesPerCell: 28,
-		RateKey: "affine7", RateScale: 1,
-		Downgrade: "affine-linear", EstBytes: latticeBytes(28),
-		Run: wrap(core.AlignAffine),
 	})
 	register(&KernelSpec{
 		// The affine Hirschberg halves at every level; its rate is roughly
@@ -330,8 +318,14 @@ func checkRegistry() error {
 		}
 	}
 	for _, k := range Kernels() {
-		if _, ok := Calibration[k.RateKey]; !ok {
-			return fmt.Errorf("plan: %s has no calibration entry for rate key %s", k.Name, k.RateKey)
+		keys := []string{k.RateKey}
+		if k.soloRateKey != "" {
+			keys = append(keys, k.soloRateKey)
+		}
+		for _, key := range keys {
+			if _, ok := Calibration[key]; !ok {
+				return fmt.Errorf("plan: %s has no calibration entry for rate key %s", k.Name, key)
+			}
 		}
 		if k.Downgrade == "" {
 			continue

@@ -42,7 +42,7 @@ func (g *Generator) Random(name string, n int) *Sequence {
 	for i := range res {
 		res[i] = g.alpha.Letter(int8(g.rng.Intn(core)))
 	}
-	return &Sequence{name: name, residues: res, alpha: g.alpha}
+	return newSequence(name, res, g.alpha)
 }
 
 // MutationModel controls how Mutate derives a child sequence from a parent.
@@ -83,7 +83,7 @@ func (g *Generator) Mutate(name string, parent *Sequence, m MutationModel) *Sequ
 		}
 		out = append(out, c)
 	}
-	return &Sequence{name: name, residues: out, alpha: g.alpha}
+	return newSequence(name, out, g.alpha)
 }
 
 // RelatedTriple generates three sequences descended from one random
@@ -134,7 +134,7 @@ func (g *Generator) resize(s *Sequence, n int) *Sequence {
 	}
 	out := make([]byte, n)
 	copy(out, res)
-	return &Sequence{name: s.name, residues: out, alpha: s.alpha}
+	return newSequence(s.name, out, s.alpha)
 }
 
 // RelatedFamily generates count sequences descended from one random

@@ -92,7 +92,18 @@ func (a *Alphabet) Valid(s []byte) bool {
 type Sequence struct {
 	name     string
 	residues []byte // canonical upper-case letters
+	codes    []int8 // the residues' alphabet codes, encoded once
 	alpha    *Alphabet
+}
+
+// newSequence builds a Sequence over canonical residues, encoding their
+// alphabet codes once.
+func newSequence(name string, residues []byte, alpha *Alphabet) *Sequence {
+	codes := make([]int8, len(residues))
+	for i, c := range residues {
+		codes[i] = alpha.Code(c)
+	}
+	return &Sequence{name: name, residues: residues, codes: codes, alpha: alpha}
 }
 
 // New validates residues against alpha and returns a Sequence. Lower-case
@@ -110,7 +121,7 @@ func New(name string, residues []byte, alpha *Alphabet) (*Sequence, error) {
 		}
 		canon[i] = alpha.Letter(code)
 	}
-	return &Sequence{name: name, residues: canon, alpha: alpha}, nil
+	return newSequence(name, canon, alpha), nil
 }
 
 // MustNew is New but panics on error; intended for tests and literals.
@@ -144,15 +155,11 @@ func (s *Sequence) Residues() []byte {
 // String returns the residues as a string.
 func (s *Sequence) String() string { return string(s.residues) }
 
-// Codes returns the dense alphabet codes of the residues. The returned
-// slice is freshly allocated; DP kernels index scoring tables with it.
-func (s *Sequence) Codes() []int8 {
-	out := make([]int8, len(s.residues))
-	for i, c := range s.residues {
-		out[i] = s.alpha.Code(c)
-	}
-	return out
-}
+// Codes returns the dense alphabet codes of the residues; DP kernels index
+// scoring tables with them. The codes are encoded once, when the sequence
+// is built, and every call returns the same slice: callers must treat it
+// as read-only.
+func (s *Sequence) Codes() []int8 { return s.codes }
 
 // Slice returns the subsequence [lo, hi) as a new Sequence named
 // "name[lo:hi)".
@@ -162,11 +169,7 @@ func (s *Sequence) Slice(lo, hi int) *Sequence {
 	}
 	sub := make([]byte, hi-lo)
 	copy(sub, s.residues[lo:hi])
-	return &Sequence{
-		name:     fmt.Sprintf("%s[%d:%d)", s.name, lo, hi),
-		residues: sub,
-		alpha:    s.alpha,
-	}
+	return newSequence(fmt.Sprintf("%s[%d:%d)", s.name, lo, hi), sub, s.alpha)
 }
 
 // Reverse returns a new Sequence with the residues in reverse order.
@@ -175,7 +178,7 @@ func (s *Sequence) Reverse() *Sequence {
 	for i, c := range s.residues {
 		rev[len(rev)-1-i] = c
 	}
-	return &Sequence{name: s.name + ".rev", residues: rev, alpha: s.alpha}
+	return newSequence(s.name+".rev", rev, s.alpha)
 }
 
 // ReverseComplement returns the reverse complement of a DNA or RNA
@@ -195,7 +198,7 @@ func (s *Sequence) ReverseComplement() (*Sequence, error) {
 	for i, c := range s.residues {
 		rc[len(rc)-1-i] = comp[c]
 	}
-	return &Sequence{name: s.name + ".rc", residues: rc, alpha: s.alpha}, nil
+	return newSequence(s.name+".rc", rc, s.alpha), nil
 }
 
 // Equal reports whether two sequences have identical residues (names and

@@ -198,8 +198,9 @@ func TestCacheNearDupRespectsExplicitAlgorithm(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if out.Cache == cacheStateNearDup || out.Algorithm != "full" {
-		t.Fatalf("explicit algorithm=full served cache=%q algorithm=%q", out.Cache, out.Algorithm)
+	// "full" aliases the blocked kernel, so the plan names parallel.
+	if out.Cache == cacheStateNearDup || out.Algorithm != "parallel" {
+		t.Fatalf("explicit algorithm=full served cache=%q algorithm=%q, want parallel", out.Cache, out.Algorithm)
 	}
 }
 

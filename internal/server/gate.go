@@ -117,8 +117,8 @@ func (st *stats) recordPlan(pl *repro.Plan) {
 	if pl.CellWidthBits == 16 {
 		st.plannedInt16.Add(1)
 	}
-	// Every full-lattice linear-gap kernel runs the lane-packed interior.
-	if pl.Algorithm == "full" || pl.Algorithm == "parallel" {
+	// The full-lattice linear-gap kernel runs the lane-packed interior.
+	if pl.Algorithm == "parallel" {
 		st.plannedPacked.Add(1)
 	}
 	if pl.Algorithm == "bounded" || pl.Algorithm == "astar" {

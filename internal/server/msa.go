@@ -149,9 +149,8 @@ func (s *Server) msaOptions(req *MsaRequest, seqs []*repro.Sequence) (repro.MSAO
 	if err != nil {
 		return repro.MSAOptions{}, err
 	}
-	if alpha := seqs[0].Alphabet(); base.Scheme != nil && base.Scheme.Alphabet() != alpha {
-		return repro.MSAOptions{}, badRequestf("scheme %q scores %s, sequences are %s",
-			req.Scheme, base.Scheme.Alphabet().Name(), alpha.Name())
+	if err := checkSchemeAlphabet(base.Scheme, seqs[0].Alphabet()); err != nil {
+		return repro.MSAOptions{}, err
 	}
 	return repro.MSAOptions{
 		Options:      base,

@@ -57,10 +57,15 @@ func TestPlanEndpointDowngrade(t *testing.T) {
 // TestPlanEndpointBadRequest: malformed input is a 400, not a 500.
 func TestPlanEndpointBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	var er errorResponse
-	resp := postJSON(t, ts, "/v1/plan", `{"a":"ACGT","b":"ACGT","c":"not dna!"}`, &er)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"a":"ACGT","b":"ACGT","c":"not dna!"}`,
+		wrongAlphabetBody,
+	} {
+		var er errorResponse
+		resp := postJSON(t, ts, "/v1/plan", body, &er)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

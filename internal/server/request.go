@@ -158,7 +158,22 @@ func (s *Server) item(req *AlignRequest) (repro.BatchItem, error) {
 	if err != nil {
 		return repro.BatchItem{}, err
 	}
+	if err := checkSchemeAlphabet(opt.Scheme, tr.A.Alphabet()); err != nil {
+		return repro.BatchItem{}, err
+	}
 	return repro.BatchItem{Triple: tr, Opt: opt}, nil
+}
+
+// checkSchemeAlphabet rejects a scheme over another alphabet than the
+// sequences'. The planner never looks at the alphabet and the kernels
+// refuse the pair only once they run, so without this check the same body
+// would plan fine and then fail as a server error.
+func checkSchemeAlphabet(sch *repro.Scheme, alpha *repro.Alphabet) error {
+	if sch != nil && sch.Alphabet() != alpha {
+		return badRequestf("scheme %q scores %s, sequences are %s",
+			sch.Name(), sch.Alphabet().Name(), alpha.Name())
+	}
+	return nil
 }
 
 // merge overlays item-level knobs on the batch defaults. Sequence fields

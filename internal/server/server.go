@@ -298,8 +298,8 @@ type Statsz struct {
 	PlannedDowngrades int64 `json:"planned_downgrades"`
 	// PlannedInt16 counts served plans whose lattice cell width was
 	// negotiated down to 16 bits; PlannedPacked counts plans that selected
-	// a lane-packed kernel (full or parallel). Together they show how
-	// often the fast paths actually serve traffic.
+	// the lane-packed kernel (parallel, at any worker count). Together they
+	// show how often the fast paths actually serve traffic.
 	PlannedInt16  int64 `json:"planned_int16"`
 	PlannedPacked int64 `json:"planned_packed"`
 	// PlannedBounded counts served plans that selected a Carrillo–Lipman

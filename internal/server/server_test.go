@@ -151,6 +151,7 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown alphabet", `{"a":"ACGT","b":"ACGT","c":"ACGT","alphabet":"klingon"}`, http.StatusBadRequest},
 		{"unknown algorithm", `{"a":"ACGT","b":"ACGT","c":"ACGT","algorithm":"quantum"}`, http.StatusBadRequest},
 		{"unknown scheme", `{"a":"ACGT","b":"ACGT","c":"ACGT","scheme":"blosum1"}`, http.StatusBadRequest},
+		{"scheme of another alphabet", wrongAlphabetBody, http.StatusBadRequest},
 		{"over length cap", fmt.Sprintf(`{"a":%q,"b":"ACGT","c":"ACGT"}`, strings.Repeat("A", 17)), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -354,6 +355,15 @@ func TestServeBatch(t *testing.T) {
 	resp3 := postJSON(t, ts, "/v1/align/batch", `{"items":[]}`, nil)
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch status = %d, want 400", resp3.StatusCode)
+	}
+
+	// So is an item whose scheme scores another alphabet: the whole batch
+	// is rejected before any of it runs.
+	errOut = errorResponse{}
+	resp4 := postJSON(t, ts, "/v1/align/batch",
+		fmt.Sprintf(`{"items":[{"a":%q,"b":%q,"c":%q},%s]}`, a0, b0, c0, wrongAlphabetBody), &errOut)
+	if resp4.StatusCode != http.StatusBadRequest || !strings.Contains(errOut.Error, "item 1") {
+		t.Errorf("wrong-alphabet item: status %d error %q, want 400 naming item 1", resp4.StatusCode, errOut.Error)
 	}
 }
 

@@ -7,8 +7,11 @@ package repro
 // packs largest plans first.
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -176,6 +179,94 @@ func TestBatchResultsCarryPlans(t *testing.T) {
 		}
 		if br.Result.Plan == nil {
 			t.Errorf("item %d: missing plan", i)
+		}
+	}
+}
+
+// TestServedPlanShapesKeepTheirEstimates pins the plans of the request
+// shapes the serving benchmark drives: coalesced 64–128 nt batch items
+// (one capped into linear space), a 300 nt triple at 70% identity, a
+// 300 nt bounded miss at 98% identity, and the merges of an 8-sequence
+// protein family in wide (two workers) and narrow (four) batches. The
+// figures are those the planner produced while full, linear and affine
+// were kernels of their own; folding them into the blocked kernels may
+// rename a plan, but not move its estimates.
+func TestServedPlanShapesKeepTheirEstimates(t *testing.T) {
+	type pin struct {
+		name      string
+		algorithm string
+		workers   int
+		cells     uint64
+		bytes     uint64
+		width     int
+		duration  time.Duration
+	}
+	want := []pin{
+		{"small-batch-0", "parallel", 1, 274625, 549250, 16, 206196},
+		{"small-batch-1", "parallel", 1, 912673, 1825346, 16, 685261},
+		{"small-batch-2", "parallel", 1, 2146689, 4293378, 16, 1611797},
+		{"small-batch-3", "parallel-linear", 1, 2146689, 266256, 32, 3234475},
+		{"large", "parallel", 2, 27270901, 54541802, 16, 22546860},
+		{"repeat-miss", "bounded", 2, 1067787, 6445572, 32, 15790760},
+		{"msa-w2-merge0-batch2", "affine-parallel", 1, 274625, 7689500, 32, 5579540},
+		{"msa-w2-merge1-batch2", "affine-parallel", 1, 274625, 7689500, 32, 5579540},
+		{"msa-w2-merge3-batch1", "affine-parallel", 2, 274625, 7689500, 32, 2936600},
+		{"msa-w4-merge0-batch2", "affine-parallel", 4, 274625, 7689500, 32, 1507984},
+		{"msa-w4-merge1-batch2", "affine-parallel", 4, 274625, 7689500, 32, 1507984},
+		{"msa-w4-merge3-batch1", "affine-parallel", 4, 274625, 7689500, 32, 1507984},
+	}
+	var got []pin
+	add := func(name string, pl *Plan) {
+		got = append(got, pin{name, pl.Algorithm, pl.Workers, pl.EstCells, pl.EstBytes, pl.CellWidthBits, pl.EstDuration})
+	}
+
+	g := NewGenerator(DNA, 101)
+	var items []BatchItem
+	for _, n := range []int{64, 96, 128} {
+		items = append(items, BatchItem{Triple: g.RelatedTriple(n, MutationModel{SubstitutionRate: 0.1}), Opt: Options{Workers: 2}})
+	}
+	items = append(items, BatchItem{
+		Triple: g.RelatedTriple(128, MutationModel{SubstitutionRate: 0.1}),
+		Opt:    Options{Workers: 2, MaxBytes: 1 << 20},
+	})
+	for i, r := range AlignBatchItemsContext(context.Background(), items) {
+		if r.Err != nil {
+			t.Fatalf("batch item %d: %v", i, r.Err)
+		}
+		add(fmt.Sprintf("small-batch-%d", i), r.Result.Plan)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   Triple
+	}{
+		{"large", NewGenerator(DNA, 103).RelatedTriple(300, MutationModel{SubstitutionRate: 0.3})},
+		{"repeat-miss", NewGenerator(DNA, 107).RelatedTriple(300, MutationModel{SubstitutionRate: 0.02})},
+	} {
+		pl, err := PlanAlign(tc.tr, Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		add(tc.name, pl)
+	}
+	fam := NewGenerator(Protein, 109).RelatedFamily(8, 64, MutationModel{SubstitutionRate: 0.2})
+	for _, w := range []int{2, 4} {
+		res, err := AlignMSA(context.Background(), fam, MSAOptions{Options: Options{Workers: w}})
+		if err != nil {
+			t.Fatalf("msa workers=%d: %v", w, err)
+		}
+		for i, m := range res.Merges {
+			if m.Plan != nil {
+				add(fmt.Sprintf("msa-w%d-merge%d-batch%d", w, i, m.BatchSize), m.Plan)
+			}
+		}
+	}
+
+	if len(got) != len(want) {
+		t.Fatalf("planned %d shapes, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("plan %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

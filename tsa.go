@@ -77,30 +77,37 @@ type Algorithm string
 // The available algorithms. Every linear-gap kernel through AlgorithmAStar
 // is exact (identical optimal linear-gap SP scores); the affine kernels are
 // exact under the affine objective; the last three are fast heuristics.
-// Five names are aliases kept so existing callers still parse: they run,
-// and Result.Algorithm and Result.Plan report, the kernel they alias.
+// The exact kernels take their parallelism from Options.Workers: set 1 for
+// one thread. Eight names are aliases kept so existing callers still
+// parse: they run, and Result.Algorithm and Result.Plan report, the kernel
+// they alias.
 const (
 	// AlgorithmAuto matches the scheme's gap model: AlgorithmParallel for
 	// linear gaps or AlgorithmAffineParallel for affine schemes, falling
 	// back to the corresponding linear-space variant when the lattice
 	// would exceed MaxBytes.
 	AlgorithmAuto Algorithm = ""
-	// AlgorithmFull is the sequential full-matrix 3D dynamic program. Its
-	// innermost k-lane runs a vectorized two-pass max-plus scan (AVX2 where
-	// available, unrolled bounds-check-free Go elsewhere) and honors the
-	// planner's negotiated 16-bit cell width.
+	// AlgorithmFull is an alias of AlgorithmParallel, which honours
+	// Workers; set 1 for one thread (the sequential full-matrix fill).
 	AlgorithmFull Algorithm = "full"
-	// AlgorithmFullPacked is an alias of AlgorithmFull, whose interior it
-	// names.
+	// AlgorithmFullPacked is an alias of AlgorithmParallel, whose interior
+	// it names.
 	AlgorithmFullPacked Algorithm = "full-packed"
-	// AlgorithmParallel is the paper's blocked-wavefront parallel algorithm,
-	// with the lane-packed interior filling each wavefront tile.
+	// AlgorithmParallel is the paper's blocked-wavefront algorithm over the
+	// full 3D lattice. Options.Workers sets its parallelism, and one worker
+	// is the sequential fill. The innermost k-lane of every tile runs a
+	// vectorized two-pass max-plus scan (AVX2 where available, unrolled
+	// bounds-check-free Go elsewhere) and honors the planner's negotiated
+	// 16-bit cell width.
 	AlgorithmParallel Algorithm = "parallel"
 	// AlgorithmParallelPacked is an alias of AlgorithmParallel.
 	AlgorithmParallelPacked Algorithm = "parallel-packed"
-	// AlgorithmLinear is the sequential linear-space divide-and-conquer.
+	// AlgorithmLinear is an alias of AlgorithmParallelLinear, which honours
+	// Workers; set 1 for one thread.
 	AlgorithmLinear Algorithm = "linear"
-	// AlgorithmParallelLinear combines linear space with parallel plane sweeps.
+	// AlgorithmParallelLinear is the linear-space divide-and-conquer. Above
+	// one worker its plane sweeps run blocked wavefronts and independent
+	// sub-problems run concurrently.
 	AlgorithmParallelLinear Algorithm = "parallel-linear"
 	// AlgorithmDiagonal is an alias of AlgorithmParallel. The
 	// plane-synchronized (anti-diagonal) wavefront it used to name is the
@@ -118,20 +125,22 @@ const (
 	// only the admissible band (memory scales with the cells the bound
 	// admits, not the lattice), so exact alignment of similar triples runs
 	// far past the full-matrix memory ceiling. Exact, with the same
-	// preference-ordered traceback as AlgorithmFull.
+	// preference-ordered traceback as AlgorithmParallel.
 	AlgorithmBounded Algorithm = "bounded"
 	// AlgorithmAStar is the best-first (A*) frontier variant of bounded
 	// search: no lattice-shaped allocation at all, memory per expanded
 	// node. The kernel of choice for very similar triples whose admissible
 	// region is a thin tube. Exact.
 	AlgorithmAStar Algorithm = "astar"
-	// AlgorithmAffine optimizes the quasi-natural affine SP objective.
+	// AlgorithmAffine is an alias of AlgorithmAffineParallel, which honours
+	// Workers; set 1 for one thread.
 	AlgorithmAffine Algorithm = "affine"
-	// AlgorithmAffineLinear is AlgorithmAffine in O(m·p) working memory
-	// (the 7-state divide-and-conquer).
+	// AlgorithmAffineLinear is AlgorithmAffineParallel in O(m·p) working
+	// memory (the 7-state divide-and-conquer, on one thread).
 	AlgorithmAffineLinear Algorithm = "affine-linear"
-	// AlgorithmAffineParallel is AlgorithmAffine under the blocked-wavefront
-	// parallel schedule.
+	// AlgorithmAffineParallel optimizes the quasi-natural affine SP
+	// objective under the blocked-wavefront schedule; Options.Workers sets
+	// its parallelism.
 	AlgorithmAffineParallel Algorithm = "affine-parallel"
 	// AlgorithmCenterStar is the center-star heuristic (not optimal).
 	AlgorithmCenterStar Algorithm = "center-star"
@@ -194,8 +203,8 @@ type Options struct {
 	// Scheme overrides the scoring scheme. Defaults: +2/−1 with −2 linear
 	// gaps for DNA/RNA, BLOSUM62 (with its affine gaps) for protein.
 	Scheme *Scheme
-	// Workers is the goroutine pool size for parallel algorithms;
-	// non-positive means GOMAXPROCS.
+	// Workers is the goroutine pool size of the exact kernels — their only
+	// parallelism knob; 1 runs one thread, non-positive means GOMAXPROCS.
 	Workers int
 	// BlockSize is the wavefront tile edge; non-positive means the core
 	// default.
@@ -405,11 +414,8 @@ func evalFractionProbe(tr Triple, sch *Scheme, opt Options) float64 {
 	return plan.EvalFractionForIdentity(sketchFor(tr, opt).MeanIdentity())
 }
 
-// planRequest translates a triple and Options into a planner request. The
-// parallel flag selects the intra-alignment parallel variants on automatic
-// requests (the single-call default); a wide outer batch clears it because
-// the batch itself supplies the parallelism.
-func planRequest(tr Triple, sch *Scheme, opt Options, parallel bool) plan.Request {
+// planRequest translates a triple and Options into a planner request.
+func planRequest(tr Triple, sch *Scheme, opt Options) plan.Request {
 	return plan.Request{
 		Shape:          plan.Shape{NA: tr.A.Len(), NB: tr.B.Len(), NC: tr.C.Len()},
 		Gap:            gapModel(sch),
@@ -418,7 +424,6 @@ func planRequest(tr Triple, sch *Scheme, opt Options, parallel bool) plan.Reques
 		BlockSize:      opt.BlockSize,
 		MaxBytes:       opt.MaxBytes,
 		MaxMemoryBytes: opt.MaxMemoryBytes,
-		Parallel:       parallel,
 		MaxAbsColumn:   core.MaxAbsColumn(sch),
 		EvalFraction:   evalFractionProbe(tr, sch, opt),
 	}
@@ -439,20 +444,20 @@ func PlanAlign(tr Triple, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, _, err := resolvePlan(tr, sch, opt, true)
+	pl, _, err := resolvePlan(tr, sch, opt)
 	return pl, err
 }
 
 // resolvePlan runs the planner for a validated triple and resolved scheme,
 // keeping the facade's historical error surface (unknown algorithms are
 // reported as "repro: unknown algorithm").
-func resolvePlan(tr Triple, sch *Scheme, opt Options, parallel bool) (*Plan, *plan.KernelSpec, error) {
+func resolvePlan(tr Triple, sch *Scheme, opt Options) (*Plan, *plan.KernelSpec, error) {
 	if opt.Algorithm != AlgorithmAuto {
 		if _, ok := plan.Lookup(string(opt.Algorithm)); !ok {
 			return nil, nil, fmt.Errorf("repro: unknown algorithm %q", opt.Algorithm)
 		}
 	}
-	pl, spec, err := plan.Resolve(planRequest(tr, sch, opt, parallel))
+	pl, spec, err := plan.Resolve(planRequest(tr, sch, opt))
 	if err != nil {
 		return nil, nil, fmt.Errorf("repro: align: %w", err)
 	}
@@ -488,13 +493,13 @@ func Align(tr Triple, opt Options) (*Result, error) {
 // Result then has Degraded set and DegradedCause holding the original
 // error.
 func AlignContext(ctx context.Context, tr Triple, opt Options) (*Result, error) {
-	return alignWith(ctx, tr, opt, true)
+	return alignWith(ctx, tr, opt)
 }
 
 // alignWith is the single execution path behind Align, AlignContext, and
 // the batch claimers: plan through the kernel registry, dispatch the
 // planned spec, and apply the Fallback degradation policy.
-func alignWith(ctx context.Context, tr Triple, opt Options, parallel bool) (*Result, error) {
+func alignWith(ctx context.Context, tr Triple, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("repro: align: %w", err)
 	}
@@ -505,7 +510,7 @@ func alignWith(ctx context.Context, tr Triple, opt Options, parallel bool) (*Res
 	if err != nil {
 		return nil, err
 	}
-	pl, spec, err := resolvePlan(tr, sch, opt, parallel)
+	pl, spec, err := resolvePlan(tr, sch, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +605,7 @@ func AlignSeeded(ctx context.Context, tr Triple, opt Options, lower int32) (*Res
 	popt := opt
 	popt.Algorithm = AlgorithmBounded
 	popt.MaxMemoryBytes = 0
-	pl, _, err := resolvePlan(tr, sch, popt, true)
+	pl, _, err := resolvePlan(tr, sch, popt)
 	if err != nil {
 		return nil, err
 	}
