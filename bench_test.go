@@ -315,3 +315,25 @@ func BenchmarkT5Affine(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAlignMSAProteinFamily runs progressive MSA in process on the
+// shape of alignbench's msa-protein-family workload: 40 families of 8
+// protein sequences from ancestors of 60–68 residues, mutated with
+// seq.Uniform(0.16), under default options. One op aligns one family,
+// cycling through the 40, so a -benchtime that is a multiple of 40x
+// weighs every family equally. Every merge runs the affine lane pass.
+func BenchmarkAlignMSAProteinFamily(b *testing.B) {
+	g := seq.NewGenerator(seq.Protein, 2300)
+	fams := make([][]*seq.Sequence, 40)
+	for i := range fams {
+		fams[i] = g.RelatedFamily(8, 60+i%9, seq.Uniform(0.16))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := AlignMSA(context.Background(), fams[i%len(fams)], MSAOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res.Score
+	}
+}

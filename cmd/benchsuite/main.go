@@ -247,24 +247,26 @@ func runF1(cfg config) error {
 	tab := bench.NewTable(fmt.Sprintf("F1: speedup vs workers (n=%d, adaptive tiles, GOMAXPROCS=%d)", n, procs),
 		"workers", "tile", "time", "vs-full", "vs-1w", "sim-speedup")
 	tab.Caption = fmt.Sprintf("expected: near-linear sim-speedup until the wavefront width saturates;\n"+
-		"measured speedup (vs-full: the blocked kernel at Workers: 1, timed as its own\n"+
-		"baseline row; vs-1w: the 1-worker row of the sweep)\n"+
+		"measured speedup (vs-full: the blocked kernel at Workers: 1; vs-1w: the\n"+
+		"1-worker row of the sweep, the same measurement as the full row)\n"+
 		"tracks it only up to the cores GOMAXPROCS grants\n"+
 		"* = workers exceed GOMAXPROCS=%d; measured speedup is invalid there,\n"+
 		"read sim-speedup for the scaling curve", procs)
-	tFull := bench.Measure(cfg.reps, func() {
-		mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
-	})
+	measure := func(w int) bench.Timing {
+		return bench.Measure(cfg.reps, func() {
+			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: w}))
+		})
+	}
+	// The full baseline is the blocked kernel at Workers: 1, which is also
+	// the sweep's first row: one measurement serves both.
+	tFull := measure(1)
 	tab.AddRowf("full", "-", tFull.Mean, "1.00 ", "", "")
-	var t1 time.Duration
 	for _, w := range workerSweep() {
 		tile, si, sj, sk := parallelTiles(tr, w)
 		cost := wavefront.SpanCost(si, sj, sk, 1)
-		t := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: w}))
-		})
-		if w == 1 {
-			t1 = t.Mean
+		t := tFull
+		if w != 1 {
+			t = measure(w)
 		}
 		sim := sim1 / wavefront.Simulate(len(si), len(sj), len(sk), w, cost)
 		// The trailing space on unstarred cells keeps the columns aligned:
@@ -273,9 +275,8 @@ func runF1(cfg config) error {
 		if w > procs {
 			mark = "*"
 		}
-		tab.AddRowf(w, tile, t.Mean,
-			fmt.Sprintf("%.2f%s", bench.Speedup(tFull.Mean, t.Mean), mark),
-			fmt.Sprintf("%.2f%s", bench.Speedup(t1, t.Mean), mark), sim)
+		speedup := fmt.Sprintf("%.2f%s", bench.Speedup(tFull.Mean, t.Mean), mark)
+		tab.AddRowf(w, tile, t.Mean, speedup, speedup, sim)
 	}
 	return cfg.render(tab)
 }

@@ -173,36 +173,46 @@ func fillRangeAffine(d *[7]*mat.Tensor3, st *scoreTables, f *affineFill, si, sj,
 	if fpFill.Fire() {
 		panic("faultpoint: core.fill.block")
 	}
-	var cur, l10, l01, l11 affineLanes
+	// The lanes at (i, j-1) and (i-1, j-1) are the ones the previous step
+	// gathered as its own and its (i-1) lanes, so after a block's first
+	// column each step gathers two lane sets and rotates the other two in.
+	var lanes [4]affineLanes
+	cur, l10, l01, l11 := &lanes[0], &lanes[1], &lanes[2], &lanes[3]
 	for i := si.Lo; i < si.Hi; i++ {
 		var abRow, acRow []mat.Score
 		if i > 0 {
 			abRow, acRow = st.ab.Row(i), st.ac.Row(i)
 		}
 		for j := sj.Lo; j < sj.Hi; j++ {
-			tensorLanes(d, i, j, &cur)
+			cur, l01 = l01, cur
+			l10, l11 = l11, l10
+			tensorLanes(d, i, j, cur)
 			var p10, p01, p11 *affineLanes
 			var sAB mat.Score
 			var bcRow []mat.Score
 			if i > 0 {
-				tensorLanes(d, i-1, j, &l10)
-				p10 = &l10
+				tensorLanes(d, i-1, j, l10)
+				p10 = l10
 			}
 			if j > 0 {
-				tensorLanes(d, i, j-1, &l01)
-				p01 = &l01
+				if j == sj.Lo {
+					tensorLanes(d, i, j-1, l01)
+				}
+				p01 = l01
 				bcRow = st.bc.Row(j)
 			}
 			if i > 0 && j > 0 {
-				tensorLanes(d, i-1, j-1, &l11)
-				p11 = &l11
+				if j == sj.Lo {
+					tensorLanes(d, i-1, j-1, l11)
+				}
+				p11 = l11
 				sAB = abRow[j]
 			}
 			lo := sk.Lo
 			if i == 0 && j == 0 && lo == 0 {
 				lo = 1 // the origin carries the boundary seed
 			}
-			f.lane(&cur, p10, p01, p11, sAB, acRow, bcRow, lo, sk.Hi)
+			f.lane(cur, p10, p01, p11, sAB, acRow, bcRow, lo, sk.Hi)
 		}
 	}
 }

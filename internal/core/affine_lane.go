@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/alignment"
 	"repro/internal/mat"
@@ -46,6 +47,15 @@ import (
 // maxima unconditionally changes no value, and the lattices stay
 // bit-identical to the guarded per-cell recurrence (refAffineFill in the
 // tests).
+//
+// On AVX2 hosts the pair loops and the GGX chain run 8 cells per step in
+// affine_amd64.s whenever a walk has 8 cells or more. The pair kernels
+// are the Go loops over vectors. The chain becomes a max-plus prefix
+// scan, which regroups the serial max(v, ·) + ge2 steps by distributing
+// the add over the maximum; that is exact for integers that do not wrap,
+// and with the gap costs bounded by affineVecSafe every candidate stays
+// far inside int32, so the vector pass writes the same lattices bit for
+// bit.
 
 // affineLanes holds one (i, j) k-lane of each of the seven state lattices,
 // indexed by column mask minus one.
@@ -111,16 +121,83 @@ const (
 type affineFill struct {
 	go1, go2 [8]mat.Score // open charge of the one and two groups, per successor mask
 	ge2      mat.Score    // two gap extends: a one-consumer column's base score
+	vec      bool         // run the AVX2 kernels
+	chain    affineChainConsts
 }
 
+// newAffineFill derives the pass constants from sch. The vector kernels
+// are admitted when the host has them, laneAsmEnabled is set and the gap
+// costs pass affineVecSafe; the decision holds for the fill's lifetime.
 func newAffineFill(sch *scoring.Scheme) affineFill {
 	f := affineFill{ge2: 2 * sch.GapExtend()}
 	for s := 1; s < 8; s++ {
 		f.go1[s] = mat.Score(affineGroups[s].opens[0]) * sch.GapOpen()
 		f.go2[s] = mat.Score(affineGroups[s].opens[1]) * sch.GapOpen()
 	}
+	f.vec = haveLaneAsm && laneAsmEnabled && affineVecSafe(sch)
+	c := &f.chain
+	c.go1, c.go2 = f.go1[stC], f.go2[stC]
+	c.ge2, c.ge2x2, c.ge2x4 = f.ge2, 2*f.ge2, 4*f.ge2
+	for i := range c.ramp {
+		c.ramp[i] = mat.Score(i+1) * f.ge2
+	}
 	return f
 }
+
+// affineVecSafe reports whether sch's gap costs keep the chain scan exact.
+// The lattices hold NegInf or scores above NegInf/2, so a scan candidate
+// is at least NegInf + 2·GapOpen + 8·ge2 and the scan's -1<<30 fill lanes
+// at most -1<<30 + 4·ge2. With both costs within 1<<24 neither sum wraps
+// and no fill lane can exceed a cell's own candidate.
+func affineVecSafe(sch *scoring.Scheme) bool {
+	const limit = 1 << 24
+	return sch.GapOpen() >= -limit && sch.GapExtend() >= -limit
+}
+
+// affinePairArgs is the argument block of affinePairA32 and
+// affinePairAB32; affineChainArgs and affineChainConsts are those of
+// affineChainC32. The layouts are part of the assembly's contract and
+// pinned by the assertions below.
+type affinePairArgs struct {
+	src              [7]unsafe.Pointer // lanes by mask-1, at the first cell read
+	keep, cons, x, y unsafe.Pointer    // y only for the AB shape
+	n                int64             // cells, at least 8
+	go1, go2, c0, c1 mat.Score
+}
+
+type affineChainArgs struct {
+	out unsafe.Pointer    // GGX at the carried cell
+	src [6]unsafe.Pointer // GGX's one and two groups at the carried cell
+	n   int64             // cells, at least 8
+}
+
+type affineChainConsts struct {
+	go1, go2          mat.Score
+	ge2, ge2x2, ge2x4 mat.Score
+	_                 int32
+	ramp              [8]mat.Score // (1..8)·ge2
+}
+
+const (
+	affOffPairN     = unsafe.Offsetof(affinePairArgs{}.n)
+	affOffPairGo1   = unsafe.Offsetof(affinePairArgs{}.go1)
+	affOffChainN    = unsafe.Offsetof(affineChainArgs{}.n)
+	affOffChainGE2  = unsafe.Offsetof(affineChainConsts{}.ge2)
+	affOffChainRamp = unsafe.Offsetof(affineChainConsts{}.ramp)
+)
+
+var (
+	_ [affOffPairN - 88]byte
+	_ [88 - affOffPairN]byte
+	_ [affOffPairGo1 - 96]byte
+	_ [96 - affOffPairGo1]byte
+	_ [affOffChainN - 56]byte
+	_ [56 - affOffChainN]byte
+	_ [affOffChainGE2 - 8]byte
+	_ [8 - affOffChainGE2]byte
+	_ [affOffChainRamp - 24]byte
+	_ [24 - affOffChainRamp]byte
+)
 
 // seedAffineOrigin writes the origin cell of all seven state lattices:
 // score 0 in state q0, the mask of the column before the box, and NegInf
@@ -188,18 +265,43 @@ func (f *affineFill) pair(cur *affineLanes, s int, src *affineLanes, lo, hi int,
 	if n <= 0 {
 		return
 	}
+	go1, go2 := f.go1[s], f.go2[s]
+	// The A-shaped loops are written for s = A; B runs them over lanes
+	// with A↔B and AC↔BC swapped.
+	iA, iB, iAC, iBC := stA-1, stB-1, stAC-1, stBC-1
+	if s == stB {
+		iA, iB, iAC, iBC = iB, iA, iBC, iAC
+	}
 	keep := cur[s-1][lo:][:n]
 	cons := cur[sc-1][lo+1:][:n]
-	vA, vB := src[stA-1][lo:][:n], src[stB-1][lo:][:n]
+	vA, vB := src[iA][lo:][:n], src[iB][lo:][:n]
 	vAB, vC := src[stAB-1][lo:][:n], src[stC-1][lo:][:n]
-	vAC, vBC := src[stAC-1][lo:][:n], src[stBC-1][lo:][:n]
+	vAC, vBC := src[iAC][lo:][:n], src[iBC][lo:][:n]
 	vABC := src[stABC-1][lo:][:n]
-	go1, go2 := f.go1[s], f.go2[s]
-	switch s {
-	case stAB:
+	x = x[lo+1:][:n]
+	if s == stAB {
+		y = y[lo+1:][:n]
+	}
+	if f.vec && n >= 8 {
+		var a affinePairArgs
+		a.src[0], a.src[1] = unsafe.Pointer(&vA[0]), unsafe.Pointer(&vB[0])
+		a.src[2], a.src[3] = unsafe.Pointer(&vAB[0]), unsafe.Pointer(&vC[0])
+		a.src[4], a.src[5] = unsafe.Pointer(&vAC[0]), unsafe.Pointer(&vBC[0])
+		a.src[6] = unsafe.Pointer(&vABC[0])
+		a.keep, a.cons, a.x = unsafe.Pointer(&keep[0]), unsafe.Pointer(&cons[0]), unsafe.Pointer(&x[0])
+		a.n = int64(n)
+		a.go1, a.go2, a.c0, a.c1 = go1, go2, c0, c1
+		if s == stAB {
+			a.y = unsafe.Pointer(&y[0])
+			affinePairAB32(&a)
+		} else {
+			affinePairA32(&a)
+		}
+		return
+	}
+	if s == stAB {
 		// AB: own AB, one {A, B}, two {C, AC, BC, ABC}; ABC is the
 		// plain maximum of all seven.
-		x, y = x[lo+1:][:n], y[lo+1:][:n]
 		for t := range keep {
 			m1 := max(vA[t], vB[t])
 			m2 := max(vC[t], vAC[t], vBC[t], vABC[t])
@@ -207,13 +309,10 @@ func (f *affineFill) pair(cur *affineLanes, s int, src *affineLanes, lo, hi int,
 			cons[t] = max(vAB[t], m1, m2) + c1 + x[t] + y[t]
 		}
 		return
-	case stB:
-		vA, vB, vAC, vBC = vB, vA, vBC, vAC // the loop below is written for s = A
 	}
 	// A has own A, one {AB, AC}, two {B, C, BC, ABC}; AC has own AC, one
 	// {A, C}, two {B, AB, BC, ABC}. B and BC mirror them with A and B
 	// swapped.
-	x = x[lo+1:][:n]
 	for t := range keep {
 		m := max(vB[t], vBC[t], vABC[t])
 		keep[t] = max(vA[t], max(vAB[t], vAC[t])+go1, max(m, vC[t])+go2) + c0
@@ -242,13 +341,25 @@ func fillNegInf(out []mat.Score) {
 // lo-1 ≥ 0 of all seven lanes must be complete.
 func (f *affineFill) chainC(cur *affineLanes, lo, hi int) {
 	g := &affineGroups[stC]
-	go1, go2, ge2 := f.go1[stC], f.go2[stC], f.ge2
-	out := cur[stC-1][lo:hi]
-	n, w := len(out), lo-1
+	w := lo - 1
+	lane := cur[stC-1][w:hi]
+	out := lane[1:]
+	n := len(out)
 	a0, a1 := cur[g.one[0]][w:][:n], cur[g.one[1]][w:][:n]
 	b0, b1 := cur[g.two[0]][w:][:n], cur[g.two[1]][w:][:n]
 	b2, b3 := cur[g.two[2]][w:][:n], cur[g.two[3]][w:][:n]
-	v := cur[stC-1][w]
+	if f.vec && n >= 8 {
+		var a affineChainArgs
+		a.out = unsafe.Pointer(&lane[0])
+		a.src[0], a.src[1] = unsafe.Pointer(&a0[0]), unsafe.Pointer(&a1[0])
+		a.src[2], a.src[3] = unsafe.Pointer(&b0[0]), unsafe.Pointer(&b1[0])
+		a.src[4], a.src[5] = unsafe.Pointer(&b2[0]), unsafe.Pointer(&b3[0])
+		a.n = int64(n)
+		affineChainC32(&a, &f.chain)
+		return
+	}
+	go1, go2, ge2 := f.go1[stC], f.go2[stC], f.ge2
+	v := lane[0]
 	for k := range out {
 		v = max(v, max(a0[k], a1[k])+go1, max(b0[k], b1[k], b2[k], b3[k])+go2) + ge2
 		out[k] = v

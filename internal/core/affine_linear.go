@@ -139,7 +139,10 @@ func affineForwardPlanes(ctx context.Context, ca, cb, cc []int8, sch *scoring.Sc
 	}
 	cur[q0-1].Set(0, 0, 0)
 
-	var lc, l10, l01, l11 affineLanes
+	// As in fillRangeAffine, row j-1 of both planes was the previous
+	// step's own and (i-1) lane set.
+	var lanes [4]affineLanes
+	lc, l10, l01, l11 := &lanes[0], &lanes[1], &lanes[2], &lanes[3]
 	for i := 0; i <= len(ca); i++ {
 		if err := checkCtx(ctx); err != nil {
 			putPlanes7(&prev)
@@ -151,29 +154,29 @@ func affineForwardPlanes(ctx context.Context, ca, cb, cc []int8, sch *scoring.Sc
 			acRow, subAi = prof.Row(ca[i-1]), sch.SubRow(ca[i-1])
 		}
 		for j := 0; j <= m; j++ {
-			planeRows(&cur, j, &lc)
+			lc, l01 = l01, lc
+			l10, l11 = l11, l10
+			planeRows(&cur, j, lc)
 			var p10, p01, p11 *affineLanes
 			var sAB mat.Score
 			var bcRow []mat.Score
 			if i > 0 {
-				planeRows(&prev, j, &l10)
-				p10 = &l10
+				planeRows(&prev, j, l10)
+				p10 = l10
 			}
 			if j > 0 {
-				planeRows(&cur, j-1, &l01)
-				p01 = &l01
+				p01 = l01
 				bcRow = prof.Row(cb[j-1])
 			}
 			if i > 0 && j > 0 {
-				planeRows(&prev, j-1, &l11)
-				p11 = &l11
+				p11 = l11
 				sAB = subAi[cb[j-1]]
 			}
 			lo := 0
 			if i == 0 && j == 0 {
 				lo = 1
 			}
-			f.lane(&lc, p10, p01, p11, sAB, acRow, bcRow, lo, p+1)
+			f.lane(lc, p10, p01, p11, sAB, acRow, bcRow, lo, p+1)
 		}
 		prev, cur = cur, prev
 	}

@@ -15,8 +15,9 @@ import (
 // produce bit-identical lattices — and therefore identical scores and
 // tracebacks — to the pre-optimization kernels preserved verbatim in
 // reference_test.go, on every scheme, shape, and span decomposition. The
-// fills here run without lane state (nil laneVec), the pure-Go path the
-// Hirschberg leaves use; packed_diff_test.go covers the vector path.
+// linear fills here run without lane state (nil laneVec), the pure-Go path
+// the Hirschberg leaves use; packed_diff_test.go covers their vector path.
+// The affine fills run with the vector kernels on and off.
 
 // diffShapes covers degenerate boxes (all-empty, one empty axis, single
 // residues) alongside uneven and cubic interiors.
@@ -202,65 +203,68 @@ func seededGarbage(n, m, p int, q0 alignment.Move) *[7]*mat.Tensor3 {
 
 // TestAffineFillMatchesReference pins the grouped-open lane pass, run by
 // the sequential, blocked and plane-sweep fills, to the guarded per-cell
-// recurrence — every cell of every state, for both boundary seeds.
+// recurrence — every cell of every state, for both boundary seeds, with
+// the vector kernels admitted and with the pure-Go pass.
 func TestAffineFillMatchesReference(t *testing.T) {
 	for name, sch := range affineDiffSchemes(t) {
 		t.Run(name, func(t *testing.T) {
-			var shapes [][3]int
-			for _, shape := range diffShapes {
-				if shape[0]+shape[1]+shape[2] <= 18 { // the reference fill is O(49·nmp); keep it quick
-					shapes = append(shapes, shape)
-				}
-			}
-			if name == "blosum62" {
-				shapes = append(shapes, [3]int{70, 67, 72}) // a progressive-MSA merge
-			}
-			for _, shape := range shapes {
-				tr := diffTriple(sch, 4000+int64(shape[0]+shape[1]), shape[0], shape[1], shape[2])
-				ca, cb, cc, err := prepare(tr, sch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n, m, p := len(ca), len(cb), len(cc)
-				st := newScoreTables(ca, cb, cc, sch)
-				f := newAffineFill(sch)
-				for _, q0 := range []alignment.Move{alignment.MoveXXX, alignment.MoveGGX} {
-					want := refAffineFill(ca, cb, cc, sch, q0)
-
-					got := seededGarbage(n, m, p, q0)
-					fillRangeAffine(got, st, &f,
-						wavefront.Span{Lo: 0, Hi: n + 1},
-						wavefront.Span{Lo: 0, Hi: m + 1},
-						wavefront.Span{Lo: 0, Hi: p + 1})
-					for s := 0; s < 7; s++ {
-						wantTensorsEqual(t, got[s], want[s])
+			withLaneAsm(t, func(t *testing.T) {
+				var shapes [][3]int
+				for _, shape := range diffShapes {
+					if shape[0]+shape[1]+shape[2] <= 18 { // the reference fill is O(49·nmp); keep it quick
+						shapes = append(shapes, shape)
 					}
-
-					blocked := seededGarbage(n, m, p, q0)
-					runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
-						fillRangeAffine(blocked, st, &f, si, sj, sk)
-					})
-					for s := 0; s < 7; s++ {
-						wantTensorsEqual(t, blocked[s], want[s])
+				}
+				if name == "blosum62" {
+					shapes = append(shapes, [3]int{70, 67, 72}) // a progressive-MSA merge
+				}
+				for _, shape := range shapes {
+					tr := diffTriple(sch, 4000+int64(shape[0]+shape[1]), shape[0], shape[1], shape[2])
+					ca, cb, cc, err := prepare(tr, sch)
+					if err != nil {
+						t.Fatal(err)
 					}
+					n, m, p := len(ca), len(cb), len(cc)
+					st := newScoreTables(ca, cb, cc, sch)
+					f := newAffineFill(sch)
+					for _, q0 := range []alignment.Move{alignment.MoveXXX, alignment.MoveGGX} {
+						want := refAffineFill(ca, cb, cc, sch, q0)
 
-					// The forward sweep over ca[:i] ends on the reference's
-					// i-plane.
-					plane := mat.NewPlane(m+1, p+1)
-					for i := 0; i <= n; i++ {
-						fwd, err := affineForwardPlanes(context.Background(), ca[:i], cb, cc, sch, q0)
-						if err != nil {
-							t.Fatal(err)
-						}
+						got := seededGarbage(n, m, p, q0)
+						fillRangeAffine(got, st, &f,
+							wavefront.Span{Lo: 0, Hi: n + 1},
+							wavefront.Span{Lo: 0, Hi: m + 1},
+							wavefront.Span{Lo: 0, Hi: p + 1})
 						for s := 0; s < 7; s++ {
-							want[s].PlaneI(i, plane)
-							wantPlanesEqual(t, i, fwd[s], plane)
+							wantTensorsEqual(t, got[s], want[s])
 						}
-						putPlanes7(&fwd)
+
+						blocked := seededGarbage(n, m, p, q0)
+						runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
+							fillRangeAffine(blocked, st, &f, si, sj, sk)
+						})
+						for s := 0; s < 7; s++ {
+							wantTensorsEqual(t, blocked[s], want[s])
+						}
+
+						// The forward sweep over ca[:i] ends on the reference's
+						// i-plane.
+						plane := mat.NewPlane(m+1, p+1)
+						for i := 0; i <= n; i++ {
+							fwd, err := affineForwardPlanes(context.Background(), ca[:i], cb, cc, sch, q0)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for s := 0; s < 7; s++ {
+								want[s].PlaneI(i, plane)
+								wantPlanesEqual(t, i, fwd[s], plane)
+							}
+							putPlanes7(&fwd)
+						}
 					}
+					st.release()
 				}
-				st.release()
-			}
+			})
 		})
 	}
 }

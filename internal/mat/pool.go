@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/faultpoint"
 )
@@ -44,6 +45,29 @@ const (
 )
 
 var cellPools [numWidths][numClasses]sync.Pool
+
+// A sync.Pool holds interfaces, so a pooled slice travels boxed as a *[]T.
+// Get empties the box it took and parks it in cellBoxes, and Put fills a
+// parked box, so a round trip allocates nothing once both pools are warm.
+var cellBoxes [numWidths]sync.Pool
+
+// boxSlice returns a parked (or new) box holding s.
+func boxSlice[T any](p *sync.Pool, s []T) *[]T {
+	b, _ := p.Get().(*[]T)
+	if b == nil {
+		b = new([]T)
+	}
+	*b = s
+	return b
+}
+
+// unboxSlice empties b, parks it in p and returns what it held.
+func unboxSlice[T any](p *sync.Pool, b *[]T) []T {
+	s := *b
+	*b = nil
+	p.Put(b)
+	return s
+}
 
 // poolIndex maps a Cell type onto its width's pool set.
 func poolIndex[T Cell]() int {
@@ -82,15 +106,18 @@ func GetCells[T Cell](n int) []T {
 	if n <= 0 {
 		return nil
 	}
+	w := poolIndex[T]()
 	switch c := sizeClass(n); {
 	case c >= numClasses:
 	case c >= shareClass:
-		if v, _ := sharedCells[poolIndex[T]()][c].get(n).(*[]T); v != nil {
-			return (*v)[:n]
+		if base, capacity := sharedCells[w][c].get(n); base != nil {
+			return unsafe.Slice((*T)(base), capacity)[:n]
 		}
 	default:
-		if v, _ := cellPools[poolIndex[T]()][c].Get().(*[]T); v != nil && cap(*v) >= n {
-			return (*v)[:n]
+		if v, _ := cellPools[w][c].Get().(*[]T); v != nil {
+			if s := unboxSlice(&cellBoxes[w], v); cap(s) >= n {
+				return s[:n]
+			}
 		}
 	}
 	return make([]T, n)
@@ -107,13 +134,13 @@ func PutCells[T Cell](s []T) {
 	if n == 0 {
 		return
 	}
-	s = s[:n]
+	w := poolIndex[T]()
 	switch c := sizeClass(n); {
 	case c >= numClasses:
 	case c >= shareClass:
-		sharedCells[poolIndex[T]()][c].put(&s)
+		sharedCells[w][c].put(unsafe.Pointer(unsafe.SliceData(s)), n)
 	default:
-		cellPools[poolIndex[T]()][c].Put(&s)
+		cellPools[w][c].Put(boxSlice(&cellBoxes[w], s[:n]))
 	}
 }
 
@@ -147,9 +174,11 @@ const (
 // sync.Pool's private slots held; Put drops the smallest beyond it.
 func sharedKeep() int { return runtime.GOMAXPROCS(0) }
 
-// sharedEntry is one listed buffer, a boxed *[]T, and when it was put.
+// sharedEntry is one listed buffer, held unboxed as its base address and
+// capacity in cells of the class's width, and when it was put.
 type sharedEntry struct {
-	buf   any
+	base  unsafe.Pointer
+	cap   int
 	putAt time.Time
 }
 
@@ -164,46 +193,35 @@ var (
 	sweepArmed  atomic.Bool
 )
 
-// capOf reports the capacity of a boxed *[]T of either width.
-func capOf(v any) int {
-	switch s := v.(type) {
-	case *[]int16:
-		return cap(*s)
-	case *[]int32:
-		return cap(*s)
-	}
-	return 0
-}
-
-// get removes and returns the smallest listed buffer with capacity ≥ n,
-// or nil.
-func (sc *sharedClass) get(n int) any {
+// get removes the smallest listed buffer with capacity ≥ n and returns its
+// base and capacity, or a nil base.
+func (sc *sharedClass) get(n int) (unsafe.Pointer, int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	at, best := -1, 0
+	at := -1
 	for x, e := range sc.bufs {
-		if c := capOf(e.buf); c >= n && (at < 0 || c < best) {
-			at, best = x, c
+		if e.cap >= n && (at < 0 || e.cap < sc.bufs[at].cap) {
+			at = x
 		}
 	}
 	if at < 0 {
-		return nil
+		return nil, 0
 	}
-	v := sc.bufs[at].buf
+	e := sc.bufs[at]
 	sc.bufs = slices.Delete(sc.bufs, at, at+1)
-	return v
+	return e.base, e.cap
 }
 
-// put lists a boxed buffer, dropping the smallest listed buffer when the
-// class is full, and makes sure a sweep will expire it.
-func (sc *sharedClass) put(v any) {
+// put lists a buffer, dropping the smallest listed buffer when the class
+// is full, and makes sure a sweep will expire it.
+func (sc *sharedClass) put(base unsafe.Pointer, capacity int) {
 	sc.mu.Lock()
-	sc.bufs = append(sc.bufs, sharedEntry{v, time.Now()})
+	sc.bufs = append(sc.bufs, sharedEntry{base, capacity, time.Now()})
 	if len(sc.bufs) > sharedKeep() {
-		at, least := 0, capOf(sc.bufs[0].buf)
+		at := 0
 		for x, e := range sc.bufs {
-			if c := capOf(e.buf); c < least {
-				at, least = x, c
+			if e.cap < sc.bufs[at].cap {
+				at = x
 			}
 		}
 		sc.bufs = slices.Delete(sc.bufs, at, at+1)
@@ -239,7 +257,7 @@ func sweepShared() {
 				if now.Sub(e.putAt) < idleExpiry {
 					kept = append(kept, e)
 				} else {
-					dropped += int64(capOf(e.buf)) * cellBytes
+					dropped += int64(e.cap) * cellBytes
 				}
 			}
 			clear(sc.bufs[len(kept):])
@@ -264,8 +282,12 @@ func GetScores(n int) []Score { return GetCells[Score](n) }
 func PutScores(s []Score) { PutCells(s) }
 
 // codePools holds the int8 residue-code buffers (reversed sequences in the
-// Hirschberg recursion) under the same size-class discipline.
-var codePools [numClasses]sync.Pool
+// Hirschberg recursion) under the same size-class discipline, and
+// codeBoxes their parked boxes.
+var (
+	codePools [numClasses]sync.Pool
+	codeBoxes sync.Pool
+)
 
 // GetCodes returns an int8 slice of length n with unspecified contents from
 // the code arena. Put it back with PutCodes when no longer referenced.
@@ -277,8 +299,10 @@ func GetCodes(n int) []int8 {
 		return nil
 	}
 	if c := sizeClass(n); c < numClasses {
-		if v, _ := codePools[c].Get().(*[]int8); v != nil && cap(*v) >= n {
-			return (*v)[:n]
+		if v, _ := codePools[c].Get().(*[]int8); v != nil {
+			if s := unboxSlice(&codeBoxes, v); cap(s) >= n {
+				return s[:n]
+			}
 		}
 	}
 	return make([]int8, n)
@@ -295,8 +319,7 @@ func PutCodes(s []int8) {
 		return
 	}
 	if c := sizeClass(n); c < numClasses {
-		s = s[:n]
-		codePools[c].Put(&s)
+		codePools[c].Put(boxSlice(&codeBoxes, s[:n]))
 	}
 }
 

@@ -251,3 +251,26 @@ func TestSharedClassExpires(t *testing.T) {
 		time.Sleep(idleExpiry / 10)
 	}
 }
+
+// raceEnabled is set by race_test.go in -race builds, where sync.Pool
+// drops a share of its Puts at random on purpose.
+var raceEnabled bool
+
+// TestRoundTripAllocatesNothing: once warm, a Get/Put round trip allocates
+// nothing in a per-P class, a shared class or the code arena. Put parks
+// the slice in a recycled box, and a shared class lists it unboxed.
+func TestRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for _, n := range []int{1000, 1<<shareClass + 5} {
+		PutCells(GetCells[int32](n))
+		if a := testing.AllocsPerRun(100, func() { PutCells(GetCells[int32](n)) }); a != 0 {
+			t.Errorf("GetCells/PutCells(%d): %v allocations per round trip, want 0", n, a)
+		}
+	}
+	PutCodes(GetCodes(300))
+	if a := testing.AllocsPerRun(100, func() { PutCodes(GetCodes(300)) }); a != 0 {
+		t.Errorf("GetCodes/PutCodes: %v allocations per round trip, want 0", a)
+	}
+}
