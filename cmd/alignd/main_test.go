@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -29,10 +31,12 @@ func TestRunReportsListenError(t *testing.T) {
 }
 
 // TestServeDrainExitsCleanly boots the real daemon with the result cache
-// on, aligns the same triple twice — a cache miss, then a hit, which
-// proves the -cache-bytes flag reaches the server — then delivers SIGTERM
-// and asserts the drain contract: /readyz flips to 503 while the process
-// is still serving, and run returns nil (exit 0).
+// on and a 64 KiB lattice cap. A 320-residue triple is shed with 413,
+// which proves -max-lattice-bytes reaches the server. The small triple is
+// aligned twice — a cache miss, then a hit, which proves the same of
+// -cache-bytes. Then it delivers SIGTERM and asserts the drain contract:
+// /readyz flips to 503 while the process is still serving, and run
+// returns nil (exit 0).
 func TestServeDrainExitsCleanly(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -43,7 +47,8 @@ func TestServeDrainExitsCleanly(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", addr, "-drain-grace", "300ms", "-workers", "2", "-cache-bytes", "1048576"}, io.Discard)
+		done <- run([]string{"-addr", addr, "-drain-grace", "300ms", "-workers", "2", "-cache-bytes", "1048576",
+			"-max-lattice-bytes", "65536"}, io.Discard)
 	}()
 	base := "http://" + addr
 	waitFor(t, func() bool {
@@ -54,6 +59,24 @@ func TestServeDrainExitsCleanly(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode == http.StatusOK
 	})
+
+	rng := rand.New(rand.NewSource(13))
+	big := func() string {
+		b := make([]byte, 320)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	resp, err := http.Post(base+"/v1/align", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"a":%q,"b":%q,"c":%q}`, big(), big(), big())))
+	if err != nil {
+		t.Fatalf("oversize align: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize align status = %d, want 413", resp.StatusCode)
+	}
 
 	for _, want := range []string{"miss", "hit"} {
 		resp, err := http.Post(base+"/v1/align", "application/json",

@@ -51,6 +51,15 @@ func init() {
 	}
 	for s := 1; s < 8; s++ {
 		affineGroups[s] = newAffineGroup(alignment.Move(s))
+		// The row kernel (affine_amd64.s) charges one open to every one
+		// group and two to every two group, and none into XXX.
+		want := [2]int8{1, 2}
+		if s == 7 {
+			want = [2]int8{0, 0}
+		}
+		if affineGroups[s].opens != want {
+			panic(fmt.Sprintf("core: open counts into mask %s are %v, want %v", alignment.Move(s), affineGroups[s].opens, want))
+		}
 	}
 }
 
@@ -139,9 +148,8 @@ func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, 
 	// d[s-1] holds the best score of prefix alignments whose last column
 	// has mask s. The origin is seeded in state q0 so that the first real
 	// column charges opens relative to the enclosing context.
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
-	f := newAffineFill(sch)
+	f := newAffineFill(ca, cb, cc, sch)
+	defer f.release()
 	var d [7]*mat.Tensor3
 	for s := 0; s < 7; s++ {
 		d[s] = mat.GetTensor3(n+1, m+1, p+1)
@@ -149,78 +157,47 @@ func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, 
 	}
 	seedAffineOrigin(&d, q0)
 
-	// 28 bytes per cell: seven 4-byte lattices, one per affine gap state.
-	ti, tj, tk := opt.tileDims(n+1, m+1, p+1, 28)
-	si := wavefront.Partition(n+1, ti)
-	sj := wavefront.Partition(m+1, tj)
-	sk := wavefront.Partition(p+1, tk)
-	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
-		fillRangeAffine(&d, st, &f, si[bi], sj[bj], sk[bk])
-	}); err != nil {
+	if err := fillAffine(ctx, &d, &f, opt); err != nil {
 		return nil, 0, err
 	}
 	return affineTraceback(d, ca, cb, cc, sch, sEnd)
 }
 
+// fillAffine fills the seven seeded lattices by the blocked wavefront at
+// opt's workers and tile shape.
+func fillAffine(ctx context.Context, d *[7]*mat.Tensor3, f *affineFill, opt Options) error {
+	ni, nj, nk := d[0].Dims()
+	// 28 bytes per cell: seven 4-byte lattices, one per affine gap state.
+	ti, tj, tk := opt.tileDims(ni, nj, nk, 28)
+	si := wavefront.Partition(ni, ti)
+	sj := wavefront.Partition(nj, tj)
+	sk := wavefront.Partition(nk, tk)
+	return wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
+		fillRangeAffine(d, f, si[bi], sj[bj], sk[bk])
+	})
+}
+
 // fillRangeAffine evaluates all seven state lattices over one block in
-// lexicographic order, one grouped-open lane pass per (i, j) lane. Every
-// predecessor cell a state transition reads lies in this block or in an
-// axis-predecessor block, so the blocked wavefront schedule of Run3D is
-// sufficient — the same argument as the linear-gap kernel, applied per
-// state. The pass writes every cell of the block; the caller seeds the
-// origin (seedAffineOrigin) before the block that holds it runs.
-func fillRangeAffine(d *[7]*mat.Tensor3, st *scoreTables, f *affineFill, si, sj, sk wavefront.Span) {
+// lexicographic order, one lane-pass row per i. Every predecessor cell a
+// state transition reads lies in this block or in an axis-predecessor
+// block, so the blocked wavefront schedule of Run3D is sufficient — the
+// same argument as the linear-gap kernel, applied per state. The pass
+// writes every cell of the block; the caller seeds the origin
+// (seedAffineOrigin) before the block that holds it runs.
+func fillRangeAffine(d *[7]*mat.Tensor3, f *affineFill, si, sj, sk wavefront.Span) {
 	if fpFill.Fire() {
 		panic("faultpoint: core.fill.block")
 	}
-	// The lanes at (i, j-1) and (i-1, j-1) are the ones the previous step
-	// gathered as its own and its (i-1) lanes, so after a block's first
-	// column each step gathers two lane sets and rotates the other two in.
-	var lanes [4]affineLanes
-	cur, l10, l01, l11 := &lanes[0], &lanes[1], &lanes[2], &lanes[3]
+	_, _, nk := d[0].Dims()
+	r := affineRow{nk: nk}
 	for i := si.Lo; i < si.Hi; i++ {
-		var abRow, acRow []mat.Score
-		if i > 0 {
-			abRow, acRow = st.ab.Row(i), st.ac.Row(i)
-		}
-		for j := sj.Lo; j < sj.Hi; j++ {
-			cur, l01 = l01, cur
-			l10, l11 = l11, l10
-			tensorLanes(d, i, j, cur)
-			var p10, p01, p11 *affineLanes
-			var sAB mat.Score
-			var bcRow []mat.Score
+		for s := range d {
+			r.cur[s] = d[s].Slab(i)
 			if i > 0 {
-				tensorLanes(d, i-1, j, l10)
-				p10 = l10
+				r.up[s] = d[s].Slab(i - 1)
 			}
-			if j > 0 {
-				if j == sj.Lo {
-					tensorLanes(d, i, j-1, l01)
-				}
-				p01 = l01
-				bcRow = st.bc.Row(j)
-			}
-			if i > 0 && j > 0 {
-				if j == sj.Lo {
-					tensorLanes(d, i-1, j-1, l11)
-				}
-				p11 = l11
-				sAB = abRow[j]
-			}
-			lo := sk.Lo
-			if i == 0 && j == 0 && lo == 0 {
-				lo = 1 // the origin carries the boundary seed
-			}
-			f.lane(cur, p10, p01, p11, sAB, acRow, bcRow, lo, sk.Hi)
 		}
-	}
-}
-
-// tensorLanes gathers the (i, j) lanes of the seven state lattices.
-func tensorLanes(d *[7]*mat.Tensor3, i, j int, dst *affineLanes) {
-	for s := range d {
-		dst[s] = d[s].Lane(i, j)
+		f.row(&r, i, sj.Lo, sj.Hi, sk.Lo, sk.Hi)
 	}
 }
 

@@ -48,14 +48,22 @@ import (
 // bit-identical to the guarded per-cell recurrence (refAffineFill in the
 // tests).
 //
-// On AVX2 hosts the pair loops and the GGX chain run 8 cells per step in
-// affine_amd64.s whenever a walk has 8 cells or more. The pair kernels
-// are the Go loops over vectors. The chain becomes a max-plus prefix
-// scan, which regroups the serial max(v, ·) + ge2 steps by distributing
-// the add over the maximum; that is exact for integers that do not wrap,
-// and with the gap costs bounded by affineVecSafe every candidate stays
-// far inside int32, so the vector pass writes the same lattices bit for
-// bit.
+// On AVX2 hosts one call of affineRow32 (affine_amd64.s) fills every
+// interior lane of a block row: a fixed i ≥ 1, j over the block's span
+// (j ≥ 1) and cells lo..hi-1 with hi-lo ≥ 9, so that every walk has 8
+// cells or more. The kernel finds the (i, j), (i-1, j), (i, j-1) and
+// (i-1, j-1) lanes of all seven states from the row's base pointers and
+// the lane stride, reads sAB and the B-vs-C score row through cb[j-1] and
+// the pair profile, and runs the single cells, the three pair walks and
+// the GGX chain of each lane in the order the Go pass does. The pair
+// walks are the Go loops over vectors. The chain becomes a max-plus
+// prefix scan, which regroups the serial max(v, ·) + ge2 steps by
+// distributing the add over the maximum; that is exact for integers that
+// do not wrap, and with the gap costs bounded by affineVecSafe every
+// candidate stays far inside int32, so the vector pass writes the same
+// lattices bit for bit. Boundary lanes (i = 0 or j = 0), rows of short
+// lanes, hosts without AVX2 and runs with laneAsmEnabled cleared take the
+// Go pass below, which stays the portable implementation.
 
 // affineLanes holds one (i, j) k-lane of each of the seven state lattices,
 // indexed by column mask minus one.
@@ -117,31 +125,42 @@ const (
 	stABC = stA | stB | stC
 )
 
-// affineFill holds one scheme's constants for the lane pass.
+// affineFill holds one fill's inputs and scheme constants for the lane
+// pass: the A and B codes, the pair profile of C (row a is Sub(a, cc[k-1])
+// at k ≥ 1), and the open charges. Release it when the fill is done.
 type affineFill struct {
+	ca, cb   []int8
+	prof     *pairProfile
+	sch      *scoring.Scheme
 	go1, go2 [8]mat.Score // open charge of the one and two groups, per successor mask
 	ge2      mat.Score    // two gap extends: a one-consumer column's base score
-	vec      bool         // run the AVX2 kernels
-	chain    affineChainConsts
+	vec      bool         // run the AVX2 row kernel
+	k        affineRowConsts
 }
 
-// newAffineFill derives the pass constants from sch. The vector kernels
-// are admitted when the host has them, laneAsmEnabled is set and the gap
-// costs pass affineVecSafe; the decision holds for the fill's lifetime.
-func newAffineFill(sch *scoring.Scheme) affineFill {
-	f := affineFill{ge2: 2 * sch.GapExtend()}
+// newAffineFill derives the pass constants from sch and builds the pair
+// profile of cc. The vector kernel is admitted when the host has it,
+// laneAsmEnabled is set and the gap costs pass affineVecSafe; the
+// decision holds for the fill's lifetime.
+func newAffineFill(ca, cb, cc []int8, sch *scoring.Scheme) affineFill {
+	f := affineFill{ca: ca, cb: cb, prof: newPairProfile(cc, sch), sch: sch, ge2: 2 * sch.GapExtend()}
 	for s := 1; s < 8; s++ {
 		f.go1[s] = mat.Score(affineGroups[s].opens[0]) * sch.GapOpen()
 		f.go2[s] = mat.Score(affineGroups[s].opens[1]) * sch.GapOpen()
 	}
 	f.vec = haveLaneAsm && laneAsmEnabled && affineVecSafe(sch)
-	c := &f.chain
-	c.go1, c.go2 = f.go1[stC], f.go2[stC]
-	c.ge2, c.ge2x2, c.ge2x4 = f.ge2, 2*f.ge2, 4*f.ge2
-	for i := range c.ramp {
-		c.ramp[i] = mat.Score(i+1) * f.ge2
+	k := &f.k
+	k.go1, k.go2 = f.go1[stC], f.go2[stC]
+	k.ge2, k.ge2x2, k.ge2x4 = f.ge2, 2*f.ge2, 4*f.ge2
+	for i := range k.ramp {
+		k.ramp[i] = mat.Score(i+1) * f.ge2
 	}
 	return f
+}
+
+func (f *affineFill) release() {
+	f.prof.release()
+	f.prof = nil
 }
 
 // affineVecSafe reports whether sch's gap costs keep the chain scan exact.
@@ -154,49 +173,50 @@ func affineVecSafe(sch *scoring.Scheme) bool {
 	return sch.GapOpen() >= -limit && sch.GapExtend() >= -limit
 }
 
-// affinePairArgs is the argument block of affinePairA32 and
-// affinePairAB32; affineChainArgs and affineChainConsts are those of
-// affineChainC32. The layouts are part of the assembly's contract and
-// pinned by the assertions below.
-type affinePairArgs struct {
-	src              [7]unsafe.Pointer // lanes by mask-1, at the first cell read
-	keep, cons, x, y unsafe.Pointer    // y only for the AB shape
-	n                int64             // cells, at least 8
-	go1, go2, c0, c1 mat.Score
+// affineVecMinCells is the shortest k range the row kernel takes: every
+// pair walk (hi-lo-1 cells) and chain walk then has at least 8 cells.
+const affineVecMinCells = 9
+
+// affineRowArgs is the argument block of affineRow32 and affineRowConsts
+// its constants. The kernel fills lanes j0..j0+lanes-1 of row i, cells
+// lo..hi-1: lane j of state s starts at cur[s] + (j-j0)·stride and its
+// (i-1) lane at up[s] + (j-j0)·stride, so lane j0-1 must exist; cb[j-1]
+// selects lane j's profile row (prof + code·profStride) and sAB = sub[code].
+// The layouts are part of the assembly's contract and pinned by the
+// assertions below.
+type affineRowArgs struct {
+	cur, up            [7]unsafe.Pointer // lane j0 of rows i and i-1, cell 0, by mask-1
+	cb, prof, sub, ac  unsafe.Pointer    // cb[j0-1]; profile row 0; Sub(ca[i-1], ·); profile row of ca[i-1]
+	lanes, stride      int64             // lanes to fill; bytes from lane j to j+1
+	profStride, lo, hi int64             // bytes from profile row a to a+1; hi-lo ≥ affineVecMinCells
 }
 
-type affineChainArgs struct {
-	out unsafe.Pointer    // GGX at the carried cell
-	src [6]unsafe.Pointer // GGX's one and two groups at the carried cell
-	n   int64             // cells, at least 8
-}
-
-type affineChainConsts struct {
-	go1, go2          mat.Score
+type affineRowConsts struct {
+	go1, go2          mat.Score // open charges of the one and two groups (equal for every mask but XXX)
 	ge2, ge2x2, ge2x4 mat.Score
 	_                 int32
 	ramp              [8]mat.Score // (1..8)·ge2
 }
 
 const (
-	affOffPairN     = unsafe.Offsetof(affinePairArgs{}.n)
-	affOffPairGo1   = unsafe.Offsetof(affinePairArgs{}.go1)
-	affOffChainN    = unsafe.Offsetof(affineChainArgs{}.n)
-	affOffChainGE2  = unsafe.Offsetof(affineChainConsts{}.ge2)
-	affOffChainRamp = unsafe.Offsetof(affineChainConsts{}.ramp)
+	affOffRowCB    = unsafe.Offsetof(affineRowArgs{}.cb)
+	affOffRowLanes = unsafe.Offsetof(affineRowArgs{}.lanes)
+	affOffRowHi    = unsafe.Offsetof(affineRowArgs{}.hi)
+	affOffRowGE2   = unsafe.Offsetof(affineRowConsts{}.ge2)
+	affOffRowRamp  = unsafe.Offsetof(affineRowConsts{}.ramp)
 )
 
 var (
-	_ [affOffPairN - 88]byte
-	_ [88 - affOffPairN]byte
-	_ [affOffPairGo1 - 96]byte
-	_ [96 - affOffPairGo1]byte
-	_ [affOffChainN - 56]byte
-	_ [56 - affOffChainN]byte
-	_ [affOffChainGE2 - 8]byte
-	_ [8 - affOffChainGE2]byte
-	_ [affOffChainRamp - 24]byte
-	_ [24 - affOffChainRamp]byte
+	_ [affOffRowCB - 112]byte
+	_ [112 - affOffRowCB]byte
+	_ [affOffRowLanes - 144]byte
+	_ [144 - affOffRowLanes]byte
+	_ [affOffRowHi - 176]byte
+	_ [176 - affOffRowHi]byte
+	_ [affOffRowGE2 - 8]byte
+	_ [8 - affOffRowGE2]byte
+	_ [affOffRowRamp - 24]byte
+	_ [24 - affOffRowRamp]byte
 )
 
 // seedAffineOrigin writes the origin cell of all seven state lattices:
@@ -207,6 +227,108 @@ func seedAffineOrigin(d *[7]*mat.Tensor3, q0 alignment.Move) {
 		d[s].Set(0, 0, 0, mat.NegInf)
 	}
 	d[q0-1].Set(0, 0, 0, 0)
+}
+
+// affineRow addresses row i of the seven state lattices: lane j of state
+// s is cells j·nk … j·nk+nk-1 of cur[s], and of up[s] for row i-1 (nil
+// at i = 0).
+type affineRow struct {
+	cur, up [7][]mat.Score
+	nk      int
+}
+
+// lanes gathers lane j of rows (r.cur or r.up) into dst.
+func (r *affineRow) lanes(rows *[7][]mat.Score, j int, dst *affineLanes) {
+	off := j * r.nk
+	for s := range rows {
+		dst[s] = rows[s][off : off+r.nk]
+	}
+}
+
+// row fills lanes ja..jb-1, cells lo..hi-1, of row i. Every predecessor
+// cell must be complete: cell lo-1 of these lanes when lo > 0, lane ja-1
+// when ja > 0, and the (i-1) lanes. At i = 0, j = 0 and lo = 0 the origin
+// cell is left to its seed.
+func (f *affineFill) row(r *affineRow, i, ja, jb, lo, hi int) {
+	var acRow, subA []mat.Score
+	if i > 0 {
+		acRow, subA = f.prof.Row(f.ca[i-1]), f.sch.SubRow(f.ca[i-1])
+	}
+	if f.vec && i > 0 && hi-lo >= affineVecMinCells {
+		if ja == 0 {
+			f.goLanes(r, acRow, subA, 0, 1, lo, hi)
+			ja = 1
+		}
+		if ja < jb {
+			f.vecLanes(r, acRow, subA, ja, jb, lo, hi)
+		}
+		return
+	}
+	f.goLanes(r, acRow, subA, ja, jb, lo, hi)
+}
+
+// vecLanes runs the row kernel over lanes ja ≥ 1 to jb-1 of an i ≥ 1 row.
+func (f *affineFill) vecLanes(r *affineRow, acRow, subA []mat.Score, ja, jb, lo, hi int) {
+	if ja < 1 || jb-1 > len(f.cb) || lo < 0 || hi > r.nk || len(acRow) != r.nk {
+		panic(fmt.Sprintf("core: affine row kernel out of range: lanes %d..%d cells %d..%d of %d", ja, jb, lo, hi, r.nk))
+	}
+	var a affineRowArgs
+	off, end := ja*r.nk, jb*r.nk // slicing to end checks the last lane is there
+	for s := range a.cur {
+		a.cur[s] = unsafe.Pointer(&r.cur[s][off:end][0])
+		a.up[s] = unsafe.Pointer(&r.up[s][off:end][0])
+	}
+	rows := f.prof.rows
+	a.cb = unsafe.Pointer(&f.cb[ja-1])
+	a.prof = unsafe.Pointer(&rows.Cells()[0])
+	a.sub = unsafe.Pointer(&subA[0])
+	a.ac = unsafe.Pointer(&acRow[0])
+	a.lanes = int64(jb - ja)
+	a.stride = int64(4 * r.nk)
+	a.profStride = int64(4 * rows.Cols())
+	a.lo, a.hi = int64(lo), int64(hi)
+	affineRow32(&a, &f.k)
+}
+
+// goLanes is the portable pass over lanes ja..jb-1. The lanes at (i, j-1)
+// and (i-1, j-1) are the ones the previous step gathered as its own and
+// its (i-1) lanes, so after the first lane each step gathers two lane sets
+// and rotates the other two in.
+func (f *affineFill) goLanes(r *affineRow, acRow, subA []mat.Score, ja, jb, lo, hi int) {
+	var lanes [4]affineLanes
+	cur, l10, l01, l11 := &lanes[0], &lanes[1], &lanes[2], &lanes[3]
+	up := r.up[0] != nil
+	for j := ja; j < jb; j++ {
+		cur, l01 = l01, cur
+		l10, l11 = l11, l10
+		r.lanes(&r.cur, j, cur)
+		var p10, p01, p11 *affineLanes
+		var sAB mat.Score
+		var bcRow []mat.Score
+		if up {
+			r.lanes(&r.up, j, l10)
+			p10 = l10
+		}
+		if j > 0 {
+			if j == ja {
+				r.lanes(&r.cur, j-1, l01)
+			}
+			p01 = l01
+			bcRow = f.prof.Row(f.cb[j-1])
+		}
+		if up && j > 0 {
+			if j == ja {
+				r.lanes(&r.up, j-1, l11)
+			}
+			p11 = l11
+			sAB = subA[f.cb[j-1]]
+		}
+		l := lo
+		if !up && j == 0 && l == 0 {
+			l = 1 // the origin carries the boundary seed
+		}
+		f.lane(cur, p10, p01, p11, sAB, acRow, bcRow, l, hi)
+	}
 }
 
 // lane fills cells lo..hi-1 of the (i, j) k-lane of all seven states. cur
@@ -266,8 +388,8 @@ func (f *affineFill) pair(cur *affineLanes, s int, src *affineLanes, lo, hi int,
 		return
 	}
 	go1, go2 := f.go1[s], f.go2[s]
-	// The A-shaped loops are written for s = A; B runs them over lanes
-	// with A↔B and AC↔BC swapped.
+	// The A-shaped loop is written for s = A; B runs it over lanes with
+	// A↔B and AC↔BC swapped.
 	iA, iB, iAC, iBC := stA-1, stB-1, stAC-1, stBC-1
 	if s == stB {
 		iA, iB, iAC, iBC = iB, iA, iBC, iAC
@@ -280,28 +402,9 @@ func (f *affineFill) pair(cur *affineLanes, s int, src *affineLanes, lo, hi int,
 	vABC := src[stABC-1][lo:][:n]
 	x = x[lo+1:][:n]
 	if s == stAB {
-		y = y[lo+1:][:n]
-	}
-	if f.vec && n >= 8 {
-		var a affinePairArgs
-		a.src[0], a.src[1] = unsafe.Pointer(&vA[0]), unsafe.Pointer(&vB[0])
-		a.src[2], a.src[3] = unsafe.Pointer(&vAB[0]), unsafe.Pointer(&vC[0])
-		a.src[4], a.src[5] = unsafe.Pointer(&vAC[0]), unsafe.Pointer(&vBC[0])
-		a.src[6] = unsafe.Pointer(&vABC[0])
-		a.keep, a.cons, a.x = unsafe.Pointer(&keep[0]), unsafe.Pointer(&cons[0]), unsafe.Pointer(&x[0])
-		a.n = int64(n)
-		a.go1, a.go2, a.c0, a.c1 = go1, go2, c0, c1
-		if s == stAB {
-			a.y = unsafe.Pointer(&y[0])
-			affinePairAB32(&a)
-		} else {
-			affinePairA32(&a)
-		}
-		return
-	}
-	if s == stAB {
 		// AB: own AB, one {A, B}, two {C, AC, BC, ABC}; ABC is the
 		// plain maximum of all seven.
+		y = y[lo+1:][:n]
 		for t := range keep {
 			m1 := max(vA[t], vB[t])
 			m2 := max(vC[t], vAC[t], vBC[t], vABC[t])
@@ -348,16 +451,6 @@ func (f *affineFill) chainC(cur *affineLanes, lo, hi int) {
 	a0, a1 := cur[g.one[0]][w:][:n], cur[g.one[1]][w:][:n]
 	b0, b1 := cur[g.two[0]][w:][:n], cur[g.two[1]][w:][:n]
 	b2, b3 := cur[g.two[2]][w:][:n], cur[g.two[3]][w:][:n]
-	if f.vec && n >= 8 {
-		var a affineChainArgs
-		a.out = unsafe.Pointer(&lane[0])
-		a.src[0], a.src[1] = unsafe.Pointer(&a0[0]), unsafe.Pointer(&a1[0])
-		a.src[2], a.src[3] = unsafe.Pointer(&b0[0]), unsafe.Pointer(&b1[0])
-		a.src[4], a.src[5] = unsafe.Pointer(&b2[0]), unsafe.Pointer(&b3[0])
-		a.n = int64(n)
-		affineChainC32(&a, &f.chain)
-		return
-	}
 	go1, go2, ge2 := f.go1[stC], f.go2[stC], f.ge2
 	v := lane[0]
 	for k := range out {

@@ -125,9 +125,8 @@ func putPlanes7(ps *[7]*mat.Plane) {
 // them with putPlanes7; on error everything is released here.
 func affineForwardPlanes(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, q0 alignment.Move) ([7]*mat.Plane, error) {
 	m, p := len(cb), len(cc)
-	prof := newPairProfile(cc, sch)
-	defer prof.release()
-	f := newAffineFill(sch)
+	f := newAffineFill(ca, cb, cc, sch)
+	defer f.release()
 	var prev, cur [7]*mat.Plane
 	for s := 0; s < 7; s++ {
 		prev[s] = mat.GetPlane(m+1, p+1)
@@ -139,56 +138,24 @@ func affineForwardPlanes(ctx context.Context, ca, cb, cc []int8, sch *scoring.Sc
 	}
 	cur[q0-1].Set(0, 0, 0)
 
-	// As in fillRangeAffine, row j-1 of both planes was the previous
-	// step's own and (i-1) lane set.
-	var lanes [4]affineLanes
-	lc, l10, l01, l11 := &lanes[0], &lanes[1], &lanes[2], &lanes[3]
+	r := affineRow{nk: p + 1}
 	for i := 0; i <= len(ca); i++ {
 		if err := checkCtx(ctx); err != nil {
 			putPlanes7(&prev)
 			putPlanes7(&cur)
 			return [7]*mat.Plane{}, err
 		}
-		var acRow, subAi []mat.Score
-		if i > 0 {
-			acRow, subAi = prof.Row(ca[i-1]), sch.SubRow(ca[i-1])
-		}
-		for j := 0; j <= m; j++ {
-			lc, l01 = l01, lc
-			l10, l11 = l11, l10
-			planeRows(&cur, j, lc)
-			var p10, p01, p11 *affineLanes
-			var sAB mat.Score
-			var bcRow []mat.Score
+		for s := range cur {
+			r.cur[s] = cur[s].Cells()
 			if i > 0 {
-				planeRows(&prev, j, l10)
-				p10 = l10
+				r.up[s] = prev[s].Cells()
 			}
-			if j > 0 {
-				p01 = l01
-				bcRow = prof.Row(cb[j-1])
-			}
-			if i > 0 && j > 0 {
-				p11 = l11
-				sAB = subAi[cb[j-1]]
-			}
-			lo := 0
-			if i == 0 && j == 0 {
-				lo = 1
-			}
-			f.lane(lc, p10, p01, p11, sAB, acRow, bcRow, lo, p+1)
 		}
+		f.row(&r, i, 0, m+1, 0, p+1)
 		prev, cur = cur, prev
 	}
 	putPlanes7(&cur)
 	return prev, nil
-}
-
-// planeRows gathers row j of the seven state planes.
-func planeRows(ps *[7]*mat.Plane, j int, dst *affineLanes) {
-	for s := range ps {
-		dst[s] = ps[s].Row(j)
-	}
 }
 
 // affineBackwardPlanes computes, per prev-mask q, the plane G[q](j, k):

@@ -161,18 +161,17 @@ func FuzzAffineFill(f *testing.F) {
 		}
 		n, m, p := len(ca), len(cb), len(cc)
 		want := refAffineFill(ca, cb, cc, sch, q0)
-		st := newScoreTables(ca, cb, cc, sch)
-		defer st.release()
-		fl := newAffineFill(sch)
+		fl := newAffineFill(ca, cb, cc, sch)
+		defer fl.release()
 
 		seqFill := seededGarbage(n, m, p, q0)
-		fillRangeAffine(seqFill, st, &fl,
+		fillRangeAffine(seqFill, &fl,
 			wavefront.Span{Lo: 0, Hi: n + 1},
 			wavefront.Span{Lo: 0, Hi: m + 1},
 			wavefront.Span{Lo: 0, Hi: p + 1})
 		blocked := seededGarbage(n, m, p, q0)
 		runBlocked3D(n, m, p, 1+int(block%5), func(si, sj, sk wavefront.Span) {
-			fillRangeAffine(blocked, st, &fl, si, sj, sk)
+			fillRangeAffine(blocked, &fl, si, sj, sk)
 		})
 		for s := 0; s < 7; s++ {
 			wantTensorsEqual(t, seqFill[s], want[s])

@@ -89,13 +89,12 @@ func BenchmarkKernelFillRangePackedInterior16(b *testing.B) {
 }
 
 // benchAffineInterior measures the grouped-open affine lane pass over a
-// triple's whole box with prebuilt tables and lattices. The fill writes
+// triple's whole box with a prebuilt pair profile and lattices. The fill writes
 // every cell but the seeded origin, so the lattices are reused across
 // iterations.
 func benchAffineInterior(b *testing.B, ca, cb, cc []int8, sch *scoring.Scheme) {
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
-	f := newAffineFill(sch)
+	f := newAffineFill(ca, cb, cc, sch)
+	defer f.release()
 	var d [7]*mat.Tensor3
 	for s := 0; s < 7; s++ {
 		d[s] = mat.GetTensor3(len(ca)+1, len(cb)+1, len(cc)+1)
@@ -107,7 +106,7 @@ func benchAffineInterior(b *testing.B, ca, cb, cc []int8, sch *scoring.Scheme) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fillRangeAffine(&d, st, &f, si, sj, sk)
+		fillRangeAffine(&d, &f, si, sj, sk)
 	}
 	b.StopTimer() // exclude the metric bookkeeping from the alloc count
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")

@@ -4,12 +4,13 @@ package core
 
 // AVX2 lane kernels: the packed fill paths hand whole 16- (int16) or
 // 8-cell (int32) groups of the unit-stride k lane to hand-written vector
-// code when the CPU supports it, and the affine lane pass does the same
-// with its 8-cell int32 groups (affine_amd64.s). The pure-Go loops in
-// packed.go and affine_lane.go remain the portable implementation; they
-// still run the packed kernels' tail cells after the vector blocks, the
-// affine walks shorter than 8 cells, and everything when AVX2 is absent
-// or laneAsmEnabled is cleared.
+// code when the CPU supports it, and the affine lane pass hands whole
+// block rows of interior lanes to its 8-cell int32 row kernel
+// (affine_amd64.s). The pure-Go loops in packed.go and affine_lane.go
+// remain the portable implementation; they still run the packed kernels'
+// tail cells after the vector blocks, the affine boundary lanes and rows
+// of lanes shorter than 9 cells, and everything when AVX2 is absent or
+// laneAsmEnabled is cleared.
 
 //go:noescape
 func cpuidEx(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -24,13 +25,7 @@ func laneFill16(a *laneArgs16)
 func laneFill32(a *laneArgs32)
 
 //go:noescape
-func affinePairA32(a *affinePairArgs)
-
-//go:noescape
-func affinePairAB32(a *affinePairArgs)
-
-//go:noescape
-func affineChainC32(a *affineChainArgs, k *affineChainConsts)
+func affineRow32(a *affineRowArgs, k *affineRowConsts)
 
 // haveLaneAsm reports whether the vector lane kernels may be used: AVX2
 // present and the OS saving YMM state across context switches.

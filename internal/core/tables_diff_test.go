@@ -225,13 +225,12 @@ func TestAffineFillMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					n, m, p := len(ca), len(cb), len(cc)
-					st := newScoreTables(ca, cb, cc, sch)
-					f := newAffineFill(sch)
+					f := newAffineFill(ca, cb, cc, sch)
 					for _, q0 := range []alignment.Move{alignment.MoveXXX, alignment.MoveGGX} {
 						want := refAffineFill(ca, cb, cc, sch, q0)
 
 						got := seededGarbage(n, m, p, q0)
-						fillRangeAffine(got, st, &f,
+						fillRangeAffine(got, &f,
 							wavefront.Span{Lo: 0, Hi: n + 1},
 							wavefront.Span{Lo: 0, Hi: m + 1},
 							wavefront.Span{Lo: 0, Hi: p + 1})
@@ -241,7 +240,7 @@ func TestAffineFillMatchesReference(t *testing.T) {
 
 						blocked := seededGarbage(n, m, p, q0)
 						runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
-							fillRangeAffine(blocked, st, &f, si, sj, sk)
+							fillRangeAffine(blocked, &f, si, sj, sk)
 						})
 						for s := 0; s < 7; s++ {
 							wantTensorsEqual(t, blocked[s], want[s])
@@ -262,7 +261,7 @@ func TestAffineFillMatchesReference(t *testing.T) {
 							putPlanes7(&fwd)
 						}
 					}
-					st.release()
+					f.release()
 				}
 			})
 		})

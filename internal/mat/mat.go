@@ -93,6 +93,9 @@ func (p *PlaneOf[T]) Row(i int) []T { return p.data[i*p.cols : (i+1)*p.cols] }
 // Fill sets every cell to v.
 func (p *PlaneOf[T]) Fill(v T) { fillCells(p.data, v) }
 
+// Cells returns the backing cells as a shared slice, row i at i·Cols().
+func (p *PlaneOf[T]) Cells() []T { return p.data }
+
 // fillCells sets every element of s to v with the first-element +
 // doubling-copy idiom, which the runtime turns into wide memmove calls —
 // several times faster than an element loop for the NegInf fills the affine
@@ -183,6 +186,10 @@ func (t *Tensor3Of[T]) Lane(i, j int) []T {
 	off := i*t.strideI + j*t.nk
 	return t.data[off : off+t.nk]
 }
+
+// Slab returns the i-th (j,k) plane as a shared slice of nj·nk cells,
+// lane j at j·nk.
+func (t *Tensor3Of[T]) Slab(i int) []T { return t.data[i*t.strideI : (i+1)*t.strideI] }
 
 // PlaneI copies the i-th (j,k) plane into dst, which must be nj×nk.
 func (t *Tensor3Of[T]) PlaneI(i int, dst *PlaneOf[T]) {

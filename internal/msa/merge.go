@@ -118,6 +118,33 @@ func MergePair(a, b *alignment.Multi, sch *scoring.Scheme) (*alignment.Multi, er
 	return m, nil
 }
 
+// PairOptima returns the optimal pairwise score of every pair of seqs under
+// sch's own gap model, as a symmetric matrix with a zero diagonal. These
+// are the terms of the Carrillo–Lipman bound and center-star's center
+// choice; the affine ones come from the score-only Gotoh rows.
+func PairOptima(seqs []*seq.Sequence, sch *scoring.Scheme) [][]mat.Score {
+	n := len(seqs)
+	codes := make([][]int8, n)
+	opt := make([][]mat.Score, n)
+	cells := make([]mat.Score, n*n)
+	for i, s := range seqs {
+		codes[i] = s.Codes()
+		opt[i] = cells[i*n : (i+1)*n]
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			var s mat.Score
+			if sch.Affine() {
+				s = pairwise.GlobalAffineScore(codes[i], codes[j], sch)
+			} else {
+				s = pairwise.GlobalScore(codes[i], codes[j], sch)
+			}
+			opt[i][j], opt[j][i] = s, s
+		}
+	}
+	return opt
+}
+
 // CenterStarN generalizes the pairwise center-star heuristic to N
 // sequences: the center maximizes its summed optimal pairwise score against
 // all others, each satellite is aligned pairwise against the center, and
@@ -125,9 +152,29 @@ func MergePair(a, b *alignment.Multi, sch *scoring.Scheme) (*alignment.Multi, er
 // back in input order. This is the pre-guide-tree baseline the progressive
 // 3-way path is measured against.
 func CenterStarN(seqs []*seq.Sequence, sch *scoring.Scheme) (*alignment.Multi, error) {
-	n := len(seqs)
+	if err := checkStarSize(len(seqs)); err != nil {
+		return nil, err
+	}
+	return CenterStarFromOptima(seqs, sch, PairOptima(seqs, sch))
+}
+
+func checkStarSize(n int) error {
 	if n < 1 || n > alignment.MaxRows {
-		return nil, fmt.Errorf("msa: center-star over %d sequences", n)
+		return fmt.Errorf("msa: center-star over %d sequences", n)
+	}
+	return nil
+}
+
+// CenterStarFromOptima is CenterStarN with the pair optima already
+// computed (PairOptima), so a caller that also needs them for the bound
+// runs each pairwise fill once.
+func CenterStarFromOptima(seqs []*seq.Sequence, sch *scoring.Scheme, opt [][]mat.Score) (*alignment.Multi, error) {
+	n := len(seqs)
+	if err := checkStarSize(n); err != nil {
+		return nil, err
+	}
+	if len(opt) != n {
+		return nil, fmt.Errorf("msa: center-star over %d sequences with %d rows of pair optima", n, len(opt))
 	}
 	if n == 1 {
 		m := alignment.NewLeaf(seqs[0])
@@ -138,14 +185,8 @@ func CenterStarN(seqs []*seq.Sequence, sch *scoring.Scheme) (*alignment.Multi, e
 	sums := make([]mat.Score, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			var s mat.Score
-			if sch.Affine() {
-				s = pairwise.GlobalAffine(seqs[i].Codes(), seqs[j].Codes(), sch).Score
-			} else {
-				s = pairwise.GlobalScore(seqs[i].Codes(), seqs[j].Codes(), sch)
-			}
-			sums[i] += s
-			sums[j] += s
+			sums[i] += opt[i][j]
+			sums[j] += opt[i][j]
 		}
 	}
 	center := 0

@@ -59,6 +59,18 @@ func BenchmarkGlobalAffine(b *testing.B) {
 	}
 }
 
+func BenchmarkGlobalAffineScore(b *testing.B) {
+	a, bb := benchPair(500)
+	sch, err := scoring.DNADefault().WithGaps(-4, -1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pairSink = GlobalAffineScore(a, bb, sch)
+	}
+}
+
 // BenchmarkForward and BenchmarkBackward time the plane fills a bounded
 // request makes six of (three forward, three suffix) at n=300.
 func BenchmarkForward(b *testing.B) {

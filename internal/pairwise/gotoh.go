@@ -127,6 +127,43 @@ func gotohFill(mm, xx, yy *mat.Plane, a, b []int8, sch *scoring.Scheme) {
 	}
 }
 
+// GlobalAffineScore is GlobalAffine's optimal score without the
+// alignment: the same recurrence and maxima as gotohFill over three rows
+// that roll down a, one per state, and no traceback.
+func GlobalAffineScore(a, b []int8, sch *scoring.Scheme) mat.Score {
+	m := len(b)
+	ge := sch.GapExtend()
+	gog := sch.GapOpen() + ge
+	rows := mat.GetPlane(3, m+1)
+	defer mat.PutPlane(rows)
+	mm := rows.Row(0)[: m+1 : m+1]
+	xx := rows.Row(1)[: m+1 : m+1]
+	yy := rows.Row(2)[: m+1 : m+1]
+	mm[0], xx[0], yy[0] = 0, mat.NegInf, mat.NegInf
+	for j := 1; j <= m; j++ {
+		mm[j], xx[j] = mat.NegInf, mat.NegInf
+		yy[j] = sch.GapOpen() + mat.Score(j)*ge
+	}
+	for i := 1; i <= len(a); i++ {
+		sub := sch.SubRow(a[i-1])
+		// (dm, dx, dy) is row i-1 at column j-1, carried past its
+		// overwrite; (lm, lx, ly) is row i at column j-1.
+		dm, dx, dy := mm[0], xx[0], yy[0]
+		lm, lx, ly := mat.NegInf, sch.GapOpen()+mat.Score(i)*ge, mat.NegInf
+		mm[0], xx[0], yy[0] = lm, lx, ly
+		mr, xr, yr := mm[1:][:len(b)], xx[1:][:len(b)], yy[1:][:len(b)]
+		for j, c := range b {
+			pm, px, py := mr[j], xr[j], yr[j]
+			lm, lx, ly = max(dm, dx, dy)+sub[c],
+				max(pm+gog, px+ge, py+gog),
+				max(lm+gog, ly+ge, lx+gog)
+			mr[j], xr[j], yr[j] = lm, lx, ly
+			dm, dx, dy = pm, px, py
+		}
+	}
+	return max(mm[m], xx[m], yy[m])
+}
+
 // RescoreAffine recomputes the affine-gap score of ops: every maximal run
 // of OpA or OpB pays gapOpen once plus gapExtend per column.
 func RescoreAffine(ops []Op, a, b []int8, sch *scoring.Scheme) (mat.Score, error) {

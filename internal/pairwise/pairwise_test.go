@@ -349,6 +349,10 @@ func TestGlobalAffineMatchesBruteForce(t *testing.T) {
 			if na, nb := Consumed(r.Ops); na != len(a) || nb != len(b) {
 				t.Fatalf("trial %d: ops consume %d/%d, want %d/%d", trial, na, nb, len(a), len(b))
 			}
+			if got := GlobalAffineScore(a, b, sch); got != r.Score {
+				t.Fatalf("open=%d extend=%d trial %d: GlobalAffineScore = %d, GlobalAffine = %d (a=%v b=%v)",
+					sch.GapOpen(), sch.GapExtend(), trial, got, r.Score, a, b)
+			}
 		}
 	}
 }

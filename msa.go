@@ -10,7 +10,6 @@ import (
 	"repro/internal/alignment"
 	"repro/internal/mat"
 	"repro/internal/msa"
-	"repro/internal/pairwise"
 	"repro/internal/seq"
 )
 
@@ -134,26 +133,13 @@ func resolveMSAScheme(seqs []*Sequence, opt MSAOptions) (*Scheme, error) {
 	return DefaultScheme(seqs[0].Alphabet())
 }
 
-// pairOptimal is the optimal pairwise score under the scheme's own gap
-// model — the per-pair term of the Carrillo–Lipman bound.
-func pairOptimal(a, b []int8, sch *Scheme) mat.Score {
-	if sch.Affine() {
-		return pairwise.GlobalAffine(a, b, sch).Score
-	}
-	return pairwise.GlobalScore(a, b, sch)
-}
-
-// sumOfPairsBound is the Carrillo–Lipman upper bound: sum of optimal
-// pairwise scores over all pairs.
-func sumOfPairsBound(seqs []*Sequence, sch *Scheme) mat.Score {
-	codes := make([][]int8, len(seqs))
-	for i, s := range seqs {
-		codes[i] = s.Codes()
-	}
+// sumOfPairsBound is the Carrillo–Lipman upper bound: the sum of the
+// optimal pairwise scores over all pairs.
+func sumOfPairsBound(opt [][]mat.Score) mat.Score {
 	var total mat.Score
-	for i := range codes {
-		for j := i + 1; j < len(codes); j++ {
-			total += pairOptimal(codes[i], codes[j], sch)
+	for i := range opt {
+		for j := i + 1; j < len(opt); j++ {
+			total += opt[i][j]
 		}
 	}
 	return total
@@ -215,7 +201,7 @@ func AlignMSA(ctx context.Context, seqs []*Sequence, opt MSAOptions) (*MSAResult
 			Elapsed: r.Elapsed, Degraded: r.Degraded,
 		}}
 		res.Degraded = r.Degraded
-		res.UpperBound = sumOfPairsBound(seqs, sch)
+		res.UpperBound = sumOfPairsBound(msa.PairOptima(seqs, sch))
 		res.OptimalityGap = res.UpperBound - res.Score
 		res.CenterStarScore = res.Score
 		res.Elapsed = time.Since(start)
@@ -328,10 +314,13 @@ func AlignMSA(ctx context.Context, seqs []*Sequence, opt MSAOptions) (*MSAResult
 	}
 	prog.Score = prog.SPScoreFor(sch)
 
+	// One pairwise fill per pair serves both the center-star baseline and
+	// the bound.
+	optima := msa.PairOptima(seqs, sch)
 	if len(seqs) >= 4 {
 		// The progressive result must never lose to the center-star
 		// baseline it replaced; keep whichever scores better.
-		cs, err := msa.CenterStarN(seqs, sch)
+		cs, err := msa.CenterStarFromOptima(seqs, sch, optima)
 		if err != nil {
 			return nil, err
 		}
@@ -360,7 +349,7 @@ func AlignMSA(ctx context.Context, seqs []*Sequence, opt MSAOptions) (*MSAResult
 
 	res.Profile = prog
 	res.Score = prog.Score
-	res.UpperBound = sumOfPairsBound(seqs, sch)
+	res.UpperBound = sumOfPairsBound(optima)
 	res.OptimalityGap = res.UpperBound - res.Score
 	res.Elapsed = time.Since(start)
 	return res, nil

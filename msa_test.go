@@ -2,9 +2,12 @@ package repro
 
 import (
 	"context"
+	"hash/fnv"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/msa"
+	"repro/internal/pairwise"
 )
 
 func msaFamily(seed int64, count, length int, sub float64) []*Sequence {
@@ -226,5 +229,120 @@ func TestAlignMsaAffineScheme(t *testing.T) {
 	}
 	if res.OptimalityGap < 0 {
 		t.Fatalf("affine score %d beats bound %d", res.Score, res.UpperBound)
+	}
+}
+
+// msaParentCase builds case c of the 20-family suite: N = 3…8, the first
+// ten DNA (even cases under -4/-1 affine gaps, odd ones under the default
+// linear scheme), the last ten protein under BLOSUM62's -11/-1.
+func msaParentCase(t *testing.T, c int) ([]*Sequence, *Scheme) {
+	t.Helper()
+	n := 3 + c%6
+	if c < 10 {
+		sch := DefaultSchemeMust(t)
+		if c%2 == 0 {
+			aff, err := sch.WithGaps(-4, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sch = aff
+		}
+		return msaFamily(900+int64(c), n, 28+2*c, 0.2), sch
+	}
+	sch, err := DefaultScheme(Protein)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGenerator(Protein, 900+int64(c))
+	return g.RelatedFamily(n, 30+2*c, MutationModel{SubstitutionRate: 0.2, InsertionRate: 0.04, DeletionRate: 0.04}), sch
+}
+
+// rowsDigest is the FNV-1a hash of the aligned rows, one per line.
+func rowsDigest(rows []string) uint64 {
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{'\n'})
+	}
+	return h.Sum64()
+}
+
+// msaParentGolden holds, per msaParentCase, the UpperBound,
+// CenterStarScore, Score and rowsDigest of AlignMSA as it ran before one
+// set of pair optima served both the bound and center-star (each pair's
+// full Gotoh fill with traceback, run once per use).
+var msaParentGolden = [20]struct {
+	upper, center, score mat.Score
+	rows                 uint64
+}{
+	{30, 24, 24, 0xf045c6a0b5ea4f94},
+	{114, 90, 108, 0x5b72d2e7e287e8b1},
+	{140, 34, 34, 0xd572c574fff0d2a8},
+	{321, 231, 252, 0x7cb4beef8bba7713},
+	{338, 91, 109, 0xb2e276c158d15491},
+	{910, 697, 808, 0x300103fc5b968645},
+	{50, 47, 47, 0xf6f01f7866a8cbab},
+	{195, 168, 180, 0x18d9cf0302da091c},
+	{185, 29, 42, 0x0e417f903bfadec1},
+	{557, 347, 491, 0x4cc9074b77253e6a},
+	{1599, 699, 919, 0xcff083d06bd7b6b8},
+	{3368, 2925, 2925, 0x2b784a272791a8b0},
+	{176, 151, 151, 0xc9d6007cc97057cb},
+	{608, 399, 500, 0x93e2db1783252ec6},
+	{1149, 817, 817, 0xee02a3d93b135467},
+	{1756, 1165, 1401, 0x9e919774809bbe73},
+	{3199, 2697, 2697, 0xeaa7885e71356e6b},
+	{3028, 2114, 2114, 0xd9e8422736edc585},
+	{292, 260, 260, 0xcebbecaab0534d9f},
+	{773, 538, 668, 0x400cc38d976de7e1},
+}
+
+// TestAlignMsaMatchesParentConstruction pins AlignMSA on 20 DNA and
+// BLOSUM62 families with N = 3…8 to the construction that computed every
+// pair optimum with its own full fill: UpperBound equals the sum of
+// pairwise.GlobalAffine (GlobalScore under linear gaps) scores over all
+// pairs, CenterStarScore equals center-star over those optima, and
+// CenterStarScore, Score and the rows equal the recorded results.
+func TestAlignMsaMatchesParentConstruction(t *testing.T) {
+	for c, want := range msaParentGolden {
+		fam, sch := msaParentCase(t, c)
+		res, err := AlignMSA(context.Background(), fam, MSAOptions{Options: Options{Scheme: sch}})
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		opt := make([][]mat.Score, len(fam))
+		for i := range opt {
+			opt[i] = make([]mat.Score, len(fam))
+		}
+		var bound mat.Score
+		for i := range fam {
+			for j := i + 1; j < len(fam); j++ {
+				a, b := fam[i].Codes(), fam[j].Codes()
+				s := pairwise.GlobalScore(a, b, sch)
+				if sch.Affine() {
+					s = pairwise.GlobalAffine(a, b, sch).Score
+				}
+				opt[i][j], opt[j][i] = s, s
+				bound += s
+			}
+		}
+		if res.UpperBound != bound || bound != want.upper {
+			t.Fatalf("case %d: UpperBound %d, sum of pair optima %d, recorded %d", c, res.UpperBound, bound, want.upper)
+		}
+		if len(fam) >= 4 {
+			cs, err := msa.CenterStarFromOptima(fam, sch, opt)
+			if err != nil {
+				t.Fatalf("case %d: %v", c, err)
+			}
+			if res.CenterStarScore != cs.Score {
+				t.Fatalf("case %d: CenterStarScore %d, center-star over full-fill optima %d", c, res.CenterStarScore, cs.Score)
+			}
+		}
+		if res.CenterStarScore != want.center || res.Score != want.score {
+			t.Fatalf("case %d: CenterStarScore %d, Score %d; recorded %d, %d", c, res.CenterStarScore, res.Score, want.center, want.score)
+		}
+		if got := rowsDigest(res.Profile.RowStrings()); got != want.rows {
+			t.Fatalf("case %d: rows digest %#016x, recorded %#016x", c, got, want.rows)
+		}
 	}
 }
