@@ -3,14 +3,11 @@ package repro
 // Integration tests for the serving-cache support surface in the root
 // package: AlignSeeded (the near-duplicate patch-up primitive) must be
 // bit-identical to a full alignment whenever its seed is a valid lower
-// bound and fail detectably otherwise, and Options.Sketch must let a
-// caller hand the planner's identity probe a pre-built k-mer sketch.
+// bound and fail detectably otherwise.
 
 import (
 	"context"
 	"testing"
-
-	"repro/internal/seq"
 )
 
 // TestAlignSeededBitIdenticalToFull seeds the bounded kernel with bounds of
@@ -87,35 +84,5 @@ func TestAlignSeededHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := AlignSeeded(ctx, tr, Options{}, -1000); err == nil {
 		t.Fatal("cancelled context accepted")
-	}
-}
-
-// TestOptionsSketchReusedByProbe: handing the planner a pre-built sketch
-// must not change what it plans — and a sketch of the wrong k must be
-// ignored rather than honored or crashed on. (The sharing itself is the
-// point: the serving layer sketches once for its near-duplicate prescreen
-// and the planner probe rides the same profiles.)
-func TestOptionsSketchReusedByProbe(t *testing.T) {
-	g := NewGenerator(DNA, 59)
-	tr := g.RelatedTriple(180, MutationModel{SubstitutionRate: 0.04})
-
-	bare, err := PlanAlign(tr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withSketch, err := PlanAlign(tr, Options{Sketch: SketchTriple(tr)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Algorithm != withSketch.Algorithm || bare.EstCells != withSketch.EstCells {
-		t.Fatalf("pre-built sketch changed the plan: %+v vs %+v", bare, withSketch)
-	}
-
-	badSketch, err := PlanAlign(tr, Options{Sketch: seq.SketchTriple(tr, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.Algorithm != badSketch.Algorithm || bare.EstCells != badSketch.EstCells {
-		t.Fatalf("wrong-k sketch changed the plan: %+v vs %+v", bare, badSketch)
 	}
 }

@@ -89,6 +89,23 @@ func TestExplainRendersDowngrade(t *testing.T) {
 	}
 }
 
+// TestExplainRendersBandFirst: a long linear-gap triple plans the
+// Carrillo–Lipman band in front of its dense fallback, and -explain names
+// both.
+func TestExplainRendersBandFirst(t *testing.T) {
+	fasta := ">a\n" + strings.Repeat("ACGTTGCA", 18) + "\n>b\n" + strings.Repeat("ACGTTGCA", 17) + "ACGATGCA" +
+		"\n>c\n" + "ACCTTGCA" + strings.Repeat("ACGTTGCA", 17) + "\n"
+	out := runCLI(t, []string{"-explain"}, fasta)
+	for _, want := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^algorithm: bounded `),
+		regexp.MustCompile(`(?m)^band first: falls back to parallel if the counted band exceeds \d+ cells$`),
+	} {
+		if !want.MatchString(out) {
+			t.Fatalf("explain output missing %s:\n%s", want, out)
+		}
+	}
+}
+
 func TestRunInputFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.fasta")
 	if err := os.WriteFile(path, []byte(testFASTA), 0o644); err != nil {

@@ -105,14 +105,14 @@ func AlignAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Opt
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	bound := trivial.Score
-	for _, l := range lower {
-		if l > bound {
-			bound = l
-		}
-	}
 	sc := newSuffixCtx(ca, cb, cc, sch)
 	defer sc.release()
+	return astarSearch(ctx, tr, ca, cb, cc, sch, opt, sc, max(trivial.Score, maxBound(lower)))
+}
+
+// astarSearch is AlignAStar's search over filled suffix planes, from the
+// lower bound bound.
+func astarSearch(ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, sc *suffixCtx, bound mat.Score) (*alignment.Alignment, PruneStats, error) {
 	st := newScoreTables(ca, cb, cc, sch)
 	defer st.release()
 

@@ -29,15 +29,9 @@ type boundCtx struct {
 	bound         mat.Score
 }
 
-// newBoundCtx turns the triple's three Forward planes into its through
-// planes in place, adding each pair's suffix lattice into its forward
-// plane. The context only views the planes; whoever filled them releases
-// them.
-func newBoundCtx(fwd pairwise.Planes, ca, cb, cc []int8, sch *scoring.Scheme, bound mat.Score) *boundCtx {
-	pairwise.AddBackward(fwd[pairwise.AB], ca, cb, sch)
-	pairwise.AddBackward(fwd[pairwise.AC], ca, cc, sch)
-	pairwise.AddBackward(fwd[pairwise.BC], cb, cc, sch)
-	return &boundCtx{tAB: fwd[pairwise.AB], tAC: fwd[pairwise.AC], tBC: fwd[pairwise.BC], bound: bound}
+// throughCtx views through planes as a bound context.
+func throughCtx(th pairwise.Planes, bound mat.Score) *boundCtx {
+	return &boundCtx{tAB: th[pairwise.AB], tAC: th[pairwise.AC], tBC: th[pairwise.BC], bound: bound}
 }
 
 // planeBytes reports the resident footprint of the projection planes.

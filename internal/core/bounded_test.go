@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -137,12 +138,11 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, cb, cc, err := prepare(tr, dnaSch)
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, pairwise.Planes{}, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fwd := pairwise.Forwards(ca, cb, cc, dnaSch)
-		bc := newBoundCtx(fwd, ca, cb, cc, dnaSch, ref.Score)
+		bc := pre.bounded(ref.Score)
 		i, j, k := 0, 0, 0
 		if !bc.admissible(0, 0, 0) {
 			t.Fatalf("trial %d: origin inadmissible at bound=optimum", trial)
@@ -155,7 +155,7 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 					trial, i, j, k, ref.Score)
 			}
 		}
-		fwd.Release()
+		pre.Release()
 	}
 }
 
@@ -263,7 +263,7 @@ func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := AlignBoundedOn(context.Background(), tr, dnaSch, Options{}, pairwise.Forwards(ca, cb, cc, dnaSch))
+		got, _, err := AlignBoundedOn(context.Background(), tr, dnaSch, Options{}, pairwise.Forwards(ca, cb, cc, dnaSch, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,4 +279,69 @@ func movesOf(a *alignment.Alignment) []byte {
 		out[x] = byte(m)
 	}
 	return out
+}
+
+// TestPrefixMatchesStandaloneKernels: a prefix built from swept forward
+// and suffix planes counts, fills and searches exactly as the standalone
+// kernels do, and on triples short enough that SampleCells reads every
+// row of A its estimate is the exact band count, before and after the
+// through planes exist.
+func TestPrefixMatchesStandaloneKernels(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 24; trial++ {
+		n := 1 + rng.Intn(bandSampleRows-1)
+		if trial%2 == 1 {
+			n = 10 + rng.Intn(40)
+		}
+		tr := relatedTriple(rng.Int63(), n, 0.05+0.3*rng.Float64())
+		ca, cb, cc, err := prepare(tr, dnaSch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lower := mat.Score(-5 * n)
+		wantBand, wantBandSt, err := AlignBounded(ctx, tr, dnaSch, Options{}, lower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantStar, wantStarSt, err := AlignAStar(ctx, tr, dnaSch, Options{}, lower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, astar := range []bool{false, true} {
+			fwd, bwd := pairwise.Sweeps(ca, cb, cc, dnaSch, 2)
+			pre, err := NewPrefix(tr, dnaSch, fwd, bwd, 2, astar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sampled := pre.SampleCells(lower, math.MaxInt64)
+			band := pre.Plan(lower)
+			if tr.A.Len()+1 <= bandSampleRows {
+				if resampled := pre.SampleCells(lower, math.MaxInt64); sampled != band.Stats().EvaluatedCells || resampled != sampled {
+					t.Fatalf("trial %d: sampled %d cells before and %d after the through planes, band holds %d",
+						trial, sampled, resampled, band.Stats().EvaluatedCells)
+				}
+			}
+			var (
+				got   *alignment.Alignment
+				st    PruneStats
+				want  *alignment.Alignment
+				wantS PruneStats
+			)
+			if astar {
+				got, st, err = pre.AStar(ctx, Options{}, lower)
+				want, wantS = wantStar, wantStarSt
+			} else {
+				got, st, err = band.Fill(ctx, Options{})
+				want, wantS = wantBand, wantBandSt
+			}
+			pre.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != wantS || !sameMoves(got.Moves, want.Moves) || got.Score != want.Score {
+				t.Fatalf("trial %d (astar=%v): prefix run %+v, standalone %+v", trial, astar, st, wantS)
+			}
+		}
+	}
 }

@@ -125,25 +125,24 @@ func CenterStarRefined(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment
 	if err != nil {
 		return nil, err
 	}
-	return refineBelow(aln, upper, sch)
+	return RefineBelow(aln, upper, sch)
 }
 
-// CenterStarRefinedOn is CenterStarRefined over the triple's three Forward
-// planes (pairwise.Forwards of A, B and C), which the caller filled and
-// keeps: a bounded search reuses them for its through planes. tr must be
-// valid.
-func CenterStarRefinedOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*alignment.Alignment, error) {
-	aln, upper, err := centerStar(tr, sch, fwd.Optima(), planeOps(fwd, []*seq.Sequence{tr.A, tr.B, tr.C}, sch))
-	if err != nil {
-		return nil, err
-	}
-	return refineBelow(aln, upper, sch)
+// CenterStarOn is CenterStar over the triple's three Forward planes
+// (pairwise.Forwards of A, B and C), which the caller filled and keeps: the
+// pair optima pick the center, and both center-satellite alignments are
+// traced on the planes, so nothing is filled. It also returns the pairwise
+// upper bound U = optAB + optAC + optBC, which no alignment's SP score
+// exceeds. A bounded search seeds with CenterStarOn and RefineBelow, and
+// reuses the planes for its through planes. tr must be valid.
+func CenterStarOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*alignment.Alignment, mat.Score, error) {
+	return centerStar(tr, sch, fwd.Optima(), planeOps(fwd, []*seq.Sequence{tr.A, tr.B, tr.C}, sch))
 }
 
-// refineBelow refines a center-star alignment unless it already scores
+// RefineBelow refines a center-star alignment unless it already scores
 // the pairwise upper bound U: no alignment scores above U, so no round
 // could improve it, and the result is the one Refine would return.
-func refineBelow(aln *alignment.Alignment, upper mat.Score, sch *scoring.Scheme) (*alignment.Alignment, error) {
+func RefineBelow(aln *alignment.Alignment, upper mat.Score, sch *scoring.Scheme) (*alignment.Alignment, error) {
 	if aln.Score == upper {
 		return aln, nil
 	}

@@ -292,8 +292,12 @@ func TestSeedMatchesCenterStarRefined(t *testing.T) {
 	atBound, belowBound := 0, 0
 	for _, c := range seedCases(t) {
 		codes := refCodes(c.tr)
-		fwd := pairwise.Forwards(codes[0], codes[1], codes[2], c.sch)
-		seed, err := CenterStarRefinedOn(c.tr, c.sch, fwd)
+		fwd := pairwise.Forwards(codes[0], codes[1], codes[2], c.sch, 1)
+		star, upper, err := CenterStarOn(c.tr, c.sch, fwd)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		seed, err := RefineBelow(star, upper, c.sch)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

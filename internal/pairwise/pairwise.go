@@ -11,6 +11,8 @@ package pairwise
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/mat"
 	"repro/internal/scoring"
@@ -115,46 +117,74 @@ func Forward(a, b []int8, sch *scoring.Scheme) *mat.Plane {
 	for j := 1; j <= m; j++ {
 		row0[j] = row0[j-1] + ge
 	}
+	prof := newProfile(b, sch)
 	for i := 1; i <= n; i++ {
 		prev := f.Row(i - 1)
 		cur := f.Row(i)
 		cur[0] = prev[0] + ge
-		forwardRow(prev, cur, sch.SubRow(a[i-1]), b, ge)
+		forwardRow(prev, cur, prof.row(a[i-1]), ge)
 	}
+	prof.release()
 	return f
 }
 
 // forwardRow fills cur[1:] with row i of the Forward recurrence
 //
-//	F[i][j] = max(F[i-1][j-1] + sub[b[j-1]], F[i-1][j] + ge, F[i][j-1] + ge)
+//	F[i][j] = max(F[i-1][j-1] + sub[j-1], F[i-1][j] + ge, F[i][j-1] + ge)
 //
-// from prev = row i-1 and the already-set cur[0].
-func forwardRow(prev, cur, sub []mat.Score, b []int8, ge mat.Score) {
-	m := len(b)
+// from prev = row i-1 and the already-set cur[0], where sub is the
+// profile row of a[i-1] (sub[j] = sub(a[i-1], b[j])).
+func forwardRow(prev, cur, sub []mat.Score, ge mat.Score) {
+	m := len(sub)
 	prev, cur = prev[:m+1:m+1], cur[:m+1:m+1]
 	diag, left := prev[0], cur[0]
-	for j := 1; j <= m; j++ {
-		up := prev[j]
-		best := max(diag+sub[b[j-1]], up+ge, left+ge)
-		cur[j] = best
+	for j, s := range sub {
+		up := prev[j+1]
+		best := max(diag+s, up+ge, left+ge)
+		cur[j+1] = best
 		diag, left = up, best
 	}
 }
 
 // backwardRow is forwardRow mirrored for the suffix recurrence: it fills
 // cur[:m] with row i from next = row i+1 and the already-set cur[m],
-// scanning from j = m-1 down to 0.
-func backwardRow(next, cur, sub []mat.Score, b []int8, ge mat.Score) {
-	m := len(b)
+// scanning from j = m-1 down to 0, where sub is the profile row of a[i].
+func backwardRow(next, cur, sub []mat.Score, ge mat.Score) {
+	m := len(sub)
 	next, cur = next[:m+1:m+1], cur[:m+1:m+1]
 	diag, right := next[m], cur[m]
 	for j := m - 1; j >= 0; j-- {
 		down := next[j]
-		best := max(diag+sub[b[j]], down+ge, right+ge)
+		best := max(diag+sub[j], down+ge, right+ge)
 		cur[j] = best
 		diag, right = down, best
 	}
 }
+
+// profile is b's query profile under a scheme: row c holds sub(c, b[j])
+// for every j, so a sweep over b reads each row's scores in order instead
+// of looking every one up by residue.
+type profile struct {
+	scores []mat.Score
+	m      int
+}
+
+func newProfile(b []int8, sch *scoring.Scheme) profile {
+	size := len(sch.SubRow(0))
+	p := profile{scores: mat.GetScores(size * len(b)), m: len(b)}
+	for c := range size {
+		sub, row := sch.SubRow(int8(c)), p.row(int8(c))
+		for j, r := range b {
+			row[j] = sub[r]
+		}
+	}
+	return p
+}
+
+// row is the profile row of residue code c.
+func (p profile) row(c int8) []mat.Score { return p.scores[int(c)*p.m : (int(c)+1)*p.m] }
+
+func (p profile) release() { mat.PutScores(p.scores) }
 
 // Backward returns the suffix lattice: B[i][j] is the optimal score of
 // aligning a[i:] with b[j:]. It runs the suffix recurrence directly, from
@@ -206,15 +236,17 @@ func suffixSweep(a, b []int8, sch *scoring.Scheme, row func(i int) []mat.Score, 
 	if done != nil {
 		done(n, next)
 	}
+	prof := newProfile(b, sch)
 	for i := n - 1; i >= 0; i-- {
 		cur := row(i)[: m+1 : m+1]
 		cur[m] = next[m] + ge
-		backwardRow(next, cur, sch.SubRow(a[i]), b, ge)
+		backwardRow(next, cur, prof.row(a[i]), ge)
 		if done != nil {
 			done(i, cur)
 		}
 		next = cur
 	}
+	prof.release()
 }
 
 // Indices of a triple's three pairs in Planes.
@@ -230,9 +262,92 @@ const (
 // alignments, and — after AddBackward — the Carrillo–Lipman through planes.
 type Planes [3]*mat.Plane
 
-// Forwards fills the Forward planes of the three pairs of (a, b, c).
-func Forwards(a, b, c []int8, sch *scoring.Scheme) Planes {
-	return Planes{Forward(a, b, sch), Forward(a, c, sch), Forward(b, c, sch)}
+// Forwards fills the Forward planes of the three pairs of (a, b, c), one
+// pair per goroutine on up to workers goroutines.
+func Forwards(a, b, c []int8, sch *scoring.Scheme, workers int) Planes {
+	var p Planes
+	parallelFor(3, workers, func(x int) {
+		u, v := pairOf(a, b, c, x)
+		p[x] = Forward(u, v, sch)
+	})
+	return p
+}
+
+// Sweeps fills both the Forward and the suffix (Backward) planes of the
+// three pairs of (a, b, c): six independent sweeps, on up to workers
+// goroutines. fwd.Add(bwd) then yields the through planes.
+func Sweeps(a, b, c []int8, sch *scoring.Scheme, workers int) (fwd, bwd Planes) {
+	parallelFor(6, workers, func(t int) {
+		x := t % 3
+		u, v := pairOf(a, b, c, x)
+		if t < 3 {
+			fwd[x] = Forward(u, v, sch)
+		} else {
+			bwd[x] = Backward(u, v, sch)
+		}
+	})
+	return fwd, bwd
+}
+
+// AddBackwards turns the Forward planes p of (a, b, c) into their through
+// planes in place (AddBackward on each pair), one pair per goroutine on up
+// to workers goroutines.
+func (p Planes) AddBackwards(a, b, c []int8, sch *scoring.Scheme, workers int) {
+	parallelFor(3, workers, func(x int) {
+		u, v := pairOf(a, b, c, x)
+		AddBackward(p[x], u, v, sch)
+	})
+}
+
+// Add adds q into p cell by cell, one pair per goroutine on up to workers
+// goroutines; the planes must have the same shapes. On Forward planes and
+// the Backward planes of the same pairs it yields the through planes, as
+// AddBackwards does.
+func (p Planes) Add(q Planes, workers int) {
+	parallelFor(3, workers, func(x int) {
+		for i := 0; i < p[x].Rows(); i++ {
+			dst := p[x].Row(i)
+			src := q[x].Row(i)[:len(dst)]
+			for j := range dst {
+				dst[j] += src[j]
+			}
+		}
+	})
+}
+
+// pairOf returns the sequences of pair x (AB, AC or BC) of (a, b, c).
+func pairOf(a, b, c []int8, x int) ([]int8, []int8) {
+	switch x {
+	case AB:
+		return a, b
+	case AC:
+		return a, c
+	}
+	return b, c
+}
+
+// parallelFor runs f(0) … f(n-1) on up to workers goroutines.
+func parallelFor(n, workers int, f func(t int)) {
+	if workers <= 1 {
+		for t := range n {
+			f(t)
+		}
+		return
+	}
+	var (
+		next atomic.Int32
+		wg   sync.WaitGroup
+	)
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
+				f(t)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Optima returns each pair's unconstrained optimum, the last cell of its
@@ -331,11 +446,13 @@ func lastRow(a, b []int8, sch *scoring.Scheme) []mat.Score {
 	for j := 1; j <= m; j++ {
 		prev[j] = prev[j-1] + ge
 	}
+	prof := newProfile(b, sch)
 	for i := 1; i <= len(a); i++ {
 		cur[0] = prev[0] + ge
-		forwardRow(prev, cur, sch.SubRow(a[i-1]), b, ge)
+		forwardRow(prev, cur, prof.row(a[i-1]), ge)
 		prev, cur = cur, prev
 	}
+	prof.release()
 	mat.PutScores(cur)
 	return prev
 }

@@ -29,6 +29,10 @@
 //     cannot fit even its cheapest kernel fails with an error wrapping
 //     core.ErrTooLarge.
 //
+// Long linear-gap triples are planned "band first" (bandfirst.go): the
+// Carrillo–Lipman band runs in front of a named dense fallback and is
+// kept only when, counted exactly at run time, it is the cheaper run.
+//
 // All cell and byte arithmetic saturates in uint64, so adversarially long
 // sequences produce a saturated estimate instead of a wrapped-around small
 // one (the overflow class of bug the old int-typed lattice guard had).
@@ -181,14 +185,6 @@ type Request struct {
 	// on 16-bit cells and their byte estimates halve. Zero (unknown bound)
 	// keeps every plan at 32-bit cells.
 	MaxAbsColumn int64
-	// EvalFraction, when in (0, 1], is the predicted fraction of lattice
-	// cells the Carrillo–Lipman bound will admit (typically
-	// EvalFractionForIdentity over a k-mer identity probe). It makes the
-	// bounded-search kernels eligible for automatic selection and scales
-	// their byte and duration estimates. Zero means no prediction: the
-	// bounded kernels are planned at the full lattice and automatic
-	// selection ignores them.
-	EvalFraction float64
 }
 
 // ExecutionPlan is the planner's answer: the kernel that will run and the
@@ -203,18 +199,28 @@ type ExecutionPlan struct {
 	// TileDims is the blocked-wavefront tile shape (ti, tj, tk); all-zero
 	// for kernels that do not run the blocked 3D schedule.
 	TileDims [3]int `json:"tile_dims"`
-	// EstCells is the predicted DP cell count (saturating). For the
-	// bounded-search kernels this is the predicted *evaluated* count — the
-	// cells the Carrillo–Lipman bound is expected to admit — since that is
-	// what their calibrated rate and footprint scale with.
+	// Fallback, when set, marks a band-first plan: Algorithm is the
+	// Carrillo–Lipman band, tried first, and Fallback names the dense
+	// kernel that runs instead when the band, counted exactly before it is
+	// allocated, holds more than MaxBandCells cells. Workers, TileDims,
+	// CellWidthBits and the estimates are the fallback's: the band is kept
+	// only when it is the cheaper run.
+	Fallback string `json:"fallback,omitempty"`
+	// MaxBandCells is a band-first plan's band ceiling: the most cells
+	// whose fill at the bounded rate costs no more than the fallback's
+	// estimate and whose bytes fit the budget.
+	MaxBandCells uint64 `json:"max_band_cells,omitempty"`
+	// EstCells is the predicted DP cell count (saturating). Explicit
+	// requests for the bounded-search kernels, whose rate is per
+	// *evaluated* cell, are planned at the whole lattice.
 	EstCells uint64 `json:"est_cells"`
-	// EstEvaluatedCells, for the bounded-search kernels, is the predicted
-	// number of lattice cells the Carrillo–Lipman bound admits (equal to
-	// EstCells for those kernels); zero for kernels that evaluate the full
-	// lattice.
+	// EstEvaluatedCells, for an explicit bounded-search plan, is the
+	// evaluated-cell count its estimates assume (equal to EstCells); zero
+	// for every other plan.
 	EstEvaluatedCells uint64 `json:"est_evaluated_cells,omitempty"`
 	// EstBytes is the predicted peak lattice allocation (saturating),
-	// already adjusted for the negotiated cell width.
+	// already adjusted for the negotiated cell width. A band-first plan's
+	// covers both its fallback and a band at MaxBandCells.
 	EstBytes uint64 `json:"est_bytes"`
 	// CellWidthBits is the negotiated lattice cell width: 16 when the
 	// kernel is width-aware and the request's score bound proves every
@@ -224,7 +230,9 @@ type ExecutionPlan struct {
 	EstMcellsPerSec float64 `json:"est_mcells_per_s"`
 	// EstDuration is EstCells / EstMcellsPerSec.
 	EstDuration time.Duration `json:"est_duration_ns"`
-	// Downgrades records every budget-driven substitution, in order.
+	// Downgrades records every substitution, in order: the budget-driven
+	// ladder steps of planning and, in a Result's plan, a band-first run's
+	// switch to A* or to its dense fallback.
 	Downgrades []Downgrade `json:"downgrades,omitempty"`
 	// Degraded reports that an exact request was downgraded to a heuristic
 	// as the last resort: the planned score will be a lower bound, not the
@@ -235,13 +243,16 @@ type ExecutionPlan struct {
 // Downgrade records one step down the memory ladder: the kernel the plan
 // left, the kernel it moved to, and the footprint estimate of the left
 // kernel against the budget that rejected it. Forced marks a step the
-// plan.downgrade fault point injected; it carries no budget.
+// plan.downgrade fault point injected; it carries no budget. A band-first
+// run's switch away from the band carries BandCells instead: the band's
+// cells as the run measured them, against the plan's MaxBandCells.
 type Downgrade struct {
 	From        string `json:"from"`
 	To          string `json:"to"`
 	EstBytes    uint64 `json:"est_bytes"`
 	BudgetBytes uint64 `json:"budget_bytes"`
 	Forced      bool   `json:"forced"`
+	BandCells   uint64 `json:"band_cells,omitempty"`
 }
 
 // lastResort is the heuristic an exact request degrades to when no exact
@@ -263,6 +274,8 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 
 	var (
 		spec       *KernelSpec
+		fallback   *KernelSpec // a band-first plan's dense kernel
+		ceiling    uint64      // a band-first plan's MaxBandCells
 		downgrades []Downgrade
 		degraded   bool
 	)
@@ -274,15 +287,30 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 		spec = s
 	} else {
 		spec, downgrades = autoSpec(req, gap, autoBudget(req))
+		if c, ok := bandFirst(req, gap, spec, autoBudget(req)); ok {
+			fallback, ceiling = spec, c
+			spec = kernels["bounded"]
+			if len(downgrades) > 0 {
+				// The over-budget step lands on the band, in front of the
+				// sweep planes it falls back to.
+				downgrades[0].To = spec.Name
+			}
+		}
+	}
+	estBytes := func() uint64 {
+		if fallback != nil {
+			return bandFirstBytes(req, fallback, ceiling)
+		}
+		return planEstBytes(spec, req)
 	}
 
 	if fpDowngrade.Fire() {
 		if next := spec.Downgrade; next != "" {
 			to := kernels[next]
 			downgrades = append(downgrades, Downgrade{
-				From: spec.Name, To: to.Name, EstBytes: planEstBytes(spec, req), Forced: true,
+				From: spec.Name, To: to.Name, EstBytes: estBytes(), Forced: true,
 			})
-			spec = to
+			spec, fallback, ceiling = to, nil, 0
 		}
 	}
 
@@ -292,55 +320,64 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 	// of downgrading.
 	if req.MaxMemoryBytes > 0 {
 		budget := uint64(req.MaxMemoryBytes)
-		for planEstBytes(spec, req) > budget {
-			// A full-lattice kernel over budget tries the Carrillo–Lipman
-			// band before surrendering exactness to the sweep planes or the
-			// heuristic: when the request carries an identity-probe
-			// prediction and the predicted band fits, the ladder lands on a
-			// still-exact, still-traceback kernel.
-			if cand := boundedCandidate(req, gap); cand != nil &&
-				cand.Space < spec.Space && planEstBytes(cand, req) <= budget {
-				downgrades = append(downgrades, downgradeStep(spec, cand, req, budget))
-				spec = cand
-				continue
-			}
+		for estBytes() > budget {
+			step := Downgrade{From: spec.Name, EstBytes: estBytes(), BudgetBytes: budget}
 			next := spec.Downgrade
 			if next == "" {
 				if !spec.Exact {
 					return nil, nil, fmt.Errorf(
 						"plan: no kernel fits the %s memory budget (cheapest %q needs %s): %w",
-						fmtBytes(budget), spec.Name, fmtBytes(planEstBytes(spec, req)), core.ErrTooLarge)
+						fmtBytes(budget), spec.Name, fmtBytes(estBytes()), core.ErrTooLarge)
 				}
 				next = lastResort
 				degraded = true
 			}
-			to := kernels[next]
-			downgrades = append(downgrades, downgradeStep(spec, to, req, budget))
-			spec = to
+			from, to := spec, kernels[next]
+			spec, fallback, ceiling = to, nil, 0
+			// A full-lattice kernel over budget tries the Carrillo–Lipman
+			// band before surrendering exactness to the sweep planes: the
+			// band runs first, still exact and preference-ordered, and the
+			// sweep planes are its fallback.
+			if from.Space == SpaceLattice {
+				if c, ok := bandFirst(req, gap, to, budget); ok {
+					fallback, ceiling = to, c
+					spec = kernels["bounded"]
+				}
+			}
+			step.To = spec.Name
+			downgrades = append(downgrades, step)
 		}
 	}
 
-	width := negotiatedWidth(spec, req)
+	// A band-first plan is priced, shaped and sized by its fallback.
+	priced := spec
+	if fallback != nil {
+		priced = fallback
+	}
+	width := negotiatedWidth(priced, req)
 	pl := &ExecutionPlan{
 		Algorithm:     spec.Name,
+		MaxBandCells:  ceiling,
 		Workers:       1,
-		EstCells:      planEstCells(spec, req),
-		EstBytes:      planEstBytes(spec, req),
+		EstCells:      priced.estCells(req.Shape),
+		EstBytes:      estBytes(),
 		CellWidthBits: width,
 		Downgrades:    downgrades,
 		Degraded:      degraded,
 	}
-	if spec.RateOnEvaluated {
+	if fallback != nil {
+		pl.Fallback = fallback.Name
+	} else if spec.RateOnEvaluated {
 		pl.EstEvaluatedCells = pl.EstCells
 	}
-	if spec.Parallel {
+	if priced.Parallel {
 		pl.Workers = workers
 	}
-	if spec.Blocked3D {
+	if priced.Blocked3D {
 		if req.BlockSize > 0 {
 			pl.TileDims = [3]int{req.BlockSize, req.BlockSize, req.BlockSize}
 		} else {
-			bpc := spec.BytesPerCell
+			bpc := priced.BytesPerCell
 			if width == 16 {
 				// Half-width cells halve the per-tile working set, so the
 				// adaptive heuristic may pick proportionally larger tiles.
@@ -351,7 +388,7 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 			pl.TileDims = [3]int{ti, tj, tk}
 		}
 	}
-	pl.EstMcellsPerSec = rateFor(spec, pl.Workers)
+	pl.EstMcellsPerSec = rateFor(priced, pl.Workers)
 	pl.EstDuration = estDuration(pl.EstCells, pl.EstMcellsPerSec)
 	return pl, spec, nil
 }
@@ -374,30 +411,13 @@ func negotiatedWidth(spec *KernelSpec, req Request) int {
 }
 
 // planEstBytes is the width-adjusted footprint estimate: half the 32-bit
-// model when the kernel would run 16-bit cells. Kernels with a
-// fraction-aware byte model are judged by it whenever the request carries
-// an evaluated-fraction prediction.
+// model when the kernel would run 16-bit cells.
 func planEstBytes(spec *KernelSpec, req Request) uint64 {
-	var b uint64
-	if spec.EstBytesFrac != nil && req.EvalFraction > 0 {
-		b = spec.EstBytesFrac(req.Shape, req.EvalFraction)
-	} else {
-		b = spec.EstBytes(req.Shape)
-	}
+	b := spec.EstBytes(req.Shape)
 	if negotiatedWidth(spec, req) == 16 {
 		b /= 2
 	}
 	return b
-}
-
-// planEstCells is the cell-count estimate: the predicted evaluated count
-// for fraction-aware kernels when the request carries a prediction, the
-// spec's own model otherwise.
-func planEstCells(spec *KernelSpec, req Request) uint64 {
-	if spec.EstCellsFrac != nil && req.EvalFraction > 0 {
-		return spec.EstCellsFrac(req.Shape, req.EvalFraction)
-	}
-	return spec.estCells(req.Shape)
 }
 
 // predictedDuration is the wall-clock estimate automatic selection
@@ -408,7 +428,7 @@ func predictedDuration(spec *KernelSpec, req Request) time.Duration {
 	if spec.Parallel {
 		w = wavefront.Workers(req.Workers)
 	}
-	return estDuration(planEstCells(spec, req), rateFor(spec, w))
+	return estDuration(spec.estCells(req.Shape), rateFor(spec, w))
 }
 
 // autoBudget is the byte limit automatic selection steers against: the
@@ -425,32 +445,18 @@ func autoBudget(req Request) uint64 {
 	return budget
 }
 
-// autoSpec picks the kernel for an automatic request: the gap model's
-// blocked full-lattice kernel, downgraded once to its linear-space sibling
-// when the lattice exceeds the budget — the selection rule the old
-// resolveAlgorithm switch hard-coded.
+// autoSpec picks the dense kernel for an automatic request: the gap
+// model's blocked full-lattice kernel, downgraded once to its linear-space
+// sibling when the lattice exceeds the budget — the selection rule the old
+// resolveAlgorithm switch hard-coded. Resolve then decides whether the
+// run starts on the band in front of it (bandFirst).
 func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []Downgrade) {
 	spec := kernels["parallel"]
 	if gap == GapAffine {
 		spec = kernels["affine-parallel"]
 	}
-	cand := boundedCandidate(req, gap)
 	if planEstBytes(spec, req) <= budget {
-		// The primary fits; the Carrillo–Lipman band still wins the slot
-		// when the identity probe predicts it strictly faster — evaluating
-		// a thin admissible band beats filling the whole lattice even at a
-		// lower per-cell rate.
-		if cand != nil && planEstBytes(cand, req) <= budget &&
-			predictedDuration(cand, req) < predictedDuration(spec, req) {
-			return cand, nil
-		}
 		return spec, nil
-	}
-	// Over budget: a fitting bounded kernel is the preferred downgrade —
-	// it keeps exactness and the preference-ordered traceback, unlike the
-	// sweep planes' divide-and-conquer.
-	if cand != nil && planEstBytes(cand, req) <= budget {
-		return cand, []Downgrade{downgradeStep(spec, cand, req, budget)}
 	}
 	next := kernels[spec.Downgrade]
 	return next, []Downgrade{downgradeStep(spec, next, req, budget)}

@@ -306,119 +306,105 @@ func TestExplicitAlgorithmIdentity(t *testing.T) {
 	}
 }
 
-// TestEvalFractionForIdentity pins the estimator's shape: monotone
-// non-increasing in identity, clamped to [0.01, 1], and anchored at the
-// calibrated sweep points.
-func TestEvalFractionForIdentity(t *testing.T) {
-	if got := EvalFractionForIdentity(0.3); got != 1 {
-		t.Errorf("identity 0.3: frac %v, want 1 (unrelated data admits everything)", got)
-	}
-	if got := EvalFractionForIdentity(1.0); got != 0.01 {
-		t.Errorf("identity 1.0: frac %v, want 0.01", got)
-	}
-	if got := EvalFractionForIdentity(math.NaN()); got != 1 {
-		t.Errorf("NaN identity: frac %v, want the conservative 1", got)
-	}
-	if got := EvalFractionForIdentity(0.8); got != 0.25 {
-		t.Errorf("identity 0.8: frac %v, want the anchored 0.25", got)
-	}
-	prev := math.Inf(1)
-	for id := 0.0; id <= 1.5; id += 0.01 {
-		f := EvalFractionForIdentity(id)
-		if f < 0.01 || f > 1 {
-			t.Fatalf("identity %.2f: frac %v out of [0.01, 1]", id, f)
-		}
-		if f > prev {
-			t.Fatalf("identity %.2f: frac %v > %v — not monotone non-increasing", id, f, prev)
-		}
-		prev = f
-	}
-}
-
-// TestBoundedAutoSelection covers the identity-probe selection paths:
-// a thin predicted band wins the automatic slot outright, no prediction
-// (or a short triple) keeps the legacy choice, and a one-worker request
-// with a very thin band prefers the A* frontier once the lattice kernels
-// are priced out.
+// TestBoundedAutoSelection pins the band-first contract of automatic
+// selection: a long linear-gap request plans the Carrillo–Lipman band in
+// front of the dense kernel it would otherwise run, priced, sized and
+// shaped by that fallback, with a band ceiling whose fill costs no more
+// than the fallback's estimate; short, affine and explicit requests plan
+// exactly as before.
 func TestBoundedAutoSelection(t *testing.T) {
 	big := Shape{NA: 300, NB: 300, NC: 300}
-	// Thin band, everything fits: bounded is predicted faster than the
-	// packed lattice primary (0.05·cells at the bounded rate beats the full
-	// lattice even at the packed kernels' higher per-cell rate).
-	pl, spec, err := Resolve(Request{Shape: big, Workers: 2, EvalFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Algorithm != "bounded" {
-		t.Fatalf("thin-band auto request planned %s, want bounded", pl.Algorithm)
-	}
-	if !spec.Exact || len(pl.Downgrades) != 0 || pl.Degraded {
-		t.Fatalf("bounded plan not a clean exact selection: %+v", pl)
-	}
-	if pl.EstEvaluatedCells == 0 || pl.EstEvaluatedCells != pl.EstCells {
-		t.Fatalf("EstEvaluatedCells %d / EstCells %d, want equal and non-zero",
-			pl.EstEvaluatedCells, pl.EstCells)
-	}
-	want := fracCells(big, 0.05)
-	if pl.EstCells != want {
-		t.Fatalf("EstCells %d, want predicted evaluated count %d", pl.EstCells, want)
-	}
-
-	// No prediction: the legacy primary keeps the slot and no evaluated-cell
-	// estimate is surfaced.
-	pl, _, err = Resolve(Request{Shape: big, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Algorithm != "parallel" || pl.EstEvaluatedCells != 0 {
-		t.Fatalf("prediction-free request planned %s (est_evaluated=%d), want parallel/0",
-			pl.Algorithm, pl.EstEvaluatedCells)
+	for _, workers := range []int{1, 2} {
+		pl, spec, err := Resolve(Request{Shape: big, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, _, err := Resolve(Request{Shape: big, Workers: workers, Algorithm: "parallel"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Algorithm != "bounded" || spec.Name != "bounded" || pl.Fallback != "parallel" {
+			t.Fatalf("workers=%d: auto planned %s (fallback %q), want bounded in front of parallel", workers, pl.Algorithm, pl.Fallback)
+		}
+		if len(pl.Downgrades) != 0 || pl.Degraded || pl.EstEvaluatedCells != 0 {
+			t.Fatalf("workers=%d: band-first plan not a clean selection: %+v", workers, pl)
+		}
+		if pl.Workers != dense.Workers || pl.TileDims != dense.TileDims || pl.CellWidthBits != dense.CellWidthBits ||
+			pl.EstCells != dense.EstCells || pl.EstBytes != dense.EstBytes || pl.EstDuration != dense.EstDuration {
+			t.Fatalf("workers=%d: band-first plan %+v not priced and shaped by its fallback %+v", workers, pl, dense)
+		}
+		bandCost := estDuration(pl.MaxBandCells, rateFor(kernels["bounded"], workers))
+		if pl.MaxBandCells == 0 || bandCost > dense.EstDuration || pl.MaxBandCells >= big.Cells() {
+			t.Fatalf("workers=%d: band ceiling %d cells (~%v) against a %v dense estimate", workers, pl.MaxBandCells, bandCost, dense.EstDuration)
+		}
+		if next := estDuration(pl.MaxBandCells+2, rateFor(kernels["bounded"], workers)); next <= dense.EstDuration {
+			t.Fatalf("workers=%d: ceiling %d is not the largest band cheaper than the dense fill", workers, pl.MaxBandCells)
+		}
 	}
 
-	// Short triple: band planning is pure overhead below MinBoundedLen.
-	small := Shape{NA: 96, NB: 96, NC: 96}
-	pl, _, err = Resolve(Request{Shape: small, Workers: 2, EvalFraction: 0.05})
-	if err != nil {
-		t.Fatal(err)
+	// Short triples, affine schemes and explicit requests keep their plans.
+	for _, req := range []Request{
+		{Shape: Shape{NA: 96, NB: 300, NC: 300}, Workers: 2},
+		{Shape: big, Workers: 2, Gap: GapAffine},
+		{Shape: big, Workers: 2, Algorithm: "parallel"},
+		{Shape: big, Workers: 2, Algorithm: "parallel-linear"},
+	} {
+		pl, _, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Fallback != "" || pl.MaxBandCells != 0 || pl.Algorithm == "bounded" {
+			t.Fatalf("%+v planned band first: %+v", req, pl)
+		}
 	}
-	if pl.Algorithm != "parallel" {
-		t.Fatalf("short triple planned %s, want parallel", pl.Algorithm)
+	// Explicit bounded kernels are planned at the whole lattice.
+	for _, name := range []string{"bounded", "astar"} {
+		pl, _, err := Resolve(Request{Shape: big, Workers: 2, Algorithm: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Fallback != "" || pl.EstCells != big.Cells() || pl.EstEvaluatedCells != big.Cells() {
+			t.Fatalf("explicit %s plan %+v, want whole-lattice estimates and no fallback", name, pl)
+		}
 	}
 
-	// One worker, very thin band, lattice priced out by the hard cap: the
-	// A* frontier is the preferred downgrade.
-	// (24 MiB cap: prices out the ~109 MB lattice while admitting the A*
-	// node estimate — ~64 B per expanded cell at fraction 0.01 ≈ 20 MB.)
-	pl, _, err = Resolve(Request{Shape: big, Workers: 1, EvalFraction: 0.01, MaxBytes: 24 << 20})
+	// Lattice priced out by the hard cap: the band runs in front of the
+	// sweep planes, its ceiling and bytes inside the cap.
+	capBytes := int64(24 << 20)
+	pl, _, err := Resolve(Request{Shape: big, Workers: 1, MaxBytes: capBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Algorithm != "astar" {
-		t.Fatalf("one-worker thin-band capped request planned %s, want astar", pl.Algorithm)
+	if pl.Algorithm != "bounded" || pl.Fallback != "parallel-linear" {
+		t.Fatalf("capped request planned %s (fallback %q), want bounded in front of parallel-linear", pl.Algorithm, pl.Fallback)
 	}
 	if len(pl.Downgrades) != 1 {
 		t.Fatalf("expected one recorded downgrade, got %v", pl.Downgrades)
 	}
-	if d := pl.Downgrades[0]; d.From != "parallel" || d.To != "astar" || d.Forced ||
-		d.BudgetBytes != 24<<20 || d.EstBytes != big.Cells()*4 {
-		t.Fatalf("downgrade %+v, want parallel→astar, est %d over a %d budget", d, big.Cells()*4, 24<<20)
+	if d := pl.Downgrades[0]; d.From != "parallel" || d.To != "bounded" || d.Forced ||
+		d.BudgetBytes != uint64(capBytes) || d.EstBytes != big.Cells()*4 {
+		t.Fatalf("downgrade %+v, want parallel→bounded, est %d over a %d budget", d, big.Cells()*4, capBytes)
+	}
+	if pl.EstBytes > uint64(capBytes) || bandFirstBytes(Request{Shape: big}, kernels["parallel-linear"], pl.MaxBandCells) > uint64(capBytes) {
+		t.Fatalf("band-first plan needs %d bytes (band ceiling %d cells) over the %d cap", pl.EstBytes, pl.MaxBandCells, capBytes)
 	}
 }
 
 // TestBoundedBudgetLadderRung checks the soft-budget rung: a full-lattice
 // kernel over budget lands on the Carrillo–Lipman band — still exact,
-// still preference-ordered traceback — before falling to the sweep planes.
+// still preference-ordered traceback — in front of the sweep planes it
+// falls back to. The rung needs triples long enough for the band and is
+// only taken from a full lattice.
 func TestBoundedBudgetLadderRung(t *testing.T) {
 	shape := Shape{NA: 300, NB: 300, NC: 300} // lattice ≈ 109 MB
 	budget := int64(32 << 20)
-	pl, spec, err := Resolve(Request{
-		Shape: shape, Algorithm: "parallel", EvalFraction: 0.12, MaxMemoryBytes: budget,
-	})
+	pl, spec, err := Resolve(Request{Shape: shape, Algorithm: "parallel", MaxMemoryBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Algorithm != "bounded" || !spec.Exact || pl.Degraded {
-		t.Fatalf("ladder landed on %s (exact=%v degraded=%v), want bounded", pl.Algorithm, spec.Exact, pl.Degraded)
+	if pl.Algorithm != "bounded" || !spec.Exact || pl.Degraded || pl.Fallback != "parallel-linear" {
+		t.Fatalf("ladder landed on %s (fallback %q, degraded=%v), want bounded in front of parallel-linear",
+			pl.Algorithm, pl.Fallback, pl.Degraded)
 	}
 	if len(pl.Downgrades) != 1 {
 		t.Fatalf("downgrades %v, want exactly the parallel→bounded rung", pl.Downgrades)
@@ -431,14 +417,19 @@ func TestBoundedBudgetLadderRung(t *testing.T) {
 		t.Fatalf("EstBytes %d over budget %d", pl.EstBytes, budget)
 	}
 
-	// Without the prediction the same request must skip the rung and fall
-	// through to the sweep planes as before.
-	pl, _, err = Resolve(Request{Shape: shape, Algorithm: "parallel", MaxMemoryBytes: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Algorithm != "parallel-linear" {
-		t.Fatalf("prediction-free ladder landed on %s, want parallel-linear", pl.Algorithm)
+	// Below MinBoundedLen, or from a kernel that is not a full lattice,
+	// the ladder falls through to the sweep planes as before.
+	for _, req := range []Request{
+		{Shape: Shape{NA: 100, NB: 300, NC: 300}, Algorithm: "parallel", MaxMemoryBytes: budget},
+		{Shape: shape, Algorithm: "bounded", MaxMemoryBytes: budget},
+	} {
+		pl, _, err := Resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.Algorithm != "parallel-linear" || pl.Fallback != "" {
+			t.Fatalf("%+v landed on %s (fallback %q), want parallel-linear", req, pl.Algorithm, pl.Fallback)
+		}
 	}
 }
 

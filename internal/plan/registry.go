@@ -10,6 +10,7 @@ import (
 	"repro/internal/pairwise"
 	"repro/internal/scoring"
 	"repro/internal/seq"
+	"repro/internal/wavefront"
 )
 
 // RunFunc executes one kernel. PruneStats is non-nil only for the
@@ -58,12 +59,11 @@ type KernelSpec struct {
 	// soloRateKey, when set, replaces RateKey at one worker: the blocked
 	// kernel's sequential fill is calibrated by its own benchsuite row.
 	soloRateKey string
-	// RateOnEvaluated marks the calibrated rate (and EstCellsFrac) as
-	// per-*evaluated*-cell rather than per-lattice-cell: the bounded-search
-	// kernels' throughput is measured over the cells the bound admits, so
-	// their duration estimate must multiply by the predicted evaluated
-	// count, never the full lattice. Plans for such kernels surface the
-	// prediction as EstEvaluatedCells.
+	// RateOnEvaluated marks the calibrated rate as per-*evaluated*-cell
+	// rather than per-lattice-cell: the bounded-search kernels' throughput
+	// is measured over the cells the bound admits. Explicit plans for such
+	// kernels assume the whole lattice and surface it as
+	// EstEvaluatedCells; a band-first plan counts the band at run time.
 	RateOnEvaluated bool
 	// Downgrade names the next kernel down the memory ladder, or "" when
 	// only the heuristic last resort (exact kernels) or nothing (heuristics)
@@ -76,14 +76,6 @@ type KernelSpec struct {
 	// Shape.Cells (linear-space kernels still fill every lattice cell —
 	// their saving is space, not work).
 	EstCells func(Shape) uint64
-	// EstBytesFrac, when non-nil, refines EstBytes with a predicted
-	// evaluated fraction (Request.EvalFraction); the planner uses it
-	// whenever the request carries a prediction. EstBytes stays the
-	// conservative fraction-1 model for requests without one.
-	EstBytesFrac func(Shape, float64) uint64
-	// EstCellsFrac is the fraction-aware companion of EstCells; for the
-	// bounded kernels it predicts the evaluated cell count.
-	EstCellsFrac func(Shape, float64) uint64
 	// Run executes the kernel.
 	Run RunFunc
 }
@@ -173,8 +165,8 @@ func runBounded(frontier bool) RunFunc {
 		if err := tr.Validate(); err != nil {
 			return nil, nil, err
 		}
-		fwd := pairwise.Forwards(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch)
-		bound, err := msa.CenterStarRefinedOn(tr, sch, fwd)
+		fwd := pairwise.Forwards(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch, wavefront.Workers(opt.Workers))
+		bound, err := seedOn(tr, sch, fwd)
 		if err != nil {
 			fwd.Release()
 			return nil, nil, err
@@ -194,6 +186,17 @@ func runBounded(frontier bool) RunFunc {
 		}
 		return aln, &st, nil
 	}
+}
+
+// seedOn is the bounded kernels' lower bound: center-star traced on the
+// Forward planes fwd, refined unless it already scores the pairwise upper
+// bound.
+func seedOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*alignment.Alignment, error) {
+	star, upper, err := msa.CenterStarOn(tr, sch, fwd)
+	if err != nil {
+		return nil, err
+	}
+	return msa.RefineBelow(star, upper, sch)
 }
 
 // Footprint estimators. The byte models mirror what the kernels actually
@@ -240,10 +243,9 @@ func init() {
 		Name: "bounded", Gaps: GapLinear, Space: SpaceBand,
 		Parallel: true, Exact: true, Traceback: true, BytesPerCell: 4,
 		RateKey: "bounded", RateScale: 1, RateOnEvaluated: true,
-		Downgrade:    "parallel-linear",
-		EstBytes:     func(s Shape) uint64 { return bandBytes(s, 1) },
-		EstBytesFrac: bandBytes, EstCellsFrac: fracCells,
-		Run: runBounded(false),
+		Downgrade: "parallel-linear",
+		EstBytes:  func(s Shape) uint64 { return bandBytes(s, s.Cells()) },
+		Run:       runBounded(false),
 	})
 	register(&KernelSpec{
 		// The A* frontier (Schroedl): best-first over the lattice with the
@@ -253,10 +255,9 @@ func init() {
 		Name: "astar", Gaps: GapLinear, Space: SpaceBand,
 		Exact: true, Traceback: true, BytesPerCell: 4,
 		RateKey: "astar", RateScale: 1, RateOnEvaluated: true,
-		Downgrade:    "parallel-linear",
-		EstBytes:     func(s Shape) uint64 { return astarBytes(s, 1) },
-		EstBytesFrac: astarBytes, EstCellsFrac: fracCells,
-		Run: runBounded(true),
+		Downgrade: "parallel-linear",
+		EstBytes:  func(s Shape) uint64 { return astarBytes(s, s.Cells()) },
+		Run:       runBounded(true),
 	})
 	register(&KernelSpec{
 		// The affine Hirschberg halves at every level; its rate is roughly

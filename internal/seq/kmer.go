@@ -305,8 +305,10 @@ func SketchTriple(t Triple, k int) *TripleSketch {
 // K returns the sketch's k-mer size.
 func (s *TripleSketch) K() int { return s.k }
 
-// MeanIdentity is the mean pairwise identity estimate within the triple —
-// the signal the planner's EvalFractionForIdentity curve consumes.
+// MeanIdentity is the mean pairwise identity estimate within the triple.
+// It is no guide to how much of the lattice a Carrillo–Lipman band admits:
+// chance k-mer sharing grows with length, so unrelated 600-residue DNA
+// reads about as close as 70%-identity relatives of 300.
 func (s *TripleSketch) MeanIdentity() float64 {
 	return (s.A.Identity(s.B) + s.A.Identity(s.C) + s.B.Identity(s.C)) / 3
 }

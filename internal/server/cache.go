@@ -93,10 +93,8 @@ func (s *Server) alignCached(w http.ResponseWriter, r *http.Request, item repro.
 		s.alignUncached(w, r, item)
 		return
 	}
-	// One sketch per request: the near-dup prescreen probes with it and
-	// the planner's identity probe reuses it through Options.Sketch.
+	// One sketch per request, for the near-dup prescreen and the Put.
 	sk := repro.SketchTriple(item.Triple)
-	item.Opt.Sketch = sk
 	key, meta := resultcache.KeyFor(item.Triple, sch, req.Algorithm)
 
 	if res, ok := s.cache.Get(key); ok {

@@ -31,7 +31,7 @@ type MsaRequest struct {
 	// MaxMemoryBytes is the request-level soft budget, split across each
 	// guide-tree level's concurrent merges by the planner's byte estimates.
 	MaxMemoryBytes int64 `json:"max_memory_bytes,omitempty"`
-	// GuideK overrides the guide-tree k-mer size (default: the probe k).
+	// GuideK overrides the guide-tree k-mer size (default: repro.ProbeK).
 	GuideK int `json:"guide_k,omitempty"`
 	// RefineRounds bounds the refinement polish; negative disables it.
 	RefineRounds int `json:"refine_rounds,omitempty"`

@@ -87,6 +87,29 @@ func TestMaxLatticeBytesAdmission(t *testing.T) {
 		t.Fatalf("oversize plan status = %d, want 413", resp.StatusCode)
 	}
 
+	// A related 300-nt triple plans band first. Its band would fit the
+	// cap, but the plan's bytes cover the dense fallback the run may take,
+	// and those are what admission weighs.
+	ra, rb, rc := testTriple(t, 12, 300)
+	related := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q}`, ra, rb, rc)
+	tr, err := repro.NewTriple(ra, rb, rc, repro.DNA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := repro.PlanAlign(tr, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Algorithm != "bounded" || pl.Fallback != "parallel" || pl.EstBytes <= 64<<10 {
+		t.Fatalf("related 300-nt plan %+v, want band first over a parallel fallback", pl)
+	}
+	for _, path := range []string{"/v1/plan", "/v1/align"} {
+		resp = postJSON(t, ts, path, related, &er)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("band-first %s status = %d, want 413 (%s)", path, resp.StatusCode, er.Error)
+		}
+	}
+
 	small := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q}`, seqN(10), seqN(10), seqN(10))
 	var ar AlignResponse
 	resp = postJSON(t, ts, "/v1/align", small, &ar)

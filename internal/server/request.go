@@ -74,12 +74,12 @@ type AlignResponse struct {
 	Cache string `json:"cache,omitempty"`
 	// Plan is the execution plan that served the request: kernel, tile
 	// shape, workers, footprint and duration estimates, and any
-	// budget-driven downgrades.
+	// downgrades, including a band-first run's switch to A* or to its
+	// dense fallback.
 	Plan *repro.Plan `json:"plan,omitempty"`
 	// EvaluatedCells is the number of lattice cells a Carrillo–Lipman
-	// kernel actually evaluated (the plan's est_evaluated_cells is the
-	// prediction; this is the measurement). Zero for kernels that fill the
-	// whole lattice.
+	// kernel actually evaluated. Zero for kernels that fill the whole
+	// lattice.
 	EvaluatedCells int64 `json:"evaluated_cells,omitempty"`
 }
 

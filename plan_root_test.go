@@ -190,7 +190,9 @@ func TestBatchResultsCarryPlans(t *testing.T) {
 // protein family in wide (two workers) and narrow (four) batches. The
 // figures are those the planner produced while full, linear and affine
 // were kernels of their own; folding them into the blocked kernels may
-// rename a plan, but not move its estimates.
+// rename a plan, but not move its estimates. Band-first plans carry the
+// estimates of the dense kernel they fall back to, so only the bounded
+// miss, once priced by an identity-probe guess, moved with them.
 func TestServedPlanShapesKeepTheirEstimates(t *testing.T) {
 	type pin struct {
 		name      string
@@ -204,10 +206,14 @@ func TestServedPlanShapesKeepTheirEstimates(t *testing.T) {
 	want := []pin{
 		{"small-batch-0", "parallel", 1, 274625, 549250, 16, 206196},
 		{"small-batch-1", "parallel", 1, 912673, 1825346, 16, 685261},
-		{"small-batch-2", "parallel", 1, 2146689, 4293378, 16, 1611797},
-		{"small-batch-3", "parallel-linear", 1, 2146689, 266256, 32, 3234475},
-		{"large", "parallel", 2, 27270901, 54541802, 16, 22546860},
-		{"repeat-miss", "bounded", 2, 1067787, 6445572, 32, 15790760},
+		// 128³ items (MinBoundedLen) start on the band; at one worker their
+		// thin bands run A*. The band-first plans keep their fallback's
+		// estimates: parallel's, and under the 1 MiB cap parallel-linear's
+		// with the bytes a band at the ceiling may take.
+		{"small-batch-2", "astar", 1, 2146689, 4293378, 16, 1611797},
+		{"small-batch-3", "astar", 1, 2146689, 1048576, 32, 3234475},
+		{"large", "bounded", 2, 27270901, 54541802, 16, 22546860},
+		{"repeat-miss", "bounded", 2, 27270901, 54541802, 16, 22546860},
 		{"msa-w2-merge0-batch2", "affine-parallel", 1, 274625, 7689500, 32, 5579540},
 		{"msa-w2-merge1-batch2", "affine-parallel", 1, 274625, 7689500, 32, 5579540},
 		{"msa-w2-merge3-batch1", "affine-parallel", 2, 274625, 7689500, 32, 2936600},

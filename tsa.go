@@ -44,8 +44,7 @@ type (
 	// aligning.
 	Plan = plan.ExecutionPlan
 	// TripleSketch is a per-sequence k-mer sketch of a triple (see
-	// SketchTriple): the shared identity-probe input behind the planner's
-	// bounded-search estimate and the serving layer's near-duplicate
+	// SketchTriple): the input of the serving layer's near-duplicate
 	// prescreen.
 	TripleSketch = seq.TripleSketch
 )
@@ -85,7 +84,12 @@ const (
 	// AlgorithmAuto matches the scheme's gap model: AlgorithmParallel for
 	// linear gaps or AlgorithmAffineParallel for affine schemes, falling
 	// back to the corresponding linear-space variant when the lattice
-	// would exceed MaxBytes.
+	// would exceed MaxBytes. A linear-gap triple at least plan.MinBoundedLen
+	// long in every dimension starts on the Carrillo–Lipman band
+	// (AlgorithmBounded, or AlgorithmAStar at one worker on a very thin
+	// band) and keeps it only when the band, counted exactly before it is
+	// allocated, is cheaper than that dense kernel; Result.Algorithm and
+	// Result.Plan name the kernel that ran.
 	AlgorithmAuto Algorithm = ""
 	// AlgorithmFull is an alias of AlgorithmParallel, which honours
 	// Workers; set 1 for one thread (the sequential full-matrix fill).
@@ -238,13 +242,6 @@ type Options struct {
 	// Result is marked Degraded instead of returning the error. Fallback
 	// never triggers when the caller's own context is already done.
 	Fallback bool
-	// Sketch is an optional precomputed k-mer sketch of the triple (from
-	// SketchTriple). When set with the facade's ProbeK, the planner's
-	// bounded-search identity probe reads it instead of re-sketching the
-	// sequences — callers that already sketched the request (the serving
-	// layer's near-duplicate prescreen) pay for the profiles exactly once.
-	// A sketch built with a different k is ignored.
-	Sketch *TripleSketch
 }
 
 // Result is a completed alignment plus execution metadata.
@@ -262,9 +259,11 @@ type Result struct {
 	Prune *PruneStats
 	// Plan is the execution plan that produced this result: the planner's
 	// kernel choice with its footprint and duration estimates, including
-	// any budget-driven downgrades. It describes what was planned; when
-	// Degraded is set via the Fallback policy, Algorithm reports what
-	// actually ran.
+	// any budget-driven downgrades. A band-first plan that left the band
+	// comes back naming the kernel that ran (A* or its dense fallback),
+	// with the switch and the band's measured cells appended to
+	// Downgrades. When Degraded is set via the Fallback policy, Algorithm
+	// reports what actually ran.
 	Plan *Plan
 	// Degraded reports that the exact algorithm was abandoned (deadline or
 	// memory cap) and the alignment came from the heuristic fallback; the
@@ -368,51 +367,14 @@ func gapModel(sch *Scheme) plan.GapModel {
 	return plan.GapLinear
 }
 
-// ProbeK is the k-mer size of the facade's identity probe: long enough
-// that random DNA shares few k-mers, short enough that 80%-identity
-// relatives still share most. SketchTriple builds sketches at this k, and
-// Options.Sketch is honored only when built with it.
+// ProbeK is the k-mer size of SketchTriple: long enough that random DNA
+// shares few k-mers, short enough that 80%-identity relatives still share
+// most.
 const ProbeK = 6
 
 // SketchTriple builds the triple's k-mer sketch at ProbeK — one profile
-// pass per sequence. Pass it through Options.Sketch (and to any
-// near-duplicate screening the caller runs) so the sequences are sketched
-// exactly once per request.
+// pass per sequence — for near-duplicate screening.
 func SketchTriple(tr Triple) *TripleSketch { return seq.SketchTriple(tr, ProbeK) }
-
-// sketchFor returns the request's sketch: the caller's precomputed one
-// when it matches ProbeK, else a fresh sketch.
-func sketchFor(tr Triple, opt Options) *TripleSketch {
-	if opt.Sketch != nil && opt.Sketch.K() == ProbeK {
-		return opt.Sketch
-	}
-	return SketchTriple(tr)
-}
-
-// evalFractionProbe predicts the fraction of lattice cells Carrillo–Lipman
-// bounded search would evaluate for this triple, or 0 when the prediction
-// is not worth making: affine schemes (the bounded kernels are linear-gap)
-// and triples below plan.MinBoundedLen (where band planning is pure
-// overhead). The probe is alignment-free — the sketch's mean pairwise
-// k-mer identity mapped through the calibrated identity→fraction curve —
-// so it costs O(n) on data the alignment will read anyway, and nothing at
-// all when the caller supplies Options.Sketch.
-func evalFractionProbe(tr Triple, sch *Scheme, opt Options) float64 {
-	if sch.Affine() {
-		return 0
-	}
-	min := tr.A.Len()
-	if tr.B.Len() < min {
-		min = tr.B.Len()
-	}
-	if tr.C.Len() < min {
-		min = tr.C.Len()
-	}
-	if min < plan.MinBoundedLen {
-		return 0
-	}
-	return plan.EvalFractionForIdentity(sketchFor(tr, opt).MeanIdentity())
-}
 
 // planRequest translates a triple and Options into a planner request.
 func planRequest(tr Triple, sch *Scheme, opt Options) plan.Request {
@@ -425,7 +387,6 @@ func planRequest(tr Triple, sch *Scheme, opt Options) plan.Request {
 		MaxBytes:       opt.MaxBytes,
 		MaxMemoryBytes: opt.MaxMemoryBytes,
 		MaxAbsColumn:   core.MaxAbsColumn(sch),
-		EvalFraction:   evalFractionProbe(tr, sch, opt),
 	}
 }
 
@@ -530,7 +491,18 @@ func alignWith(ctx context.Context, tr Triple, opt Options) (*Result, error) {
 	}
 
 	start := time.Now()
-	aln, prune, err := spec.Run(runCtx, tr, sch, copt)
+	var (
+		aln   *Alignment
+		prune *PruneStats
+	)
+	if pl.Fallback != "" {
+		// Band first: the plan names the dense kernel that runs when the
+		// counted band is not the cheaper run, and the returned plan names
+		// the kernel that did run.
+		aln, prune, pl, err = plan.RunBandFirst(runCtx, pl, tr, sch, copt)
+	} else {
+		aln, prune, err = spec.Run(runCtx, tr, sch, copt)
+	}
 	if err != nil {
 		// Degrade only when the caller's own context still has budget:
 		// a dead parent means the caller is gone, not over-ambitious.
