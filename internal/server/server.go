@@ -302,8 +302,9 @@ type Statsz struct {
 	// show how often the fast paths actually serve traffic.
 	PlannedInt16  int64 `json:"planned_int16"`
 	PlannedPacked int64 `json:"planned_packed"`
-	// PlannedBounded counts served plans that selected a Carrillo–Lipman
-	// bounded-search kernel (bounded or astar); PrunedCellsSkipped sums the
+	// PlannedBounded counts served plans that ran a Carrillo–Lipman
+	// bounded-search kernel (bounded or astar; a band-first plan that fell
+	// back counts as its dense kernel); PrunedCellsSkipped sums the
 	// lattice cells those kernels never evaluated — the work the bound
 	// saved across all served traffic.
 	PlannedBounded     int64 `json:"planned_bounded"`
