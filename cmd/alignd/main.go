@@ -27,14 +27,13 @@
 //
 // With -cache-bytes set, exact results are cached by content address:
 // repeated identical requests answer from the cache without queueing,
-// concurrent identical requests collapse into one computation, and
-// near-duplicate requests (within -cache-neardup-identity k-mer identity
-// of a cached triple) are served by a verified seeded re-align that is
-// bit-identical to a full alignment. Responses on the cached path carry
-// an X-Cache header (hit, miss, near-dup, or collapsed) and /statsz
-// grows cache_* counters. Caching changes observable shedding behavior
-// (collapsed duplicates no longer consume queue slots), so it is off by
-// default.
+// and concurrent identical requests collapse into one computation.
+// Responses on the cached path carry an X-Cache header (hit, miss, or
+// collapsed) and /statsz grows cache_* counters. Caching changes
+// observable shedding behavior (collapsed duplicates no longer consume
+// queue slots), so it is off by default. -cache-neardup-identity still
+// parses but does nothing: the near-duplicate patch-up it tuned was
+// retired, since a band-first miss runs faster.
 //
 // On SIGTERM (or SIGINT) alignd drains: /readyz flips to 503 immediately,
 // new alignment requests are refused with 503, the -drain-grace window
@@ -88,7 +87,7 @@ func run(args []string, logw io.Writer) error {
 		memFrac      = fs.Float64("mem-degrade-fraction", 0.85, "fraction of -mem-soft-limit at which admissions start degrading")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "result cache byte budget: identical requests answer from the cache and concurrent identical requests collapse into one computation (0 disables)")
 		cacheMinCost = fs.Duration("cache-min-cost", 0, "only cache results whose planner-estimated duration is at least this (0 = cache everything admitted)")
-		cacheNearDup = fs.Float64("cache-neardup-identity", 0.90, "minimum k-mer identity for serving a near-duplicate request via a verified seeded re-align (outside (0,1) disables the prescreen)")
+		_            = fs.Float64("cache-neardup-identity", 0.90, "ignored: the near-duplicate patch-up it tuned was retired; the flag still parses so existing command lines start")
 		drainGrace   = fs.Duration("drain-grace", time.Second, "pause between flipping /readyz and closing the listener")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "bound on waiting for in-flight requests during drain")
 		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -120,12 +119,6 @@ func run(args []string, logw io.Writer) error {
 		MemDegradeFraction: *memFrac,
 		CacheBytes:         *cacheBytes,
 		CacheMinCost:       *cacheMinCost,
-		CacheNearDupIdentity: func() float64 {
-			if *cacheNearDup <= 0 || *cacheNearDup >= 1 {
-				return -1 // explicit off: withDefaults would re-default 0
-			}
-			return *cacheNearDup
-		}(),
 	})
 	if armed := faultpoint.Armed(); len(armed) > 0 {
 		logger.Printf("fault points armed via %s: %v", faultpoint.EnvVar, armed)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -11,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/faultpoint"
 )
 
 func TestRunRejectsBadFlags(t *testing.T) {
@@ -38,27 +41,10 @@ func TestRunReportsListenError(t *testing.T) {
 // /readyz flips to 503 while the process is still serving, and run
 // returns nil (exit 0).
 func TestServeDrainExitsCleanly(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", addr, "-drain-grace", "300ms", "-workers", "2", "-cache-bytes", "1048576",
-			"-max-lattice-bytes", "65536"}, io.Discard)
-	}()
-	base := "http://" + addr
-	waitFor(t, func() bool {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
+	// -cache-neardup-identity no longer does anything, but existing
+	// command lines that pass it must still start.
+	base, done := startDaemon(t, "-drain-grace", "300ms", "-workers", "2", "-cache-bytes", "1048576",
+		"-max-lattice-bytes", "65536", "-cache-neardup-identity", "0.9")
 
 	rng := rand.New(rand.NewSource(13))
 	big := func() string {
@@ -123,27 +109,8 @@ func TestServeDrainExitsCleanly(t *testing.T) {
 // /readyz turns 503, the request still completes with 200 and a score, and
 // run returns nil (exit 0).
 func TestServeShedsAndDrainsInFlight(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", addr, "-drain-grace", "300ms", "-workers", "2", "-queue", "1",
-			"-max-in-flight", "1", "-coalesce-tick", "0"}, io.Discard)
-	}()
-	base := "http://" + addr
-	waitFor(t, func() bool {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
+	base, done := startDaemon(t, "-drain-grace", "300ms", "-workers", "2", "-queue", "1",
+		"-max-in-flight", "1", "-coalesce-tick", "0")
 
 	// The linear-space kernel is slow by design (Hirschberg re-fills the
 	// lattice), and random residues keep the alignment from being cheap.
@@ -172,14 +139,17 @@ func TestServeShedsAndDrainsInFlight(t *testing.T) {
 		body, err := io.ReadAll(resp.Body)
 		slowDone <- reply{resp.StatusCode, string(body), err}
 	}()
+	// /statsz is indented JSON, so decode it rather than match its text.
 	waitFor(t, func() bool {
 		resp, err := http.Get(base + "/statsz")
 		if err != nil {
 			return false
 		}
 		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return !strings.Contains(string(body), `"in_flight":0`)
+		var st struct {
+			InFlight int64 `json:"in_flight"`
+		}
+		return json.NewDecoder(resp.Body).Decode(&st) == nil && st.InFlight >= 1
 	})
 
 	resp, err := http.Get(base + "/readyz")
@@ -228,6 +198,134 @@ func TestServeShedsAndDrainsInFlight(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
 	}
+}
+
+// TestServeCacheChaosContained boots the real daemon with the result cache
+// on and both cache fault points armed: the first flight leader panics and
+// the first Put stores a corrupted entry. The panic must answer a 500 that
+// names the flight leader while /healthz still answers. The next request
+// computes and stores the corrupted entry, so the one after it must drop
+// that entry and answer miss with the same score, and the request after
+// that is a hit. /statsz then counts the contained panic, the dropped
+// entry and the hit.
+func TestServeCacheChaosContained(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	if err := faultpoint.ArmSpec("resultcache.flight.panic=nth:1;resultcache.put.corrupt=nth:1"); err != nil {
+		t.Fatal(err)
+	}
+	base, done := startDaemon(t, "-drain-grace", "0", "-workers", "2", "-coalesce-tick", "0", "-cache-bytes", "4194304")
+
+	type reply struct {
+		status int
+		cache  string
+		body   string
+		score  int32
+	}
+	align := func() reply {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/align", "application/json",
+			strings.NewReader(`{"a":"ACGTACGTACGTACGT","b":"ACGTTCGTACGTAGGT","c":"ACGAACGTACGTACGA"}`))
+		if err != nil {
+			t.Fatalf("align: %v", err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("align body: %v", err)
+		}
+		r := reply{status: resp.StatusCode, cache: resp.Header.Get("X-Cache"), body: string(body)}
+		if r.status == http.StatusOK {
+			var out struct{ Score int32 }
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatalf("align body %q: %v", body, err)
+			}
+			r.score = out.Score
+		}
+		return r
+	}
+
+	if r := align(); r.status != http.StatusInternalServerError || !strings.Contains(r.body, "flight leader") {
+		t.Fatalf("armed leader panic: status %d, body %q; want a 500 naming the flight leader", r.status, r.body)
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz after the panic: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the panic = %d, want 200", resp.StatusCode)
+	}
+	stored := align()
+	dropped := align()
+	if stored.status != http.StatusOK || dropped.status != http.StatusOK {
+		t.Fatalf("statuses %d/%d after the panic, want 200/200", stored.status, dropped.status)
+	}
+	if dropped.cache != "miss" || dropped.score != stored.score {
+		t.Fatalf("request after the corrupted Put: X-Cache %q, score %d; want miss with score %d",
+			dropped.cache, dropped.score, stored.score)
+	}
+	if r := align(); r.status != http.StatusOK || r.cache != "hit" || r.score != stored.score {
+		t.Fatalf("clean re-Put: status %d, X-Cache %q, score %d; want a 200 hit with score %d",
+			r.status, r.cache, r.score, stored.score)
+	}
+
+	resp, err = http.Get(base + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		PanicsContained     int64 `json:"panics_contained"`
+		CacheCorruptDropped int64 `json:"cache_corrupt_dropped"`
+		CacheHits           int64 `json:"cache_hits"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PanicsContained < 1 || st.CacheCorruptDropped < 1 || st.CacheHits < 1 {
+		t.Fatalf("statsz %+v: want panics_contained, cache_corrupt_dropped and cache_hits each >= 1", st)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM: %v", err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after SIGTERM, want nil (exit 0)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+}
+
+// startDaemon runs the daemon with args on a free loopback port and waits
+// until /healthz answers. It returns the base URL and the channel run's
+// result arrives on.
+func startDaemon(t *testing.T, args ...string) (string, <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-addr", addr}, args...), io.Discard)
+	}()
+	base := "http://" + addr
+	waitFor(t, func() bool {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	return base, done
 }
 
 // waitFor polls cond for up to 5 seconds.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/alignment"
 	"repro/internal/mat"
+	"repro/internal/pairwise"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 )
@@ -92,8 +93,11 @@ func (h *astarHeap) pop() astarNode {
 //
 // The search is cancellable via ctx and enforces Options.MaxBytes against
 // its live node estimate; an overrun returns ErrTooLarge like any dense
-// kernel refusing an oversized lattice.
-func AlignAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower ...mat.Score) (*alignment.Alignment, PruneStats, error) {
+// kernel refusing an oversized lattice. The bound is the tighter of lower
+// and the TrivialAlignment score (mat.NegInf for none). AlignAStar sweeps
+// the six pair planes and runs Prefix.AStar on the suffix ones, as the
+// planner's explicit astar kernel does after its center-star seed.
+func AlignAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, PruneStats{}, err
@@ -101,13 +105,13 @@ func AlignAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Opt
 	if err := checkCtx(ctx); err != nil {
 		return nil, PruneStats{}, err
 	}
-	trivial, err := TrivialAlignment(tr, sch)
+	fwd, bwd := pairwise.Sweeps(ca, cb, cc, sch, opt.workers())
+	pre, err := NewPrefix(tr, sch, fwd, bwd, opt.workers(), true)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
-	sc := newSuffixCtx(ca, cb, cc, sch)
-	defer sc.release()
-	return astarSearch(ctx, tr, ca, cb, cc, sch, opt, sc, max(trivial.Score, maxBound(lower)))
+	defer pre.Release()
+	return pre.AStar(ctx, opt, lower)
 }
 
 // astarSearch is AlignAStar's search over filled suffix planes, from the

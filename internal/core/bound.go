@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/mat"
 	"repro/internal/pairwise"
-	"repro/internal/scoring"
 )
 
 // boundCtx carries the Carrillo–Lipman admissibility data shared by every
@@ -51,21 +50,6 @@ func (bc *boundCtx) admissible(i, j, k int) bool {
 // alignment at (i, j, k).
 type suffixCtx struct {
 	bAB, bAC, bBC *mat.Plane
-}
-
-func newSuffixCtx(ca, cb, cc []int8, sch *scoring.Scheme) *suffixCtx {
-	return &suffixCtx{
-		bAB: pairwise.Backward(ca, cb, sch),
-		bAC: pairwise.Backward(ca, cc, sch),
-		bBC: pairwise.Backward(cb, cc, sch),
-	}
-}
-
-func (sc *suffixCtx) release() {
-	mat.PutPlane(sc.bAB)
-	mat.PutPlane(sc.bAC)
-	mat.PutPlane(sc.bBC)
-	sc.bAB, sc.bAC, sc.bBC = nil, nil, nil
 }
 
 func (sc *suffixCtx) planeBytes() int64 {

@@ -40,42 +40,19 @@ import (
 // exceed the true DP values, so the preference-ordered traceback can never
 // match a spurious predecessor.
 //
-// L defaults to the TrivialAlignment score; pass a tighter valid lower
-// bound (any real alignment's SP score) to shrink the band. The MaxBytes
-// admission counts what the kernel actually holds: the band (data + index),
-// the three through-planes, and the pair-score tables.
-func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower ...mat.Score) (*alignment.Alignment, PruneStats, error) {
-	return AlignBoundedOn(ctx, tr, sch, opt, pairwise.Planes{}, lower...)
-}
-
-// AlignBoundedOn is AlignBounded given the triple's three Forward planes
-// (pairwise.Forwards of A, B and C), which a caller that seeds the bound
-// with center-star has already filled: the kernel then only adds the
-// suffix lattices to turn them into through planes, instead of filling
-// all six planes again. Zero Planes are filled here. Non-zero planes must
-// be the Forward planes of exactly this triple; they are not checked.
-// AlignBoundedOn takes ownership of fwd and returns the planes to the
-// arena on every path.
-func AlignBoundedOn(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, fwd pairwise.Planes, lower ...mat.Score) (*alignment.Alignment, PruneStats, error) {
-	pre, err := NewPrefix(tr, sch, fwd, pairwise.Planes{}, opt.workers(), false)
+// The bound is the tighter of lower and the TrivialAlignment score: pass
+// a valid lower bound (any real alignment's SP score) to shrink the band,
+// or mat.NegInf for none. The MaxBytes admission counts what the kernel
+// actually holds: the band (data + index), the three through-planes, and
+// the pair-score tables. The planner's explicit bounded kernel runs the
+// same Prefix, seeded with center-star refined (plan.RunBandFirst).
+func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
+	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, pairwise.Planes{}, opt.workers(), false)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
 	defer pre.Release()
-	if err := checkCtx(ctx); err != nil {
-		return nil, PruneStats{}, err
-	}
-	return pre.Plan(maxBound(lower)).Fill(ctx, opt)
-}
-
-// maxBound is the tightest of the caller's lower bounds, NegInf for none;
-// the prefix raises it to the trivial alignment's score.
-func maxBound(lower []mat.Score) mat.Score {
-	bound := mat.NegInf
-	for _, l := range lower {
-		bound = max(bound, l)
-	}
-	return bound
+	return pre.Plan(lower).Fill(ctx, opt)
 }
 
 // Prefix is the O(n²) part of a Carrillo–Lipman bounded search over one
@@ -323,8 +300,8 @@ func (b *Band) Fill(ctx context.Context, opt Options) (*alignment.Alignment, Pru
 
 // AStar runs the A* frontier (AlignAStar) on the prefix's suffix planes at
 // the tighter of lower and the trivial bound. The prefix must have been
-// built with keepSuffix; its through planes are released first, since the
-// frontier never reads them.
+// built with keepSuffix; its forward (or through) planes are released
+// first, since the frontier never reads them.
 func (p *Prefix) AStar(ctx context.Context, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
 	if !p.keep {
 		return nil, PruneStats{}, fmt.Errorf("core: A* on a prefix without suffix planes")

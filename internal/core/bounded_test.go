@@ -18,7 +18,7 @@ import (
 // the differential suite runs the identical checks against both.
 type boundedKernel struct {
 	name string
-	run  func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower ...mat.Score) (*alignment.Alignment, PruneStats, error)
+	run  func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error)
 }
 
 func boundedKernels() []boundedKernel {
@@ -91,11 +91,11 @@ func TestBoundedKernelsMatchFull(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				for _, tight := range []bool{false, true} {
 					opt := Options{Workers: workers}
-					var lower []mat.Score
+					lower := mat.NegInf
 					if tight {
-						lower = []mat.Score{ref.Score}
+						lower = ref.Score
 					}
-					aln, stats, err := k.run(context.Background(), w.tr, w.sch, opt, lower...)
+					aln, stats, err := k.run(context.Background(), w.tr, w.sch, opt, lower)
 					if err != nil {
 						t.Fatalf("%s/%s workers=%d tight=%v: %v", w.name, k.name, workers, tight, err)
 					}
@@ -164,7 +164,7 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 func TestBoundedKernelsRejectOversizedBand(t *testing.T) {
 	tr := randomTriple(rand.New(rand.NewSource(7)), 60, 60, 60)
 	for _, k := range boundedKernels() {
-		_, _, err := k.run(context.Background(), tr, dnaSch, Options{MaxBytes: 4096})
+		_, _, err := k.run(context.Background(), tr, dnaSch, Options{MaxBytes: 4096}, mat.NegInf)
 		if !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: err = %v, want ErrTooLarge", k.name, err)
 		}
@@ -247,7 +247,7 @@ func TestAlignAStarExpandsFewerCellsThanBand(t *testing.T) {
 }
 
 // TestAlignBoundedOnSuppliedPlanes: given the forward planes a seed has
-// already filled, the band kernel returns AlignBounded's exact result.
+// already filled, a prefix's band returns AlignBounded's exact result.
 func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 12; trial++ {
@@ -255,7 +255,7 @@ func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
 		if trial%3 == 0 {
 			tr = randomTriple(rng, rng.Intn(20), rng.Intn(20), rng.Intn(20))
 		}
-		want, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+		want, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +263,12 @@ func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := AlignBoundedOn(context.Background(), tr, dnaSch, Options{}, pairwise.Forwards(ca, cb, cc, dnaSch, 1))
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Forwards(ca, cb, cc, dnaSch, 1), pairwise.Planes{}, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := pre.Plan(mat.NegInf).Fill(context.Background(), Options{})
+		pre.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +309,7 @@ func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantStar, wantStarSt, err := AlignAStar(ctx, tr, dnaSch, Options{}, lower)
+		wantStar, wantStarSt, err := standaloneAStar(ctx, tr, dnaSch, Options{}, lower)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,4 +349,26 @@ func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// standaloneAStar is the A* kernel as it ran before it ran on a Prefix:
+// three suffix planes filled by pairwise.Backward, searched from the
+// tighter of lower and the trivial bound. It is the oracle a frontier on
+// swept prefix planes must reproduce.
+func standaloneAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
+	ca, cb, cc, err := prepare(tr, sch)
+	if err != nil {
+		return nil, PruneStats{}, err
+	}
+	trivial, err := TrivialAlignment(tr, sch)
+	if err != nil {
+		return nil, PruneStats{}, err
+	}
+	sc := &suffixCtx{bAB: pairwise.Backward(ca, cb, sch), bAC: pairwise.Backward(ca, cc, sch), bBC: pairwise.Backward(cb, cc, sch)}
+	defer func() {
+		mat.PutPlane(sc.bAB)
+		mat.PutPlane(sc.bAC)
+		mat.PutPlane(sc.bBC)
+	}()
+	return astarSearch(ctx, tr, ca, cb, cc, sch, opt, sc, max(trivial.Score, lower))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 )
@@ -47,7 +48,7 @@ func ExampleAlignBounded() {
 	tr := g.RelatedTriple(70, seq.MutationModel{SubstitutionRate: 0.05})
 	sch := scoring.DNADefault()
 
-	aln, stats, _ := core.AlignBounded(context.Background(), tr, sch, core.Options{})
+	aln, stats, _ := core.AlignBounded(context.Background(), tr, sch, core.Options{}, mat.NegInf)
 	ref, _ := core.AlignParallel(context.Background(), tr, sch, core.Options{Workers: 1})
 	fmt.Println("optimal:", aln.Score == ref.Score)
 	fmt.Println("evaluated under 10% of cells:", stats.Fraction() < 0.10)

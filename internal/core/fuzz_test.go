@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/alignment"
+	"repro/internal/mat"
 	"repro/internal/seq"
 	"repro/internal/wavefront"
 )
@@ -52,7 +53,7 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 				return aln.Score, nil
 			},
 			"bounded": func() (int32, error) {
-				aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+				aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 				if err != nil {
 					return 0, err
 				}

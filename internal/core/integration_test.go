@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // TestLongSequencesLinearSpace is the end-to-end "long sequences" scenario
@@ -21,7 +23,7 @@ func TestLongSequencesLinearSpace(t *testing.T) {
 	checkAlignment(t, lin, dnaSch)
 
 	// Independent cross-check with a completely different strategy.
-	band, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+	band, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/seq"
 )
 
@@ -46,7 +47,7 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+		aln, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -69,7 +70,7 @@ func TestAlignPrunedTighterBoundPrunesMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, loose, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+	_, loose, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestAlignPrunedIgnoresWeakerProvidedBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, base, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+	_, base, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestAlignPrunedEmptySequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{})
+	aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, mat.NegInf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 8; trial++ {
 		tr := relatedTriple(rng.Int63(), 10+rng.Intn(25), 0.15)
-		seqAln, seqStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
+		seqAln, seqStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1}, mat.NegInf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parAln, parStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 4, BlockSize: 8})
+		parAln, parStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 4, BlockSize: 8}, mat.NegInf)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -311,7 +311,7 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatalf("Score %d, 1-worker AlignParallel %d", scoreOnly, full.Score)
 		}
 
-		band, _, err := AlignBounded(ctx, tr, sch, Options{})
+		band, _, err := AlignBounded(ctx, tr, sch, Options{}, mat.NegInf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 						shape, w, i, affPar.Moves[i], aff.Moves[i])
 				}
 			}
-			band, _, err := AlignBounded(ctx, tr, sch, opt)
+			band, _, err := AlignBounded(ctx, tr, sch, opt, mat.NegInf)
 			if err != nil {
 				t.Fatal(err)
 			}

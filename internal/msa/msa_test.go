@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/alignment"
 	"repro/internal/core"
+	"repro/internal/mat"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 )
@@ -120,7 +121,7 @@ func TestHeuristicScoreIsValidPruningBound(t *testing.T) {
 	if aln.Score != opt.Score {
 		t.Fatalf("pruned with heuristic bound: %d != %d", aln.Score, opt.Score)
 	}
-	_, base, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{})
+	_, base, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{}, mat.NegInf)
 	if err != nil {
 		t.Fatal(err)
 	}

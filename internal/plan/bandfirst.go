@@ -108,28 +108,44 @@ func bandFirst(req Request, gap GapModel, dense *KernelSpec, budget uint64) (uin
 	return cells, cells > 0
 }
 
-// RunBandFirst executes a band-first plan (pl.Fallback set). It fills the
-// prefix, counts the band exactly before allocating it, and fills it when
-// it holds at most pl.MaxBandCells cells; a one-worker run whose band is
-// at most AStarFractionMax of the lattice hands the prefix to the A*
-// frontier instead. Otherwise the fallback kernel runs with opt, which
-// carries the plan's tile shape and cell width. The returned plan is pl
-// when the band ran, else a copy naming the kernel that ran, with the
-// switch and the band's measured cells appended to its trail.
+// RunBandFirst executes a plan on the Carrillo–Lipman prefix, the one way
+// into the bounded kernels. It fills the prefix, seeds it with center-star
+// refined, and counts the band exactly before allocating it.
+//
+// A band-first plan (pl.Fallback set) fills the band when it holds at most
+// pl.MaxBandCells cells; a one-worker run whose band is at most
+// AStarFractionMax of the lattice hands the prefix to the A* frontier
+// instead. Otherwise the fallback kernel runs with opt, which carries the
+// plan's tile shape and cell width. The returned plan is pl when the band
+// ran, else a copy naming the kernel that ran, with the switch and the
+// band's measured cells appended to its trail.
+//
+// A plan with no fallback is an explicit bounded or astar request: it runs
+// the kernel pl.Algorithm names whatever the band holds, and a band over
+// the hard cap returns core.ErrTooLarge.
 func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, *ExecutionPlan, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, nil, pl, err
 	}
+	choose := pl.Fallback != ""
 	ceiling := int64(min(pl.MaxBandCells, 1<<62))
 	workers := wavefront.Workers(opt.Workers)
-	fwd, bwd := pairwise.Sweeps(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch, workers)
+	a, b, c := tr.A.Codes(), tr.B.Codes(), tr.C.Codes()
+	var fwd, bwd pairwise.Planes
+	if choose || pl.Algorithm == "astar" {
+		fwd, bwd = pairwise.Sweeps(a, b, c, sch, workers)
+	} else {
+		// An explicit band adds each suffix sweep into its forward plane
+		// in place: three planes resident instead of six.
+		fwd = pairwise.Forwards(a, b, c, sch, workers)
+	}
 	star, upper, err := msa.CenterStarOn(tr, sch, fwd)
 	if err != nil {
 		fwd.Release()
 		bwd.Release()
 		return nil, nil, pl, err
 	}
-	pre, err := core.NewPrefix(tr, sch, fwd, bwd, workers, workers == 1)
+	pre, err := core.NewPrefix(tr, sch, fwd, bwd, workers, pl.Algorithm == "astar" || (choose && workers == 1))
 	if err != nil {
 		return nil, nil, pl, err
 	}
@@ -146,7 +162,7 @@ func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *sc
 	// triple that ends dense, at the price of triples that refinement
 	// alone would have brought under the ceiling (some 55%-identity ones
 	// at one worker; EXPERIMENTS F9).
-	if star.Score < upper {
+	if choose && star.Score < upper {
 		if est := pre.SampleCells(star.Score, ceiling); est > ceiling {
 			return fallback(est)
 		}
@@ -155,28 +171,37 @@ func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *sc
 	if err != nil {
 		return nil, nil, pl, err
 	}
-	band := pre.Plan(seed.Score)
-	planned := band.Stats()
-	if planned.EvaluatedCells > ceiling {
-		return fallback(planned.EvaluatedCells)
-	}
-	if workers == 1 && planned.Fraction() <= AStarFractionMax {
-		aln, st, err := pre.AStar(ctx, opt, seed.Score)
-		if err != nil {
-			return nil, nil, pl, err
+	ran := pl
+	var band *core.Band // nil: the A* frontier runs
+	if pl.Algorithm != "astar" {
+		band = pre.Plan(seed.Score)
+		planned := band.Stats()
+		switch {
+		case !choose:
+		case planned.EvaluatedCells > ceiling:
+			return fallback(planned.EvaluatedCells)
+		case workers == 1 && planned.Fraction() <= AStarFractionMax:
+			band, ran = nil, pl.switched("astar", planned.EvaluatedCells)
 		}
-		return aln, &st, pl.switched("astar", planned.EvaluatedCells), nil
 	}
-	aln, st, err := band.Fill(ctx, opt)
-	if errors.Is(err, core.ErrTooLarge) {
-		// The band's exact bytes, index included, overran the hard cap the
-		// fallback fits.
-		return fallback(planned.EvaluatedCells)
+	var (
+		aln *alignment.Alignment
+		st  core.PruneStats
+	)
+	if band == nil {
+		aln, st, err = pre.AStar(ctx, opt, seed.Score)
+	} else {
+		aln, st, err = band.Fill(ctx, opt)
+		if choose && errors.Is(err, core.ErrTooLarge) {
+			// The band's exact bytes, index included, overran the hard cap
+			// the fallback fits.
+			return fallback(st.EvaluatedCells)
+		}
 	}
 	if err != nil {
 		return nil, nil, pl, err
 	}
-	return aln, &st, pl, nil
+	return aln, &st, ran, nil
 }
 
 // switched is a copy of a band-first plan naming the kernel that ran

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/scoring"
+	"repro/internal/seq"
 )
 
 // TestRegistryComplete pins the registry: 9 kernels, each with a working
@@ -503,5 +505,21 @@ func TestRegistryCheckRejectsBadAliases(t *testing.T) {
 	}
 	if err := checkRegistry(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExplicitBoundedKernelsHaveNoFallback: an explicit bounded or astar
+// run is a band-first run with no fallback, so a band or frontier over
+// the hard cap returns core.ErrTooLarge instead of leaving for a dense
+// kernel.
+func TestExplicitBoundedKernelsHaveNoFallback(t *testing.T) {
+	g := seq.NewGenerator(seq.DNA, 7)
+	tr := seq.Triple{A: g.Random("A", 60), B: g.Random("B", 60), C: g.Random("C", 60)}
+	for _, name := range []string{"bounded", "astar"} {
+		k, _ := Lookup(name)
+		aln, st, err := k.Run(context.Background(), tr, scoring.DNADefault(), core.Options{MaxBytes: 4096})
+		if !errors.Is(err, core.ErrTooLarge) || aln != nil || st != nil {
+			t.Errorf("%s over a 4096-byte cap: alignment %v, stats %v, err %v; want core.ErrTooLarge", name, aln, st, err)
+		}
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"repro/internal/alignment"
 	"repro/internal/core"
 	"repro/internal/msa"
-	"repro/internal/pairwise"
 	"repro/internal/scoring"
 	"repro/internal/seq"
-	"repro/internal/wavefront"
 )
 
 // RunFunc executes one kernel. PruneStats is non-nil only for the
@@ -154,49 +152,15 @@ func wrapHeuristic(f func(seq.Triple, *scoring.Scheme) (*alignment.Alignment, er
 	}
 }
 
-// runBounded runs a Carrillo–Lipman bounded-search kernel — the contiguous
-// band fill or the A* frontier — seeded with the center-star-refined lower
-// bound, surfacing its PruneStats. The three pairwise Forward planes are
-// filled once: they give the seed its pair optima and center-star
-// alignments, and the band fill turns them into its through planes. A*
-// needs only suffix planes, so it fills those itself.
-func runBounded(frontier bool) RunFunc {
+// runExplicit runs the explicit bounded or astar kernel name: a
+// band-first run of a plan with no fallback, so the run ends on that
+// kernel whatever the band holds.
+func runExplicit(name string) RunFunc {
+	pl := &ExecutionPlan{Algorithm: name}
 	return func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
-		if err := tr.Validate(); err != nil {
-			return nil, nil, err
-		}
-		fwd := pairwise.Forwards(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch, wavefront.Workers(opt.Workers))
-		bound, err := seedOn(tr, sch, fwd)
-		if err != nil {
-			fwd.Release()
-			return nil, nil, err
-		}
-		var (
-			aln *alignment.Alignment
-			st  core.PruneStats
-		)
-		if frontier {
-			fwd.Release()
-			aln, st, err = core.AlignAStar(ctx, tr, sch, opt, bound.Score)
-		} else {
-			aln, st, err = core.AlignBoundedOn(ctx, tr, sch, opt, fwd, bound.Score)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return aln, &st, nil
+		aln, st, _, err := RunBandFirst(ctx, pl, tr, sch, opt)
+		return aln, st, err
 	}
-}
-
-// seedOn is the bounded kernels' lower bound: center-star traced on the
-// Forward planes fwd, refined unless it already scores the pairwise upper
-// bound.
-func seedOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*alignment.Alignment, error) {
-	star, upper, err := msa.CenterStarOn(tr, sch, fwd)
-	if err != nil {
-		return nil, err
-	}
-	return msa.RefineBelow(star, upper, sch)
 }
 
 // Footprint estimators. The byte models mirror what the kernels actually
@@ -245,7 +209,7 @@ func init() {
 		RateKey: "bounded", RateScale: 1, RateOnEvaluated: true,
 		Downgrade: "parallel-linear",
 		EstBytes:  func(s Shape) uint64 { return bandBytes(s, s.Cells()) },
-		Run:       runBounded(false),
+		Run:       runExplicit("bounded"),
 	})
 	register(&KernelSpec{
 		// The A* frontier (Schroedl): best-first over the lattice with the
@@ -257,7 +221,7 @@ func init() {
 		RateKey: "astar", RateScale: 1, RateOnEvaluated: true,
 		Downgrade: "parallel-linear",
 		EstBytes:  func(s Shape) uint64 { return astarBytes(s, s.Cells()) },
-		Run:       runBounded(true),
+		Run:       runExplicit("astar"),
 	})
 	register(&KernelSpec{
 		// The affine Hirschberg halves at every level; its rate is roughly

@@ -1,7 +1,6 @@
 package resultcache
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -268,68 +267,5 @@ func TestNearDupNearestFindsSimilarTriple(t *testing.T) {
 	}
 	if _, ok := c.Nearest(probe, meta, 0.9999); ok {
 		t.Fatal("Nearest ignored the identity threshold")
-	}
-}
-
-// TestNearDupSeedBound: the bound must sit below the cached score (it is a
-// lower bound with slack), shrink as identity falls, and clamp instead of
-// wrapping on extreme inputs.
-func TestNearDupSeedBound(t *testing.T) {
-	sch := dnaScheme()
-	if b := SeedBound(100, 0.99, 300, sch); b >= 100 {
-		t.Fatalf("bound %d not below the cached score", b)
-	}
-	hi := SeedBound(100, 0.99, 300, sch)
-	lo := SeedBound(100, 0.80, 300, sch)
-	if lo >= hi {
-		t.Fatalf("lower identity must loosen the bound: id99=%d id80=%d", hi, lo)
-	}
-	if b := SeedBound(-2_000_000_000, 0, 1<<30, sch); b != -1<<31 {
-		t.Fatalf("extreme input must clamp to MinInt32, got %d", b)
-	}
-}
-
-// TestNearDupSeededRealignBitIdentical is the end-to-end exactness
-// contract: seed a bounded re-align of a mutated triple with its
-// neighbour's cached score through SeedBound, and the result must be
-// bit-identical to an independent full alignment.
-func TestNearDupSeededRealignBitIdentical(t *testing.T) {
-	base := strings.Repeat("ACGTTGCAAGCTGGATCCAT", 6)
-	orig := mustTriple(t, base, base[:50]+"G"+base[51:], base)
-	cached := mustAlign(t, orig)
-
-	mutated := mustTriple(t, base[:30]+"C"+base[31:], base[:50]+"G"+base[51:], base)
-	sk := seq.SketchTriple(orig, repro.ProbeK)
-	probe := seq.SketchTriple(mutated, repro.ProbeK)
-	id := probe.Identity(sk)
-	total := mutated.A.Len() + mutated.B.Len() + mutated.C.Len()
-	seed := SeedBound(cached.Score, id, total, dnaScheme())
-
-	patched, err := repro.AlignSeeded(context.Background(), mutated, repro.Options{}, int32(seed))
-	if err != nil {
-		t.Fatalf("seeded re-align failed (seed %d): %v", seed, err)
-	}
-	control, err := repro.Align(mutated, repro.Options{Algorithm: repro.AlgorithmFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if patched.Score != control.Score {
-		t.Fatalf("patched score %d != control %d", patched.Score, control.Score)
-	}
-	pa, pb, pc := patched.Rows()
-	ca, cb, cc := control.Rows()
-	if pa != ca || pb != cb || pc != cc {
-		t.Fatalf("patched rows differ from control:\n%s\n%s\n%s\nwant\n%s\n%s\n%s", pa, pb, pc, ca, cb, cc)
-	}
-}
-
-// TestNearDupInvalidSeedFailsDetectably: a seed above the optimum must
-// make the seeded re-align fail — the fall-through trigger that preserves
-// exactness — rather than return a wrong alignment.
-func TestNearDupInvalidSeedFailsDetectably(t *testing.T) {
-	tr := mustTriple(t, "ACGTACGTACGTACGT", "ACGTTCGTACGTAGGT", "ACGAACGTACGTACGA")
-	control := mustAlign(t, tr)
-	if _, err := repro.AlignSeeded(context.Background(), tr, repro.Options{}, control.Score+100); err == nil {
-		t.Fatal("seeded align accepted a bound above the optimum")
 	}
 }

@@ -2,16 +2,16 @@ package resultcache
 
 import (
 	"encoding/binary"
-	"math"
 
 	"repro/internal/mat"
-	"repro/internal/scoring"
 	"repro/internal/seq"
 )
 
-// Candidate is one near-duplicate prescreen match: a cached triple whose
-// sketch identity to the probe met the threshold, carrying the cached
-// score the patch-up uses as its seed.
+// Candidate is one near-duplicate match: a cached triple whose sketch
+// identity to the probe met the threshold, with its cached score. alignd
+// no longer asks for one; Candidate, Nearest and sameScheme are kept only
+// for the benchmark's traced layers (cache.nearest_us,
+// cache.neardup_share).
 type Candidate struct {
 	// Score is the cached triple's optimal alignment score.
 	Score mat.Score
@@ -40,14 +40,12 @@ type Candidate struct {
 // The scan returns the first entry at or above minIdentity, the most
 // recently used one, rather than ranking the whole cache: any candidate
 // meeting the threshold seeds an equally valid bound (the bounded
-// re-align proves or rejects it regardless), so finishing the scan buys
+// re-align proved or rejected it regardless), so finishing the scan buys
 // nothing once one is in hand.
 //
-// Correctness never depends on the answer: the prescreen only proposes a
-// seed, and the bounded re-align either proves it or the caller falls back
-// to a full plan — so Nearest deliberately skips checksum verification,
-// since even a corrupted score cannot produce a wrong alignment, only a
-// failed or wasteful patch-up.
+// Nearest skips checksum verification: its answer only ever proposed a
+// seed for a verified re-align. alignd no longer calls it; it is kept only
+// for the benchmark's traced cache.nearest_us layer.
 func (c *Cache) Nearest(sk *seq.TripleSketch, meta Meta, minIdentity float64) (Candidate, bool) {
 	if c == nil || sk == nil {
 		return Candidate{}, false
@@ -68,7 +66,8 @@ type sketched struct {
 }
 
 // sameScheme copies, most recently used first, the sketch and score of
-// every entry with the given Meta and a sketch of size k.
+// every entry with the given Meta and a sketch of size k. Only Nearest
+// calls it, for the benchmark's traced layers.
 func (c *Cache) sameScheme(meta Meta, k int) []sketched {
 	metaPrefix := binary.BigEndian.Uint64(meta[:8])
 	c.mu.Lock()
@@ -85,40 +84,4 @@ func (c *Cache) sameScheme(meta Meta, k int) []sketched {
 		out = append(out, sketched{sketch: e.sketch, score: e.res.Score})
 	}
 	return out
-}
-
-// SeedBound turns a near-duplicate candidate into a lower bound for the
-// bounded re-align: the cached score minus a margin covering the mutations
-// the identity estimate implies. Each point mutation in a three-sequence
-// SP alignment shifts the score by at most 4·MaxAbsSub (two pairs touch
-// the mutated residue, each by up to twice the largest substitution
-// magnitude); indels additionally pay gap columns, folded in via
-// |GapExtend|. Two extra mutations of slack absorb the k-mer estimate's
-// noise.
-//
-// The bound's validity is checked, not assumed: a bound above the true
-// optimum makes the seeded re-align fail (the optimal path falls outside
-// the admissible band and the traceback reports it), after which the
-// caller runs a full plan. A bound below the optimum merely widens the
-// band. Exactness therefore never depends on this formula — only the
-// patch-up's hit rate and cost do.
-func SeedBound(cached mat.Score, identity float64, totalResidues int, sch *scoring.Scheme) mat.Score {
-	maxSub := int64(sch.MaxAbsSub())
-	ge := int64(sch.GapExtend())
-	if ge < 0 {
-		ge = -ge
-	}
-	perMutation := 4 * (maxSub + ge)
-	if identity < 0 {
-		identity = 0
-	}
-	if identity > 1 {
-		identity = 1
-	}
-	mutations := int64(math.Ceil((1-identity)*float64(totalResidues))) + 2
-	lo := int64(cached) - mutations*perMutation
-	if lo < math.MinInt32 {
-		lo = math.MinInt32
-	}
-	return mat.Score(lo)
 }

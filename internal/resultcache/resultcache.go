@@ -1,9 +1,9 @@
 // Package resultcache is the serving layer's content-addressed alignment
 // result cache: a byte-budgeted LRU keyed by a hash of the canonical
 // request semantics (sequences, scoring scheme, resolved algorithm), with
-// singleflight collapsing of concurrent identical requests (flight.go) and
-// a k-mer near-duplicate prescreen (neardup.go) that finds a cached triple
-// close enough to seed a cheap verified re-align.
+// singleflight collapsing of concurrent identical requests (flight.go). The
+// k-mer near-duplicate scan (neardup.go) is no longer called by alignd; it
+// is kept only for the benchmark's traced layers.
 //
 // The cache stores clones, returns clones, and checksums every entry at
 // admission: a stored result that no longer matches its checksum — bit
@@ -50,8 +50,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Meta is the hash of the key's non-sequence prefix: scheme plus
 // algorithm. Two requests share a Meta exactly when they differ only in
-// their sequences — the candidate filter for the near-duplicate prescreen,
-// which may patch across different sequences but never across different
+// their sequences — the candidate filter of the near-duplicate scan,
+// which may match across different sequences but never across different
 // scoring semantics.
 type Meta [sha256.Size]byte
 
@@ -208,6 +208,10 @@ func (c *Cache) Get(key Key) (*repro.Result, bool) {
 // refused. Degraded results must not be cached (their content depends on
 // the deadline that produced them, which is not part of the key); Put
 // refuses them. Returns whether the entry was admitted. Nil-safe.
+//
+// sketch is stored for Nearest and may be nil. alignd passes nil; the
+// parameter is kept only for the benchmark's traced layers
+// (cache.nearest_us).
 func (c *Cache) Put(key Key, meta Meta, res *repro.Result, cost time.Duration, sketch *seq.TripleSketch) bool {
 	if c == nil || res == nil || res.Alignment == nil || res.Degraded {
 		return false

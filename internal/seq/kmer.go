@@ -285,12 +285,10 @@ func KmerDistance(a, b *Sequence, k int) float64 {
 	return Kmers(a, k).Distance(Kmers(b, k))
 }
 
-// TripleSketch is the per-sequence k-mer profiles of one triple, built
-// once and reused everywhere a request needs an identity estimate: the
-// planner's bounded-search eval-fraction probe and the serving layer's
-// near-duplicate prescreen both read the same sketch instead of
-// re-sketching the sequences per use. A sketch is immutable, so it may be
-// read from any number of goroutines.
+// TripleSketch is the per-sequence k-mer profiles of one triple. Neither
+// the planner nor alignd builds one any more; it is kept only for the
+// benchmark's traced layers (probe.sketch_us, cache.nearest_us). A sketch
+// is immutable, so it may be read from any number of goroutines.
 type TripleSketch struct {
 	k       int
 	A, B, C *KmerProfile
@@ -314,7 +312,7 @@ func (s *TripleSketch) MeanIdentity() float64 {
 }
 
 // Identity is the positionwise mean identity estimate between two triples
-// (A vs A', B vs B', C vs C') — the near-duplicate prescreen's similarity
+// (A vs A', B vs B', C vs C') — the near-duplicate scan's similarity
 // measure. Sketches of different k are incomparable and panic (via
 // KmerProfile.Distance).
 func (s *TripleSketch) Identity(o *TripleSketch) float64 {
@@ -333,6 +331,8 @@ const pruneSlack = 1e-9
 // scored, assuming identity 1 for the rest — after A, the pair is dropped
 // when idA + 2 < 3·floor — and a profile merge stops once its diff passes
 // the budget its position has left. Sketches of different k panic.
+// alignd no longer calls it (through resultcache.Cache.Nearest); it is
+// kept only for the benchmark's traced cache.nearest_us layer.
 func (s *TripleSketch) BoundedIdentity(o *TripleSketch, floor float64) (float64, bool) {
 	pairs := [3][2]*KmerProfile{{s.A, o.A}, {s.B, o.B}, {s.C, o.C}}
 	need := 3*floor - pruneSlack // what the three identities must sum to

@@ -14,23 +14,14 @@ package server
 //     base context, like a coalesced flush, so one impatient client cannot
 //     cancel work its flight-mates share. The other members collapse onto
 //     the leader's result without consuming queue depth.
-//   - Before computing in full, the leader consults the k-mer
-//     near-duplicate prescreen: a cached triple within the identity
-//     threshold donates its score as the seed of a cheap bounded re-align
-//     (repro.AlignSeeded). The patch-up is verified by construction — a
-//     seed above the true optimum makes the bounded traceback fail, and
-//     the leader falls through to the full plan — so near-dup answers are
-//     bit-identical to uncached ones.
 //
 // Every response on this path carries an X-Cache header and a "cache"
-// body field: "hit", "miss" (leader, computed in full), "near-dup"
-// (leader, verified patch-up), or "collapsed" (waiter).
+// body field: "hit", "miss" (leader), or "collapsed" (waiter).
 
 import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	repro "repro"
@@ -41,7 +32,6 @@ import (
 const (
 	cacheStateHit       = "hit"
 	cacheStateMiss      = "miss"
-	cacheStateNearDup   = "near-dup"
 	cacheStateCollapsed = "collapsed"
 )
 
@@ -50,12 +40,11 @@ const (
 // hint, exactly as if each had been shed individually.
 var errQueueFull = errors.New("server: queue full")
 
-// cacheFill is the value a flight computes: the result plus how it was
-// produced. Waiters share the same *Result; nothing on the response path
-// mutates it.
+// cacheFill is the value a flight computes: the result and whether the
+// coalescer produced it. Waiters share the same *Result; nothing on the
+// response path mutates it.
 type cacheFill struct {
 	res       *repro.Result
-	state     string // cacheStateMiss or cacheStateNearDup
 	coalesced bool
 }
 
@@ -66,19 +55,6 @@ func cacheScheme(item repro.BatchItem) (*repro.Scheme, error) {
 		return item.Opt.Scheme, nil
 	}
 	return repro.DefaultScheme(item.Triple.A.Alphabet())
-}
-
-// nearDupEligible gates the prescreen: it needs an enabled threshold, a
-// linear-gap scheme (the seeded kernel is linear), and an algorithm-
-// agnostic request — a client that pinned a specific kernel gets exactly
-// that kernel, never the patch-up's bounded one.
-func (s *Server) nearDupEligible(req *AlignRequest, sch *repro.Scheme) bool {
-	id := s.cfg.CacheNearDupIdentity
-	if id <= 0 || id >= 1 || sch.Affine() {
-		return false
-	}
-	algo := strings.ToLower(strings.TrimSpace(req.Algorithm))
-	return algo == "" || algo == "auto"
 }
 
 // alignCached serves one /v1/align request through the cache. The request
@@ -93,8 +69,6 @@ func (s *Server) alignCached(w http.ResponseWriter, r *http.Request, item repro.
 		s.alignUncached(w, r, item)
 		return
 	}
-	// One sketch per request, for the near-dup prescreen and the Put.
-	sk := repro.SketchTriple(item.Triple)
 	key, meta := resultcache.KeyFor(item.Triple, sch, req.Algorithm)
 
 	if res, ok := s.cache.Get(key); ok {
@@ -107,7 +81,7 @@ func (s *Server) alignCached(w http.ResponseWriter, r *http.Request, item repro.
 	}
 
 	out := s.flight.Do(r.Context(), key, func() (cacheFill, error) {
-		return s.fillAlign(item, req, key, meta, sk, sch)
+		return s.fillAlign(item, key, meta)
 	})
 	if !out.Leader {
 		s.stats.cacheCollapsed.Add(1)
@@ -127,7 +101,7 @@ func (s *Server) alignCached(w http.ResponseWriter, r *http.Request, item repro.
 		writeError(w, errorStatus(out.Err), out.Err)
 		return
 	}
-	state := out.Val.state
+	state := cacheStateMiss
 	if !out.Leader {
 		state = cacheStateCollapsed
 	}
@@ -140,10 +114,9 @@ func (s *Server) alignCached(w http.ResponseWriter, r *http.Request, item repro.
 }
 
 // fillAlign is the flight leader's computation: the full admission
-// pipeline (pressure, plan, queue slot), then either a verified
-// near-duplicate patch-up or the regular execution path, then cache
-// admission by planned cost.
-func (s *Server) fillAlign(item repro.BatchItem, req *AlignRequest, key resultcache.Key, meta resultcache.Meta, sk *repro.TripleSketch, sch *repro.Scheme) (cacheFill, error) {
+// pipeline (pressure, plan, queue slot), the regular execution path, then
+// cache admission by planned cost.
+func (s *Server) fillAlign(item repro.BatchItem, key resultcache.Key, meta resultcache.Meta) (cacheFill, error) {
 	switch s.pressureLevel() {
 	case pressureShed:
 		return cacheFill{}, errQueueFull
@@ -163,51 +136,18 @@ func (s *Server) fillAlign(item repro.BatchItem, req *AlignRequest, key resultca
 	defer s.stats.estBytesInFlight.Add(-est)
 	s.stats.cacheFills.Add(1)
 
-	fill := cacheFill{state: cacheStateMiss}
-	if s.nearDupEligible(req, sch) {
-		if cand, ok := s.cache.Nearest(sk, meta, s.cfg.CacheNearDupIdentity); ok {
-			if res := s.patchNearDup(item, cand, sch); res != nil {
-				fill.res, fill.state = res, cacheStateNearDup
-				s.stats.cacheNearDup.Add(1)
-			}
-		}
+	res, coalesced, err := s.executeCtx(s.base, item)
+	if err != nil {
+		return cacheFill{}, err
 	}
-	if fill.res == nil {
-		res, coalesced, err := s.executeCtx(s.base, item)
-		if err != nil {
-			return cacheFill{}, err
-		}
-		fill.res, fill.coalesced = res, coalesced
-	}
-	s.stats.recordPlan(fill.res.Plan)
-	s.stats.recordPrune(fill.res.Prune)
+	s.stats.recordPlan(res.Plan)
+	s.stats.recordPrune(res.Prune)
 	if s.cfg.CacheMinCost <= 0 || pl.EstDuration >= s.cfg.CacheMinCost {
 		// Put refuses degraded results itself — their content depends on
 		// the deadline that produced them, which is not part of the key.
-		s.cache.Put(key, meta, fill.res, pl.EstDuration, sk)
+		s.cache.Put(key, meta, res, pl.EstDuration, nil)
 	}
-	return fill, nil
-}
-
-// patchNearDup runs the verified near-duplicate patch-up: a bounded
-// re-align of the request's own triple seeded by the candidate's cached
-// score, on a regular run slot. Any failure — an invalid (too-high) seed
-// detected by the bounded traceback, a deadline, a cancelled server —
-// returns nil and the caller falls through to the full plan, so this path
-// can only ever change latency, not results.
-func (s *Server) patchNearDup(item repro.BatchItem, cand resultcache.Candidate, sch *repro.Scheme) *repro.Result {
-	tr := item.Triple
-	total := tr.A.Len() + tr.B.Len() + tr.C.Len()
-	seed := resultcache.SeedBound(cand.Score, cand.Identity, total, sch)
-	if err := s.gate.acquireRun(s.base); err != nil {
-		return nil
-	}
-	defer s.gate.releaseRun()
-	res, err := repro.AlignSeeded(s.base, tr, item.Opt, int32(seed))
-	if err != nil {
-		return nil
-	}
-	return res
+	return cacheFill{res: res, coalesced: coalesced}, nil
 }
 
 // writeAligned writes one successful alignment with its cache state in

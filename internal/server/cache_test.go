@@ -134,17 +134,14 @@ func TestCacheSingleflightCollapsesFlood(t *testing.T) {
 }
 
 // TestCacheNearDupPatchUp primes the cache with one triple, then requests
-// a single-substitution variant: the response must be flagged near-dup and
-// bit-identical to an uncached control of the same variant.
+// a single-substitution variant. The near-duplicate patch-up is retired,
+// so the variant is an ordinary miss: X-Cache says miss, the score and
+// rows equal an uncached control's, and cache_near_dup_patched stays 0.
+// A client that pinned a kernel ("full", an alias of parallel) is served
+// by that kernel.
 func TestCacheNearDupPatchUp(t *testing.T) {
-	_, ts := newTestServer(t, cacheConfig())
 	base := strings.Repeat("ACGTTGCAAGCTGGATCCAT", 6)
 	varB := base[:50] + "G" + base[51:]
-	prime := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q}`, base, varB, base)
-	if resp := postJSON(t, ts, "/v1/align", prime, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("prime: status %d", resp.StatusCode)
-	}
-
 	sub := "C"
 	if base[30] == 'C' {
 		sub = "G"
@@ -153,54 +150,46 @@ func TestCacheNearDupPatchUp(t *testing.T) {
 	if mutA == base {
 		t.Fatal("test bug: substitution did not change the sequence")
 	}
-	nearDup := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q}`, mutA, varB, base)
-	var out AlignResponse
-	resp := postJSON(t, ts, "/v1/align", nearDup, &out)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("near-dup: status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Cache"); got != cacheStateNearDup {
-		t.Fatalf("X-Cache = %q, want near-dup", got)
-	}
+	for _, c := range []struct{ name, algorithm, ran string }{
+		{"auto", "", ""},
+		{"full", "full", "parallel"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := newTestServer(t, cacheConfig())
+			body := func(a string) string {
+				return fmt.Sprintf(`{"a":%q,"b":%q,"c":%q,"algorithm":%q}`, a, varB, base, c.algorithm)
+			}
+			if resp := postJSON(t, ts, "/v1/align", body(base), nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("prime: status %d", resp.StatusCode)
+			}
+			var out AlignResponse
+			resp := postJSON(t, ts, "/v1/align", body(mutA), &out)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("near-dup: status %d", resp.StatusCode)
+			}
+			if got := resp.Header.Get("X-Cache"); got != cacheStateMiss || out.Cache != cacheStateMiss {
+				t.Fatalf("X-Cache = %q, body cache %q, want miss", got, out.Cache)
+			}
+			if c.ran != "" && out.Algorithm != c.ran {
+				t.Fatalf("explicit algorithm=%s served by %q, want %s", c.algorithm, out.Algorithm, c.ran)
+			}
 
-	// Uncached control: same variant on a cache-less server.
-	_, control := newTestServer(t, Config{CoalesceTick: -1})
-	var ctl AlignResponse
-	if resp := postJSON(t, control, "/v1/align", nearDup, &ctl); resp.StatusCode != http.StatusOK {
-		t.Fatalf("control: status %d", resp.StatusCode)
-	}
-	if out.Score != ctl.Score || out.Rows != ctl.Rows {
-		t.Fatalf("near-dup result differs from uncached control:\n%+v\n%+v", out, ctl)
-	}
+			// Uncached control: same variant on a cache-less server.
+			_, control := newTestServer(t, Config{CoalesceTick: -1})
+			var ctl AlignResponse
+			if resp := postJSON(t, control, "/v1/align", body(mutA), &ctl); resp.StatusCode != http.StatusOK {
+				t.Fatalf("control: status %d", resp.StatusCode)
+			}
+			if out.Score != ctl.Score || out.Rows != ctl.Rows {
+				t.Fatalf("near-dup result differs from uncached control:\n%+v\n%+v", out, ctl)
+			}
 
-	var st Statsz
-	getJSON(t, ts, "/statsz", &st)
-	if st.CacheNearDupPatched != 1 {
-		t.Fatalf("cache_near_dup_patched = %d, want 1", st.CacheNearDupPatched)
-	}
-}
-
-// TestCacheNearDupRespectsExplicitAlgorithm: a client that pinned a
-// kernel must never receive the patch-up's bounded kernel.
-func TestCacheNearDupRespectsExplicitAlgorithm(t *testing.T) {
-	_, ts := newTestServer(t, cacheConfig())
-	base := strings.Repeat("ACGTTGCAAGCTGGATCCAT", 5)
-	prime := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q,"algorithm":"full"}`, base, base, base)
-	postJSON(t, ts, "/v1/align", prime, nil)
-
-	sub := "C"
-	if base[30] == 'C' {
-		sub = "G"
-	}
-	mut := base[:30] + sub + base[31:]
-	var out AlignResponse
-	resp := postJSON(t, ts, "/v1/align", fmt.Sprintf(`{"a":%q,"b":%q,"c":%q,"algorithm":"full"}`, mut, base, base), &out)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	// "full" aliases the blocked kernel, so the plan names parallel.
-	if out.Cache == cacheStateNearDup || out.Algorithm != "parallel" {
-		t.Fatalf("explicit algorithm=full served cache=%q algorithm=%q, want parallel", out.Cache, out.Algorithm)
+			var st Statsz
+			getJSON(t, ts, "/statsz", &st)
+			if st.CacheNearDupPatched != 0 {
+				t.Fatalf("cache_near_dup_patched = %d, want 0", st.CacheNearDupPatched)
+			}
+		})
 	}
 }
 

@@ -83,7 +83,6 @@ type stats struct {
 
 	cacheFills     atomic.Int64 // flight-leader computations on the cached path
 	cacheCollapsed atomic.Int64 // requests that piggybacked on a leader's computation
-	cacheNearDup   atomic.Int64 // misses served by a verified near-duplicate patch-up
 
 	estBytesInFlight   atomic.Int64 // planner-estimated bytes of executing alignments
 	plannedDowngrades  atomic.Int64 // downgrade steps recorded by served plans

@@ -66,11 +66,10 @@ type AlignResponse struct {
 	// Cache reports how the result cache served this request when the
 	// server has one enabled (also carried in the X-Cache header):
 	// "hit" (answered from the cache, no kernel work), "miss" (this
-	// request led the computation), "collapsed" (piggybacked on a
-	// concurrent identical request's computation), or "near-dup" (served
-	// by a verified bounded re-align seeded from a near-duplicate's
-	// cached score — bit-identical to a full alignment). Empty when the
-	// cache is disabled.
+	// request led the computation), or "collapsed" (piggybacked on a
+	// concurrent identical request's computation). The retired
+	// near-duplicate patch-up's "near-dup" is no longer produced. Empty
+	// when the cache is disabled.
 	Cache string `json:"cache,omitempty"`
 	// Plan is the execution plan that served the request: kernel, tile
 	// shape, workers, footprint and duration estimates, and any

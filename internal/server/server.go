@@ -122,13 +122,6 @@ type Config struct {
 	// budget is spent on the entries that save real compute. 0 caches
 	// every successful exact result.
 	CacheMinCost time.Duration
-	// CacheNearDupIdentity is the k-mer identity threshold for the
-	// near-duplicate prescreen: a miss whose triple matches a cached one
-	// at or above this estimated identity is served by a cheap bounded
-	// re-align seeded with the cached score (verified — a failed seed
-	// falls through to the full plan). Zero means the 0.90 default when
-	// the cache is enabled; values outside (0, 1) disable the prescreen.
-	CacheNearDupIdentity float64
 }
 
 // withDefaults resolves zero fields to the documented defaults.
@@ -166,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxMsaSequences > repro.MaxMSASequences {
 		c.MaxMsaSequences = repro.MaxMSASequences
-	}
-	if c.CacheBytes > 0 && c.CacheNearDupIdentity == 0 {
-		c.CacheNearDupIdentity = 0.90
 	}
 	return c
 }
@@ -278,8 +268,9 @@ type Statsz struct {
 	// flight missed individually); Fills count leader computations — the
 	// kernel runs actually executed on the cached path; Collapsed counts
 	// requests that piggybacked on another request's in-flight
-	// computation; NearDupPatched counts misses served by a verified
-	// bounded re-align seeded from a near-duplicate's cached score.
+	// computation. NearDupPatched always reads 0: alignd no longer runs
+	// the near-duplicate patch-up it counted, and the field stays for the
+	// benchmark's traced cache.neardup_share layer.
 	CacheHits           int64 `json:"cache_hits"`
 	CacheMisses         int64 `json:"cache_misses"`
 	CacheFills          int64 `json:"cache_fills"`
@@ -371,7 +362,6 @@ func (s *Server) snapshot() Statsz {
 	st.CacheEntries = cs.Entries
 	st.CacheFills = s.stats.cacheFills.Load()
 	st.CacheCollapsed = s.stats.cacheCollapsed.Load()
-	st.CacheNearDupPatched = s.stats.cacheNearDup.Load()
 	st.EstBytesInFlight = s.stats.estBytesInFlight.Load()
 	st.PlannedDowngrades = s.stats.plannedDowngrades.Load()
 	st.PlannedInt16 = s.stats.plannedInt16.Load()

@@ -44,8 +44,8 @@ type (
 	// aligning.
 	Plan = plan.ExecutionPlan
 	// TripleSketch is a per-sequence k-mer sketch of a triple (see
-	// SketchTriple): the input of the serving layer's near-duplicate
-	// prescreen.
+	// SketchTriple). alignd no longer computes one; it is kept only for
+	// the benchmark's traced layers (probe.sketch_us, cache.nearest_us).
 	TripleSketch = seq.TripleSketch
 )
 
@@ -373,7 +373,11 @@ func gapModel(sch *Scheme) plan.GapModel {
 const ProbeK = 6
 
 // SketchTriple builds the triple's k-mer sketch at ProbeK — one profile
-// pass per sequence — for near-duplicate screening.
+// pass per sequence. alignd no longer calls it: the near-duplicate
+// prescreen it fed was retired once a band-first miss, seeded from its own
+// refined center-star, ran faster than the seeded patch-up. It is kept
+// only for the benchmark's traced layers (probe.sketch_us,
+// cache.nearest_us).
 func SketchTriple(tr Triple) *TripleSketch { return seq.SketchTriple(tr, ProbeK) }
 
 // planRequest translates a triple and Options into a planner request.
@@ -539,71 +543,4 @@ func alignWith(ctx context.Context, tr Triple, opt Options) (*Result, error) {
 			opt.MaxMemoryBytes, pl.Algorithm, ErrTooLarge)
 	}
 	return res, nil
-}
-
-// AlignSeeded runs the Carrillo–Lipman bounded kernel seeded with a
-// caller-supplied lower bound on the triple's optimal SP score — the
-// verified patch-up behind near-duplicate result caching. A tight seed
-// (for example the cached score of a near-identical triple, minus a
-// mutation-cost margin) makes the admissible band thin, so the re-align
-// costs a small fraction of a full plan while staying exact: AlignBounded
-// either returns the true optimum with a full preference-ordered
-// traceback, or fails — a seed above the optimum excludes the optimal
-// path from the band and the traceback reports it — in which case the
-// caller falls back to a full plan. A seed below the kernel's built-in
-// trivial bound is simply ignored, so any int32 is safe to pass.
-//
-// The scheme must be linear-gap (the bounded kernels are); affine schemes
-// fail immediately. Options.Fallback and MaxMemoryBytes do not apply —
-// degradation policy belongs to the caller's fallback path.
-func AlignSeeded(ctx context.Context, tr Triple, opt Options, lower int32) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("repro: align: %w", err)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	sch, err := resolveScheme(tr, opt)
-	if err != nil {
-		return nil, err
-	}
-	if sch.Affine() {
-		return nil, fmt.Errorf("repro: AlignSeeded: scheme %q is affine; the bounded kernel is linear-gap", sch.Name())
-	}
-	// Resolve an honest plan for the bounded kernel so the Result carries
-	// real footprint estimates; the soft budget is cleared because its
-	// downgrade ladder could swap the plan away from the kernel that will
-	// actually run.
-	popt := opt
-	popt.Algorithm = AlgorithmBounded
-	popt.MaxMemoryBytes = 0
-	pl, _, err := resolvePlan(tr, sch, popt)
-	if err != nil {
-		return nil, err
-	}
-	copt := core.Options{
-		Workers:   opt.Workers,
-		BlockSize: opt.BlockSize,
-		MaxBytes:  opt.MaxBytes,
-		TileDims:  pl.TileDims,
-		CellWidth: pl.CellWidthBits,
-	}
-	runCtx := ctx
-	if opt.Deadline > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, opt.Deadline)
-		defer cancel()
-	}
-	start := time.Now()
-	aln, prune, err := core.AlignBounded(runCtx, tr, sch, copt, lower)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Alignment: aln,
-		Algorithm: AlgorithmBounded,
-		Elapsed:   time.Since(start),
-		Prune:     &prune,
-		Plan:      pl,
-	}, nil
 }
