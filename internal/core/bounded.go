@@ -22,9 +22,9 @@ import (
 //  1. Pairwise 2D bands. With optXY the unconstrained pairwise optima,
 //     a cell (i, j, k) admissible under the three-way test
 //     T_AB(i,j)+T_AC(i,k)+T_BC(j,k) ≥ L must satisfy each relaxed pairwise
-//     test, e.g. T_AB(i,j) ≥ L − optAC − optBC. Scanning the through-plane
-//     rows yields a j-hull per i and candidate k-intervals per (i, ·) and
-//     (·, j) in O(nm + np + mp).
+//     test, e.g. T_AB(i,j) ≥ L − optAC − optBC. Scanning the through
+//     rows (forward plus suffix, summed as read) yields a j-hull per i and
+//     candidate k-intervals per (i, ·) and (·, j) in O(nm + np + mp).
 //  2. Lane refinement. Inside each candidate interval the exact three-way
 //     test is applied from both ends, shrinking to the tightest contiguous
 //     interval containing every admissible k. The stored band is therefore
@@ -35,7 +35,9 @@ import (
 //
 // The fill runs the 2D blocked wavefront over (i, j) — each (i, j) lane is
 // filled atomically, so the k-1 dependency stays inside the lane — and is
-// cancelled per block via the scheduler, like every parallel kernel here.
+// cancelled per block via the scheduler, like every parallel kernel here;
+// a band under serialBandCells cells runs as one block on the caller. The
+// lanes read a query profile of C, not pair-score tables.
 // Scores and moves are bit-identical to AlignParallel: band values never
 // exceed the true DP values, so the preference-ordered traceback can never
 // match a spurious predecessor.
@@ -43,9 +45,9 @@ import (
 // The bound is the tighter of lower and the TrivialAlignment score: pass
 // a valid lower bound (any real alignment's SP score) to shrink the band,
 // or mat.NegInf for none. The MaxBytes admission counts what the kernel
-// actually holds: the band (data + index), the three through-planes, and
-// the pair-score tables. The planner's explicit bounded kernel runs the
-// same Prefix, seeded with center-star refined (plan.RunBandFirst).
+// actually holds: the band (data + index), the three through planes, and
+// the profile. The planner's explicit bounded kernel runs the same Prefix,
+// seeded with center-star refined (plan.RunBandFirst).
 func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
 	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, pairwise.Planes{}, opt.workers(), false)
 	if err != nil {
@@ -56,29 +58,31 @@ func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt O
 }
 
 // Prefix is the O(n²) part of a Carrillo–Lipman bounded search over one
-// triple: its three pairwise through planes, the trivial lower bound and,
-// when kept, the three suffix planes A* reads. Nothing band-shaped is
-// allocated before a planned Band is filled, so a caller can count the
-// band, and walk away from it, for the price of the planes.
+// triple: its three pairwise forward planes with, until its band is
+// planned or for A*, their three suffix planes (or, built without suffix
+// planes, the three through planes alone), and the trivial lower bound.
+// Nothing band-shaped is allocated before a planned Band is filled, so a
+// caller can count the band, and walk away from it, for the price of the
+// planes.
 type Prefix struct {
 	tr         seq.Triple
 	sch        *scoring.Scheme
 	ca, cb, cc []int8
 	trivial    mat.Score
-	workers    int
-	fwd        pairwise.Planes // Forward planes; the through planes once through
-	bwd        pairwise.Planes // suffix planes, until added unless kept
-	through    bool            // fwd holds the through planes
-	keep       bool            // bwd stays for A* after the add
+	fwd        pairwise.Planes // Forward planes; the through planes when through
+	bwd        pairwise.Planes // suffix planes, until planned unless kept
+	through    bool            // fwd holds the through planes; bwd is empty
+	keep       bool            // bwd stays for A* once the band is planned
 }
 
 // NewPrefix builds the prefix from the triple's three Forward planes fwd
-// (pairwise.Forwards of A, B and C; zero Planes are filled here), and
-// turns them into through planes in place, one pair per goroutine on up
-// to workers goroutines. A caller that already swept the suffix planes
-// passes them as bwd (pairwise.Sweeps): they are then added only when a
-// band is planned, since SampleCells reads them as they are, and with
-// keepSuffix they stay in the prefix for A*, which then runs without
+// (pairwise.Forwards of A, B and C; zero Planes are filled here). Without
+// suffix planes it turns them into through planes in place, one pair per
+// goroutine on up to workers goroutines: three planes resident, not six.
+// A caller that already swept the suffix planes passes them as bwd
+// (pairwise.Sweeps): SampleCells and Plan read forward plus suffix rows as
+// they are, Plan releases the suffix planes once the band is planned, and
+// with keepSuffix they stay in the prefix for A*, which then runs without
 // filling a plane twice. keepSuffix needs bwd. NewPrefix takes ownership
 // of fwd and bwd, also on error; Release returns every plane to the arena.
 func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd, bwd pairwise.Planes, workers int, keepSuffix bool) (*Prefix, error) {
@@ -99,7 +103,7 @@ func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd, bwd pairwise.Planes, wor
 		fwd = pairwise.Forwards(ca, cb, cc, sch, workers)
 	}
 	p := &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, trivial: trivial.Score,
-		workers: workers, fwd: fwd, bwd: bwd, keep: keepSuffix}
+		fwd: fwd, bwd: bwd, keep: keepSuffix}
 	if bwd[0] == nil {
 		fwd.AddBackwards(ca, cb, cc, sch, workers)
 		p.through = true
@@ -112,20 +116,6 @@ func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd, bwd pairwise.Planes, wor
 func (p *Prefix) Release() {
 	p.fwd.Release()
 	p.bwd.Release()
-}
-
-// bounded is the prefix's bound context at the tighter of lower and the
-// trivial bound, over the through planes, adding the suffix planes into
-// the forward ones first if that is still to do.
-func (p *Prefix) bounded(lower mat.Score) *boundCtx {
-	if !p.through {
-		p.fwd.Add(p.bwd, p.workers)
-		p.through = true
-		if !p.keep {
-			p.bwd.Release()
-		}
-	}
-	return throughCtx(p.fwd, max(lower, p.trivial))
 }
 
 // bandSampleRows is how many rows of A SampleCells counts: one at the
@@ -144,60 +134,24 @@ const (
 // in each), scaled to all rows, and stops early
 // once the rows it has counted already stand for more than limit cells; a
 // result above limit is therefore decided by the rows alone, whatever
-// their order. It reads the forward and suffix planes as they are, so a
-// caller can tell a band far wider than it can afford before paying for
-// the through planes, a tighter bound or the exact count.
+// their order. It runs Plan's scan on those rows, so a caller can tell a
+// band far wider than it can afford before paying for a tighter bound or
+// the exact count. Call it before Plan: a prefix that keeps no suffix
+// planes releases them once its band is planned.
 func (p *Prefix) SampleCells(lower mat.Score, limit int64) int64 {
-	n, m, q := len(p.ca), len(p.cb), len(p.cc)
-	opt := p.fwd.Optima()
-	bound := max(lower, p.trivial)
-	thAB := bound - opt[pairwise.AC] - opt[pairwise.BC]
-	thAC := bound - opt[pairwise.AB] - opt[pairwise.BC]
-	thBC := bound - opt[pairwise.AB] - opt[pairwise.AC]
-	zeros := make([]mat.Score, max(m, q)+1)
-	// suffix is row i of pair x's suffix plane: zeros once the forward
-	// plane already holds the through values.
-	suffix := func(x, i, width int) []mat.Score {
-		if p.through {
-			return zeros[:width]
-		}
-		return p.bwd[x].Row(i)[:width]
-	}
-	fAB, fAC, fBC := p.fwd[pairwise.AB], p.fwd[pairwise.AC], p.fwd[pairwise.BC]
-	// BC intervals are scanned only for the j a sampled lane reaches.
-	kLoB := make([]int32, m+1)
-	kHiB := make([]int32, m+1)
-	for j := range kLoB {
-		kLoB[j] = -1
-	}
-	tac := make([]mat.Score, q+1)
+	n := len(p.ca)
+	s := p.scan(lower)
 	rows := int64(min(n+1, bandSampleRows))
 	var cells int64
 	for r := range rows {
 		i := int((2*r + 1) * int64(n+1) / (2 * rows))
-		fab, bab := fAB.Row(i)[:m+1], suffix(pairwise.AB, i, m+1)
-		jLo, jHi := scanSum(fab, bab, thAB)
-		for k, v := range suffix(pairwise.AC, i, q+1) {
-			tac[k] = fAC.Row(i)[k] + v
-		}
-		kLoA, kHiA := scanInterval(tac, thAC)
+		jLo, jHi := s.hull(i)
+		s.row(i)
 		step := max(1, (jHi-jLo)/bandSampleLanes)
 		var rowCells, counted int64
 		for j := jLo; j < jHi; j += step {
 			counted++
-			fbc, bbc := fBC.Row(j)[:q+1], suffix(pairwise.BC, j, q+1)
-			if kLoB[j] < 0 {
-				lo, hi := scanSum(fbc, bbc, thBC)
-				kLoB[j], kHiB[j] = int32(lo), int32(hi)
-			}
-			lo, hi := max(kLoA, int(kLoB[j])), min(kHiA, int(kHiB[j]))
-			th := bound - fab[j] - bab[j]
-			for lo < hi && tac[lo]+fbc[lo]+bbc[lo] < th {
-				lo++
-			}
-			for lo < hi && tac[hi-1]+fbc[hi-1]+bbc[hi-1] < th {
-				hi--
-			}
+			lo, hi := s.lane(j)
 			rowCells += int64(hi - lo)
 		}
 		if counted > 0 {
@@ -210,22 +164,6 @@ func (p *Prefix) SampleCells(lower mat.Score, limit int64) int64 {
 	return cells * int64(n+1) / rows
 }
 
-// scanSum is scanInterval over the row sum f+b.
-func scanSum(f, b []mat.Score, th mat.Score) (lo, hi int) {
-	hi = len(f)
-	b = b[:hi]
-	for lo < hi && f[lo]+b[lo] < th {
-		lo++
-	}
-	if lo == hi {
-		return 0, 0
-	}
-	for f[hi-1]+b[hi-1] < th {
-		hi--
-	}
-	return lo, hi
-}
-
 // Band is a band planned on a Prefix: per-row hulls and per-lane
 // k-intervals, counted exactly, with nothing allocated yet.
 type Band struct {
@@ -234,12 +172,37 @@ type Band struct {
 	stats              PruneStats
 }
 
-// Plan plans the band at the tighter of lower and the trivial bound.
+// Plan plans the band at the tighter of lower and the trivial bound: every
+// row's j-hull, then every lane's k-interval, refined by the exact
+// three-way test from both ends, so the band is the tightest contiguous
+// superset of the admissible cells, lane by lane. The intervals feed
+// mat.NewBandTensor3 directly, and the stored cell count is known before
+// anything band-shaped is allocated. A prefix that keeps no suffix planes
+// releases them here: the fill reads no plane.
 func (p *Prefix) Plan(lower mat.Score) *Band {
 	n, m, q := len(p.ca), len(p.cb), len(p.cc)
-	bc := p.bounded(lower)
-	b := &Band{p: p, stats: PruneStats{TotalCells: int64(n+1) * int64(m+1) * int64(q+1), LowerBound: bc.bound}}
-	b.jLo, b.jHi, b.kLo, b.kHi, b.stats.EvaluatedCells = planBand(bc, n, m, q)
+	s := p.scan(lower)
+	b := &Band{p: p, jLo: make([]int32, n+1), jHi: make([]int32, n+1),
+		stats: PruneStats{TotalCells: int64(n+1) * int64(m+1) * int64(q+1), LowerBound: s.bound}}
+	lanes := 0
+	for i := 0; i <= n; i++ {
+		jLo, jHi := s.hull(i)
+		b.jLo[i], b.jHi[i] = int32(jLo), int32(jHi)
+		lanes += jHi - jLo
+	}
+	b.kLo, b.kHi = make([]int32, 0, lanes), make([]int32, 0, lanes)
+	for i := 0; i <= n; i++ {
+		s.row(i)
+		for j := int(b.jLo[i]); j < int(b.jHi[i]); j++ {
+			lo, hi := s.lane(j)
+			b.kLo = append(b.kLo, int32(lo))
+			b.kHi = append(b.kHi, int32(hi))
+			b.stats.EvaluatedCells += int64(hi - lo)
+		}
+	}
+	if !p.through && !p.keep {
+		p.bwd.Release()
+	}
 	return b
 }
 
@@ -247,29 +210,59 @@ func (p *Prefix) Plan(lower mat.Score) *Band {
 // cells it stores (all of which the fill evaluates) and its lower bound.
 func (b *Band) Stats() PruneStats { return b.stats }
 
+// serialBandCells is the band size below which Fill runs the whole band
+// as one block, row by row on the calling goroutine, whatever the worker
+// count. A thin band hugs the lattice diagonal, so each anti-diagonal of
+// the (i, j) block grid holds one or two of its blocks: there is little
+// for a second worker to take, and the scheduling costs more than it
+// spreads. Measured on 300–600-residue DNA bands of 16K–1.2M cells, two
+// workers never filled one faster than a single block did, and at most
+// tied it past about 500K cells (EXPERIMENTS F9); above this size the
+// blocked run keeps its per-block cancellation.
+const serialBandCells = 1 << 19
+
 // Fill allocates the band and runs the banded DP and its traceback: the
-// body of AlignBounded. The MaxBytes admission counts what the kernel
-// actually holds: the band (data + index), the three through planes, and
-// the pair-score tables.
+// body of AlignBounded. The lanes read C's query profile (σ × (p+1)
+// scores) for their A-vs-C and B-vs-C terms and look Sub(A, B) up once per
+// lane. The MaxBytes admission counts what the kernel actually holds: the
+// band (data + index), the prefix's pair planes and the profile.
 func (b *Band) Fill(ctx context.Context, opt Options) (*alignment.Alignment, PruneStats, error) {
+	band, stats, err := b.fill(ctx, opt)
+	if err != nil {
+		return nil, stats, err
+	}
+	defer band.Release()
+	p := b.p
+	moves, err := tracebackBand(band, p.ca, p.cb, p.cc, p.sch)
+	if err != nil {
+		return nil, stats, fmt.Errorf("core: bounded traceback failed (is the lower bound valid?): %w", err)
+	}
+	n, m, q := len(p.ca), len(p.cb), len(p.cc)
+	aln := &alignment.Alignment{Triple: p.tr, Moves: moves, Score: band.At(n, m, q)}
+	stats.Optimum = aln.Score
+	return aln, stats, nil
+}
+
+// fill is Fill up to the traceback: it admits, allocates and fills the
+// band, which the caller releases.
+func (b *Band) fill(ctx context.Context, opt Options) (*mat.BandTensor3, PruneStats, error) {
 	p := b.p
 	stats := b.stats
 	if err := checkCtx(ctx); err != nil {
 		return nil, stats, err
 	}
 	n, m, q := len(p.ca), len(p.cb), len(p.cc)
-	tableBytes := mat.PlaneBytes(n+1, m+1) + mat.PlaneBytes(n+1, q+1) + mat.PlaneBytes(m+1, q+1)
-	need := mat.BandTensor3Bytes(stats.EvaluatedCells, int64(len(b.kLo)), int64(n+1)) + throughCtx(p.fwd, 0).planeBytes() + tableBytes
+	need := mat.BandTensor3Bytes(stats.EvaluatedCells, int64(len(b.kLo)), int64(n+1)) +
+		p.planeBytes() + mat.PlaneBytes(p.sch.Alphabet().Size(), q+1)
 	if need > opt.maxBytes() {
 		return nil, stats, fmt.Errorf("%w: need %d bytes (band %d cells), cap %d", ErrTooLarge, need, stats.EvaluatedCells, opt.maxBytes())
 	}
 
-	st := newScoreTables(p.ca, p.cb, p.cc, p.sch)
-	defer st.release()
+	prof := newPairProfile(p.cc, p.sch)
+	defer prof.release()
 	band := mat.NewBandTensor3(n+1, m+1, q+1, b.jLo, b.jHi, b.kLo, b.kHi)
-	defer band.Release()
 	stats.EvaluatedCells = band.Cells()
-	ge2 := 2 * p.sch.GapExtend()
+	f := &bandFill{band: band, prof: prof, ca: p.ca, cb: p.cb, sch: p.sch, ge2: 2 * p.sch.GapExtend()}
 
 	edge := opt.BlockSize
 	if edge <= 0 {
@@ -277,25 +270,37 @@ func (b *Band) Fill(ctx context.Context, opt Options) (*alignment.Alignment, Pru
 	}
 	si := wavefront.Partition(n+1, edge)
 	sj := wavefront.Partition(m+1, edge)
+	if stats.EvaluatedCells < serialBandCells {
+		si = []wavefront.Span{{Lo: 0, Hi: n + 1}}
+		sj = []wavefront.Span{{Lo: 0, Hi: m + 1}}
+	}
 	if err := wavefront.Run2DContext(ctx, len(si), len(sj), opt.workers(), func(bi, bj int) {
 		for i := si[bi].Lo; i < si[bi].Hi; i++ {
+			up, row := band.Row(i-1), band.Row(i)
 			lo := max(sj[bj].Lo, int(b.jLo[i]))
 			hi := min(sj[bj].Hi, int(b.jHi[i]))
 			for j := lo; j < hi; j++ {
-				fillLaneBand(band, st, ge2, i, j)
+				f.lane(up, row, i, j)
 			}
 		}
 	}); err != nil {
+		band.Release()
 		return nil, stats, err
 	}
+	return band, stats, nil
+}
 
-	moves, err := tracebackBand(band, p.ca, p.cb, p.cc, p.sch)
-	if err != nil {
-		return nil, stats, fmt.Errorf("core: bounded traceback failed (is the lower bound valid?): %w", err)
+// planeBytes is the resident footprint of the prefix's pair planes.
+func (p *Prefix) planeBytes() int64 {
+	var total int64
+	for _, planes := range [2]pairwise.Planes{p.fwd, p.bwd} {
+		for _, pl := range planes {
+			if pl != nil {
+				total += pl.Bytes()
+			}
+		}
 	}
-	aln := &alignment.Alignment{Triple: p.tr, Moves: moves, Score: band.At(n, m, q)}
-	stats.Optimum = aln.Score
-	return aln, stats, nil
+	return total
 }
 
 // AStar runs the A* frontier (AlignAStar) on the prefix's suffix planes at
@@ -311,99 +316,149 @@ func (p *Prefix) AStar(ctx context.Context, opt Options, lower mat.Score) (*alig
 	return astarSearch(ctx, p.tr, p.ca, p.cb, p.cc, p.sch, opt, sc, max(lower, p.trivial))
 }
 
-// planBand derives the sparse band from the through-planes: per-i j-hulls,
-// then per-lane k-intervals refined by the exact three-way test. The
-// returned slices feed mat.NewBandTensor3 directly; cells is the stored
-// cell count for memory admission.
-func planBand(bc *boundCtx, n, m, p int) (jLo, jHi, kLo, kHi []int32, cells int64) {
-	optAB := bc.tAB.At(0, 0)
-	optAC := bc.tAC.At(0, 0)
-	optBC := bc.tBC.At(0, 0)
+// bandFill fills the lanes of one band. Its score terms come from C's
+// query profile: Sub(A[i-1], C[k-1]) and Sub(B[j-1], C[k-1]) are the
+// profile rows of A[i-1] and B[j-1], and Sub(A[i-1], B[j-1]) is one lookup
+// per lane, so no n×m score table is built for a fill that visits a thin
+// band of it.
+type bandFill struct {
+	band   *mat.BandTensor3
+	prof   *pairProfile
+	ca, cb []int8
+	sch    *scoring.Scheme
+	ge2    mat.Score
+}
 
-	// Pairwise 2D bands: first/last index passing the relaxed per-pair test.
-	jLo = make([]int32, n+1)
-	jHi = make([]int32, n+1)
-	thAB := bc.bound - optAC - optBC
-	for i := 0; i <= n; i++ {
-		row := bc.tAB.Row(i)
-		lo, hi := scanInterval(row, thAB)
-		jLo[i], jHi[i] = int32(lo), int32(hi)
+// lane fills the stored k-interval of lane (i, j), with up and row the
+// band's rows i-1 and i. An interior lane (i, j ≥ 1) runs fillLane on its
+// three predecessor lanes; lanes on the i = 0 or j = 0 faces, where
+// predecessors are missing, run edgeLane.
+func (f *bandFill) lane(up, row mat.BandRow, i, j int) {
+	cur, lo, ok := row.Lane(j)
+	if !ok {
+		return
 	}
-	kLoA := make([]int32, n+1)
-	kHiA := make([]int32, n+1)
-	thAC := bc.bound - optAB - optBC
-	for i := 0; i <= n; i++ {
-		lo, hi := scanInterval(bc.tAC.Row(i), thAC)
-		kLoA[i], kHiA[i] = int32(lo), int32(hi)
+	if i == 0 || j == 0 {
+		f.edgeLane(up, row, i, j, cur, lo)
+		return
 	}
-	kLoB := make([]int32, m+1)
-	kHiB := make([]int32, m+1)
-	thBC := bc.bound - optAB - optAC
-	for j := 0; j <= m; j++ {
-		lo, hi := scanInterval(bc.tBC.Row(j), thBC)
-		kLoB[j], kHiB[j] = int32(lo), int32(hi)
+	var p11, p10, p01 padLane
+	p11.cells, p11.kLo, ok = up.Lane(j - 1)
+	if !ok {
+		p11 = padLane{cells: negInfLane}
 	}
+	p10.cells, p10.kLo, ok = up.Lane(j)
+	if !ok {
+		p10 = padLane{cells: negInfLane}
+	}
+	p01.cells, p01.kLo, ok = row.Lane(j - 1)
+	if !ok {
+		p01 = padLane{cells: negInfLane}
+	}
+	hi := lo + len(cur)
+	fillLane(cur, lo, p11, p10, p01,
+		f.prof.Row(f.ca[i-1])[lo:hi], f.prof.Row(f.cb[j-1])[lo:hi], f.sch.Sub(f.ca[i-1], f.cb[j-1]), f.ge2)
+}
 
-	// Lane refinement inside the candidate intervals.
-	nLanes := 0
-	for i := 0; i <= n; i++ {
-		nLanes += int(jHi[i] - jLo[i])
+// padLane reads one predecessor lane as if padded with NegInf on both
+// sides: at(k) is the stored cell k, or NegInf outside the stored
+// interval, with a clamped load and a select instead of a branch.
+type padLane struct {
+	cells []mat.Score // never empty
+	kLo   int
+}
+
+// negInfLane stands in for a lane that stores no cells.
+var negInfLane = []mat.Score{mat.NegInf}
+
+func (l padLane) at(k int) mat.Score {
+	x := k - l.kLo
+	c := min(max(x, 0), len(l.cells)-1)
+	v := l.cells[c]
+	if c != x {
+		v = mat.NegInf
 	}
-	kLo = make([]int32, 0, nLanes)
-	kHi = make([]int32, 0, nLanes)
-	for i := 0; i <= n; i++ {
-		tabRow := bc.tAB.Row(i)
-		tac := bc.tAC.Row(i)
-		for j := int(jLo[i]); j < int(jHi[i]); j++ {
-			tbc := bc.tBC.Row(j)
-			th := bc.bound - tabRow[j]
-			lo := max(int(kLoA[i]), int(kLoB[j]))
-			hi := min(int(kHiA[i]), int(kHiB[j]))
-			for lo < hi && tac[lo]+tbc[lo] < th {
-				lo++
+	return v
+}
+
+// fillLane fills one interior lane (i, j ≥ 1) of the band. cur holds its
+// cells k = lo, lo+1, …; p11, p10 and p01 are the (i-1, j-1), (i-1, j)
+// and (i, j-1) lanes; ac and bc are Sub(A[i-1], C[k-1]) and
+// Sub(B[j-1], C[k-1]) over cur's k, and sAB is Sub(A[i-1], B[j-1]). Each
+// predecessor is read once per k, its k-1 value carried from the step
+// before. Every cell starts from the NegInf floor and takes the best of
+// its seven moves, GGX reading the cell below it in cur (NegInf below lo),
+// so in-band values never exceed the true DP values: what keeps the
+// preference-ordered traceback exact.
+func fillLane(cur []mat.Score, lo int, p11, p10, p01 padLane, ac, bc []mat.Score, sAB, ge2 mat.Score) {
+	sABg := sAB + ge2
+	prev := mat.NegInf // the cell below; NegInf below the stored interval
+	k := lo
+	if k == 0 {
+		// Cell k = 0 consumes no residue of C.
+		prev = max(mat.NegInf, p11.at(0)+sABg, p10.at(0)+ge2, p01.at(0)+ge2)
+		cur[0] = prev
+		cur, ac, bc = cur[1:], ac[1:], bc[1:]
+		k = 1
+	}
+	ac, bc = ac[:len(cur)], bc[:len(cur)]
+	d11, d10, d01 := p11.at(k-1), p10.at(k-1), p01.at(k-1) // cells at k-1
+	for x := range cur {
+		u11, u10, u01 := p11.at(k+x), p10.at(k+x), p01.at(k+x) // cells at k
+		v := max(mat.NegInf,
+			d11+sAB+ac[x]+bc[x], // XXX
+			d10+ac[x]+ge2,       // XGX
+			d01+bc[x]+ge2,       // GXX
+			u11+sABg,            // XXG
+			u10+ge2,             // XGG
+			u01+ge2)             // GXG
+		// GGX last: only it waits on the cell below.
+		prev = max(v, prev+ge2)
+		cur[x] = prev
+		d11, d10, d01 = u11, u10, u01
+	}
+}
+
+// edgeLane fills lane (i, j) on the i = 0 or j = 0 face: the per-cell form
+// of fillLane without the moves whose predecessor lane does not exist, and
+// with the origin cell (0, 0, 0) at 0.
+func (f *bandFill) edgeLane(up, row mat.BandRow, i, j int, cur []mat.Score, lo int) {
+	l10, o10, ok10 := up.Lane(j)
+	l01, o01, ok01 := row.Lane(j - 1)
+	var acRow, bcRow []mat.Score
+	if i > 0 {
+		acRow = f.prof.Row(f.ca[i-1])
+	}
+	if j > 0 {
+		bcRow = f.prof.Row(f.cb[j-1])
+	}
+	prev := mat.NegInf
+	for k := lo; k < lo+len(cur); k++ {
+		best := mat.NegInf
+		if k > 0 {
+			if i > 0 {
+				best = max(best, bandVal(l10, o10, ok10, k-1)+acRow[k]+f.ge2) // XGX
 			}
-			if lo >= hi {
-				kLo = append(kLo, 0)
-				kHi = append(kHi, 0)
-				continue
+			if j > 0 {
+				best = max(best, bandVal(l01, o01, ok01, k-1)+bcRow[k]+f.ge2) // GXX
 			}
-			for tac[hi-1]+tbc[hi-1] < th {
-				hi--
-			}
-			kLo = append(kLo, int32(lo))
-			kHi = append(kHi, int32(hi))
-			cells += int64(hi - lo)
+			best = max(best, prev+f.ge2) // GGX
 		}
+		if i > 0 {
+			best = max(best, bandVal(l10, o10, ok10, k)+f.ge2) // XGG
+		}
+		if j > 0 {
+			best = max(best, bandVal(l01, o01, ok01, k)+f.ge2) // GXG
+		}
+		if i == 0 && j == 0 && k == 0 {
+			best = 0
+		}
+		cur[k-lo] = best
+		prev = best
 	}
-	return jLo, jHi, kLo, kHi, cells
 }
 
-// scanInterval returns the tightest [lo, hi) containing every index v of
-// row with row[v] ≥ th; (0, 0) when none passes.
-func scanInterval(row []mat.Score, th mat.Score) (lo, hi int) {
-	hi = len(row)
-	for lo < hi && row[lo] < th {
-		lo++
-	}
-	if lo == hi {
-		return 0, 0
-	}
-	for row[hi-1] < th {
-		hi--
-	}
-	return lo, hi
-}
-
-// bandLaneOf is BandTensor3.Lane tolerating negative indices, so the lane
-// fill can ask for i-1/j-1 predecessors unconditionally.
-func bandLaneOf(b *mat.BandTensor3, i, j int) ([]mat.Score, int, bool) {
-	if i < 0 || j < 0 {
-		return nil, 0, false
-	}
-	return b.Lane(i, j)
-}
-
-// bandVal reads one cell from a lane slice fetched by bandLaneOf,
+// bandVal reads one cell from a lane slice fetched by BandRow.Lane,
 // returning NegInf outside the stored interval — the same sentinel a
 // pruned cell holds in the dense kernels.
 func bandVal(lane []mat.Score, lo int, ok bool, k int) mat.Score {
@@ -411,76 +466,6 @@ func bandVal(lane []mat.Score, lo int, ok bool, k int) mat.Score {
 		return mat.NegInf
 	}
 	return lane[k-lo]
-}
-
-// fillLaneBand fills the stored k-interval of lane (i, j). Predecessor
-// lanes are fetched once per lane; every per-cell read clamps to NegInf
-// outside the band, so in-band values never exceed the true DP values
-// (which is what keeps the preference-ordered traceback exact).
-func fillLaneBand(b *mat.BandTensor3, st *scoreTables, ge2 mat.Score, i, j int) {
-	cur, lo, ok := b.Lane(i, j)
-	if !ok {
-		return
-	}
-	hi := lo + len(cur)
-	l11, o11, ok11 := bandLaneOf(b, i-1, j-1)
-	l10, o10, ok10 := bandLaneOf(b, i-1, j)
-	l01, o01, ok01 := bandLaneOf(b, i, j-1)
-	var sAB mat.Score
-	var acRow, bcRow []mat.Score
-	if i > 0 {
-		acRow = st.ac.Row(i)
-	}
-	if j > 0 {
-		bcRow = st.bc.Row(j)
-	}
-	if i > 0 && j > 0 {
-		sAB = st.ab.Row(i)[j]
-	}
-	prevCur := mat.NegInf // cur[k-1]; NegInf below the stored interval
-	for k := lo; k < hi; k++ {
-		best := mat.NegInf
-		if k > 0 {
-			if i > 0 && j > 0 {
-				if v := bandVal(l11, o11, ok11, k-1) + sAB + acRow[k] + bcRow[k]; v > best {
-					best = v // XXX
-				}
-			}
-			if i > 0 {
-				if v := bandVal(l10, o10, ok10, k-1) + acRow[k] + ge2; v > best {
-					best = v // XGX
-				}
-			}
-			if j > 0 {
-				if v := bandVal(l01, o01, ok01, k-1) + bcRow[k] + ge2; v > best {
-					best = v // GXX
-				}
-			}
-			if v := prevCur + ge2; v > best {
-				best = v // GGX
-			}
-		}
-		if i > 0 && j > 0 {
-			if v := bandVal(l11, o11, ok11, k) + sAB + ge2; v > best {
-				best = v // XXG
-			}
-		}
-		if i > 0 {
-			if v := bandVal(l10, o10, ok10, k) + ge2; v > best {
-				best = v // XGG
-			}
-		}
-		if j > 0 {
-			if v := bandVal(l01, o01, ok01, k) + ge2; v > best {
-				best = v // GXG
-			}
-		}
-		if i == 0 && j == 0 && k == 0 {
-			best = 0
-		}
-		cur[k-lo] = best
-		prevCur = best
-	}
 }
 
 // tracebackBand is tracebackTensor over the sparse band: identical

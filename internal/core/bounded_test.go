@@ -142,15 +142,19 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc := pre.bounded(ref.Score)
+		// A prefix built without suffix planes holds the through planes.
+		th := pre.fwd
+		admissible := func(i, j, k int) bool {
+			return th[pairwise.AB].At(i, j)+th[pairwise.AC].At(i, k)+th[pairwise.BC].At(j, k) >= ref.Score
+		}
 		i, j, k := 0, 0, 0
-		if !bc.admissible(0, 0, 0) {
+		if !admissible(0, 0, 0) {
 			t.Fatalf("trial %d: origin inadmissible at bound=optimum", trial)
 		}
 		for _, mv := range ref.Moves {
 			di, dj, dk := moveDelta(mv)
 			i, j, k = i+di, j+dj, k+dk
-			if !bc.admissible(i, j, k) {
+			if !admissible(i, j, k) {
 				t.Fatalf("trial %d: optimal-path cell (%d,%d,%d) pruned at bound=optimum %d",
 					trial, i, j, k, ref.Score)
 			}
@@ -289,8 +293,8 @@ func movesOf(a *alignment.Alignment) []byte {
 // TestPrefixMatchesStandaloneKernels: a prefix built from swept forward
 // and suffix planes counts, fills and searches exactly as the standalone
 // kernels do, and on triples short enough that SampleCells reads every
-// row of A its estimate is the exact band count, before and after the
-// through planes exist.
+// row of A its estimate is the exact band count, on the swept planes and
+// on the through planes of a prefix built without suffix planes.
 func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(25))
@@ -322,8 +326,14 @@ func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 			sampled := pre.SampleCells(lower, math.MaxInt64)
 			band := pre.Plan(lower)
 			if tr.A.Len()+1 <= bandSampleRows {
-				if resampled := pre.SampleCells(lower, math.MaxInt64); sampled != band.Stats().EvaluatedCells || resampled != sampled {
-					t.Fatalf("trial %d: sampled %d cells before and %d after the through planes, band holds %d",
+				through, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, pairwise.Planes{}, 1, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resampled := through.SampleCells(lower, math.MaxInt64)
+				through.Release()
+				if sampled != band.Stats().EvaluatedCells || resampled != sampled {
+					t.Fatalf("trial %d: sampled %d cells on swept planes and %d on through planes, band holds %d",
 						trial, sampled, resampled, band.Stats().EvaluatedCells)
 				}
 			}
@@ -371,4 +381,50 @@ func standaloneAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, op
 		mat.PutPlane(sc.bBC)
 	}()
 	return astarSearch(ctx, tr, ca, cb, cc, sch, opt, sc, max(trivial.Score, lower))
+}
+
+// TestReachBoundsThroughPlanes checks the shape bound the band scan skips
+// cells by: every through value of every pair lies at or below its reach,
+// and span returns exactly the cells whose reach meets a threshold, over
+// DNA and linear-gap BLOSUM62, equal and unequal lengths, and empty
+// sequences.
+func TestReachBoundsThroughPlanes(t *testing.T) {
+	prot, err := scoring.BLOSUM62().WithGaps(0, -4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4242))
+	for trial := 0; trial < 24; trial++ {
+		sch, tr := dnaSch, relatedTriple(rng.Int63(), 1+rng.Intn(40), 0.4*rng.Float64())
+		switch trial % 4 {
+		case 1:
+			sch, tr = prot, seq.NewGenerator(seq.Protein, rng.Int63()).RelatedTriple(1+rng.Intn(40), seq.Uniform(0.3*rng.Float64()))
+		case 2:
+			tr = randomTriple(rng, rng.Intn(30), rng.Intn(30), rng.Intn(30))
+		}
+		pre, err := NewPrefix(tr, sch, pairwise.Planes{}, pairwise.Planes{}, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lens := [3][2]int{{len(pre.ca), len(pre.cb)}, {len(pre.ca), len(pre.cc)}, {len(pre.cb), len(pre.cc)}}
+		for x, th := range pre.fwd {
+			r := newReach(lens[x][0], lens[x][1], sch)
+			for u := 0; u <= lens[x][0]; u++ {
+				for v := 0; v <= lens[x][1]; v++ {
+					if got := th.At(u, v); got > r.at(u, v) {
+						t.Fatalf("trial %d pair %d: T[%d][%d] = %d above its reach %d", trial, x, u, v, got, r.at(u, v))
+					}
+				}
+				for _, cut := range []mat.Score{r.at(u, min(u, r.ny)) + 1, r.at(u, min(u, r.ny)), th.At(u, 0), th.At(0, 0) - 5, r.base} {
+					lo, hi := r.span(u, cut)
+					for v := 0; v <= lens[x][1]; v++ {
+						if in := v >= lo && v < hi; in != (r.at(u, v) >= cut) {
+							t.Fatalf("trial %d pair %d row %d: span(%d) = [%d, %d) but reach at %d is %d", trial, x, u, cut, lo, hi, v, r.at(u, v))
+						}
+					}
+				}
+			}
+		}
+		pre.Release()
+	}
 }

@@ -135,6 +135,36 @@ func (b *BandTensor3) Lane(i, j int) (cells []Score, kLo int, ok bool) {
 	return b.data[l.off : l.off+int(l.kHi-l.kLo)], int(l.kLo), true
 }
 
+// BandRow is one i-row of a band, for kernels that walk its lanes in j
+// order: its Lane(j) is the band's Lane(i, j) without the row lookup.
+type BandRow struct {
+	jLo   int
+	lanes []bandLane
+	data  []Score
+}
+
+// Row returns row i of the band; a row outside [0, ni) has no lanes.
+func (b *BandTensor3) Row(i int) BandRow {
+	if i < 0 || i >= b.ni {
+		return BandRow{}
+	}
+	return BandRow{jLo: int(b.jLo[i]), lanes: b.lanes[b.laneOff[i]:b.laneOff[i+1]], data: b.data}
+}
+
+// Lane returns the stored slice of the row's lane j and the k index of its
+// first element, as BandTensor3.Lane does.
+func (r BandRow) Lane(j int) (cells []Score, kLo int, ok bool) {
+	x := j - r.jLo
+	if x < 0 || x >= len(r.lanes) {
+		return nil, 0, false
+	}
+	l := r.lanes[x]
+	if l.kLo >= l.kHi {
+		return nil, 0, false
+	}
+	return r.data[l.off : l.off+int(l.kHi-l.kLo)], int(l.kLo), true
+}
+
 // At returns the value at (i, j, k), or NegInf when the cell is not
 // stored — the pruned-cell convention of the dense Carrillo–Lipman
 // kernels.

@@ -95,18 +95,7 @@ func alignToProfile(cols []alignment.Mask, rows []*seq.Sequence, sch *scoring.Sc
 	for j := 1; j <= m; j++ {
 		row0[j] = row0[j-1] + gapR[j-1]
 	}
-	for i := 1; i <= n; i++ {
-		prev := f.Row(i - 1)[: m+1 : m+1]
-		cur := f.Row(i)[: m+1 : m+1]
-		mr := matchRow(r[i-1])
-		left := prev[0] + gapCol
-		cur[0] = left
-		for j := 1; j <= m; j++ {
-			best := max(prev[j-1]+mr[j-1], prev[j]+gapCol, left+gapR[j-1])
-			cur[j] = best
-			left = best
-		}
-	}
+	profileRows(f, r, matchRow, gapR, gapCol)
 
 	res := make([]alignment.Mask, 0, n+m)
 	i, j := n, m
@@ -130,4 +119,35 @@ func alignToProfile(cols []alignment.Mask, rows []*seq.Sequence, sch *scoring.Sc
 		res[l], res[h] = res[h], res[l]
 	}
 	return res, nil
+}
+
+// profileRows fills rows 1 … len(r) of the profile DP plane f from its
+// row 0, where row i aligns r[i-1] (its match row match(r[i-1])) against
+// the profile columns.
+func profileRows(f *mat.Plane, r []int8, match func(c int8) []mat.Score, gapR []mat.Score, gapCol mat.Score) {
+	for i := 1; i <= len(r); i++ {
+		prev, cur := f.Row(i-1), f.Row(i)
+		cur[0] = prev[0] + gapCol
+		profileRow(prev, cur, match(r[i-1]), gapR, gapCol)
+	}
+}
+
+// profileRow fills cur[1:] with row i of the profile recurrence
+//
+//	F[i][j] = max(F[i-1][j-1] + match[j-1], F[i-1][j] + gapCol, F[i][j-1] + gapR[j-1])
+//
+// from prev = row i-1 and the already-set cur[0]: pairwise's forward row
+// with a per-column cost for a gap in the aligned row. The diagonal and
+// left values ride in registers, and the reslices let the compiler drop
+// every bounds check in the loop.
+func profileRow(prev, cur, match, gapR []mat.Score, gapCol mat.Score) {
+	m := len(match)
+	diag, left := prev[0], cur[0]
+	up, out, gapR := prev[1:m+1], cur[1:m+1], gapR[:m]
+	for j, s := range match {
+		u := up[j]
+		best := max(diag+s, u+gapCol, left+gapR[j])
+		out[j] = best
+		diag, left = u, best
+	}
 }

@@ -30,30 +30,11 @@ func RefineContext(ctx context.Context, aln *alignment.Alignment, sch *scoring.S
 	if err := aln.Validate(); err != nil {
 		return nil, fmt.Errorf("msa: refine input: %w", err)
 	}
-	if maxRounds <= 0 {
-		maxRounds = 10
-	}
 	cur := aln.Multi()
 	cur.Score = cur.SPScore(sch)
-	for round := 0; round < maxRounds; round++ {
-		improved := false
-		for out := 0; out < 3; out++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			cand, err := realignOne(cur, sch, out)
-			if err != nil {
-				return nil, err
-			}
-			cand.Score = cand.SPScore(sch)
-			if cand.Score > cur.Score {
-				cur = cand
-				improved = true
-			}
-		}
-		if !improved {
-			break
-		}
+	cur, err := refineRounds(ctx, cur, sch, maxRounds, (*alignment.Multi).SPScore)
+	if err != nil {
+		return nil, err
 	}
 	return cur.ToAlignment()
 }
@@ -67,30 +48,53 @@ func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Sc
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("msa: refine input: %w", err)
 	}
+	cur := &alignment.Multi{Seqs: m.Seqs, Cols: append([]alignment.Mask(nil), m.Cols...)}
+	cur.Score = cur.SPScoreFor(sch)
+	if cur.NumRows() < 2 {
+		return cur, nil
+	}
+	return refineRounds(ctx, cur, sch, maxRounds, (*alignment.Multi).SPScoreFor)
+}
+
+// refineRounds is the round loop of both refinements: each round
+// re-aligns every row of cur in turn and keeps a candidate that score
+// rates higher, for at most maxRounds rounds (≤ 0: 10) or until a round
+// keeps none.
+//
+// A re-alignment reads only the other rows' columns, so it is skipped when
+// the row was already re-aligned at the current version of cur: a rejected
+// candidate would be rejected again, and a kept one is cur itself, whose
+// other rows induce the very profile it was aligned to, so the DP returns
+// its columns unchanged. The result is the one a loop without the skip
+// returns; only the profile DPs it spares are gone.
+func refineRounds(ctx context.Context, cur *alignment.Multi, sch *scoring.Scheme, maxRounds int, score func(*alignment.Multi, *scoring.Scheme) mat.Score) (*alignment.Multi, error) {
 	if maxRounds <= 0 {
 		maxRounds = 10
 	}
-	n := m.NumRows()
-	cur := &alignment.Multi{Seqs: m.Seqs, Cols: append([]alignment.Mask(nil), m.Cols...)}
-	cur.Score = cur.SPScoreFor(sch)
-	if n < 2 {
-		return cur, nil
-	}
+	// doneAt[row] is the version of cur at which row was last re-aligned;
+	// versions start at 1, so 0 means never.
+	doneAt := make([]int, cur.NumRows())
+	version := 1
 	for round := 0; round < maxRounds; round++ {
 		improved := false
-		for out := 0; out < n; out++ {
+		for out := range doneAt {
+			if doneAt[out] == version {
+				continue
+			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			cand, err := realignOne(cur, sch, out)
+			cand, err := realign(cur, sch, out)
 			if err != nil {
 				return nil, err
 			}
-			cand.Score = cand.SPScoreFor(sch)
+			cand.Score = score(cand, sch)
 			if cand.Score > cur.Score {
 				cur = cand
 				improved = true
+				version++
 			}
+			doneAt[out] = version
 		}
 		if !improved {
 			break
@@ -98,6 +102,10 @@ func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Sc
 	}
 	return cur, nil
 }
+
+// realign is the row re-alignment refineRounds runs; tests wrap it to
+// count the profile DPs a refinement pays for.
+var realign = realignOne
 
 // realignOne removes row out from cur and re-aligns it optimally against
 // the profile of the other rows (linear objective; see alignToProfile).
@@ -125,7 +133,7 @@ func CenterStarRefined(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment
 	if err != nil {
 		return nil, err
 	}
-	return RefineBelow(aln, upper, sch)
+	return RefineBelow(context.Background(), aln, upper, sch)
 }
 
 // CenterStarOn is CenterStar over the triple's three Forward planes
@@ -139,12 +147,12 @@ func CenterStarOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*ali
 	return centerStar(tr, sch, fwd.Optima(), planeOps(fwd, []*seq.Sequence{tr.A, tr.B, tr.C}, sch))
 }
 
-// RefineBelow refines a center-star alignment unless it already scores
-// the pairwise upper bound U: no alignment scores above U, so no round
-// could improve it, and the result is the one Refine would return.
-func RefineBelow(aln *alignment.Alignment, upper mat.Score, sch *scoring.Scheme) (*alignment.Alignment, error) {
+// RefineBelow refines a center-star alignment under ctx unless it already
+// scores the pairwise upper bound U: no alignment scores above U, so no
+// round could improve it, and the result is the one Refine would return.
+func RefineBelow(ctx context.Context, aln *alignment.Alignment, upper mat.Score, sch *scoring.Scheme) (*alignment.Alignment, error) {
 	if aln.Score == upper {
 		return aln, nil
 	}
-	return Refine(aln, sch, 0)
+	return RefineContext(ctx, aln, sch, 0)
 }

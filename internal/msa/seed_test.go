@@ -1,6 +1,7 @@
 package msa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -297,7 +298,7 @@ func TestSeedMatchesCenterStarRefined(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		seed, err := RefineBelow(star, upper, c.sch)
+		seed, err := RefineBelow(context.Background(), star, upper, c.sch)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -275,7 +275,7 @@ func Forwards(a, b, c []int8, sch *scoring.Scheme, workers int) Planes {
 
 // Sweeps fills both the Forward and the suffix (Backward) planes of the
 // three pairs of (a, b, c): six independent sweeps, on up to workers
-// goroutines. fwd.Add(bwd) then yields the through planes.
+// goroutines. A pair's through plane is the sum of its two planes.
 func Sweeps(a, b, c []int8, sch *scoring.Scheme, workers int) (fwd, bwd Planes) {
 	parallelFor(6, workers, func(t int) {
 		x := t % 3
@@ -296,22 +296,6 @@ func (p Planes) AddBackwards(a, b, c []int8, sch *scoring.Scheme, workers int) {
 	parallelFor(3, workers, func(x int) {
 		u, v := pairOf(a, b, c, x)
 		AddBackward(p[x], u, v, sch)
-	})
-}
-
-// Add adds q into p cell by cell, one pair per goroutine on up to workers
-// goroutines; the planes must have the same shapes. On Forward planes and
-// the Backward planes of the same pairs it yields the through planes, as
-// AddBackwards does.
-func (p Planes) Add(q Planes, workers int) {
-	parallelFor(3, workers, func(x int) {
-		for i := 0; i < p[x].Rows(); i++ {
-			dst := p[x].Row(i)
-			src := q[x].Row(i)[:len(dst)]
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
 	})
 }
 

@@ -45,26 +45,28 @@ const MinBoundedLen = 128
 const AStarFractionMax = 0.0005
 
 // bandBytes models AlignBounded's peak footprint for a band of the given
-// stored cells: 4 bytes per cell plus the pairwise planes (three
-// through-planes for the bound, three score tables for the fill — ~8 bytes
-// per pair cell).
+// stored cells: 4 bytes per cell plus the three through planes of the
+// bound (4 bytes per pair cell). The fill reads C's query profile, whose
+// σ·(p+1) scores do not register at this scale.
 func bandBytes(s Shape, cells uint64) uint64 {
-	return addSat(mulSat(cells, 4), mulSat(s.PairCells(), 8))
+	return addSat(mulSat(cells, 4), mulSat(s.PairCells(), 4))
 }
 
 // astarBytes models AlignAStar's peak footprint: ~64 bytes per expanded or
-// frontier node (map entry plus amortized heap entry) over the same
-// pairwise planes. The per-node constant is why A* only wins on very thin
-// bands despite expanding fewer cells.
+// frontier node (map entry plus amortized heap entry) over its three
+// suffix planes and three pair-score tables (~8 bytes per pair cell). The
+// per-node constant is why A* only wins on very thin bands despite
+// expanding fewer cells.
 func astarBytes(s Shape, cells uint64) uint64 {
 	return addSat(mulSat(cells, 64), mulSat(s.PairCells(), 8))
 }
 
-// prefixBytes is what a band-first run may hold besides its band: the
-// three through planes and three score tables of bandBytes, plus the three
-// suffix planes a one-worker run keeps for A* — 12 bytes per pair cell.
+// prefixBytes is what a band-first run may hold besides its band: the six
+// planes of the pair sweeps, forward and suffix — 8 bytes per pair cell.
+// All six are resident while the band is planned, and a one-worker run
+// keeps the suffix planes through the fill for A*.
 func prefixBytes(s Shape) uint64 {
-	return mulSat(s.PairCells(), 12)
+	return mulSat(s.PairCells(), 8)
 }
 
 // bandFirstBytes is a band-first plan's footprint: its fallback's, or the
@@ -167,7 +169,7 @@ func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *sc
 			return fallback(est)
 		}
 	}
-	seed, err := msa.RefineBelow(star, upper, sch)
+	seed, err := msa.RefineBelow(ctx, star, upper, sch)
 	if err != nil {
 		return nil, nil, pl, err
 	}

@@ -33,3 +33,35 @@ func BenchmarkBoundedFresh98(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBandFirstLarge70 times one automatic request as alignd runs an
+// align-large-closed one: a 300×300×300 DNA triple at 16% substitution
+// with indels at a quarter of that (about 70% pairwise identity), planned
+// by Resolve at 2 workers and run through RunBandFirst: six pair sweeps,
+// the center-star-refined seed, band planning and the band fill. One op
+// is one triple; the 12 triples cycle.
+func BenchmarkBandFirstLarge70(b *testing.B) {
+	sch := scoring.DNADefault()
+	trs := make([]seq.Triple, 12)
+	for s := range trs {
+		trs[s] = seq.NewGenerator(seq.DNA, int64(7000+s)).TripleWithLengths(300, 300, 300,
+			seq.MutationModel{SubstitutionRate: 0.16, InsertionRate: 0.04, DeletionRate: 0.04})
+	}
+	const workers = 2
+	pl, _, err := Resolve(Request{Shape: Shape{NA: 300, NB: 300, NC: 300}, Workers: workers, MaxAbsColumn: core.MaxAbsColumn(sch)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if pl.Fallback == "" {
+		b.Fatalf("plan %s is not band first", pl.Algorithm)
+	}
+	opt := core.Options{Workers: workers, TileDims: pl.TileDims, CellWidth: pl.CellWidthBits}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := RunBandFirst(ctx, pl, trs[i%len(trs)], sch, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

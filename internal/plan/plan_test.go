@@ -172,6 +172,8 @@ func TestShapeOverflowSaturates(t *testing.T) {
 // blocked kernel, and its linear-space sibling when the lattice exceeds
 // the hard cap. The dna12 and dna96 rows are the facade's own scenarios:
 // 12- and 96-residue DNA triples under the default scheme's column bound.
+// A linear-gap shape past MinBoundedLen whose sweep planes fit the cap
+// starts on the band, with the legacy pick as its fallback.
 func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 	small := Shape{NA: 10, NB: 10, NC: 10}
 	big := Shape{NA: 200, NB: 200, NC: 200} // full lattice ≈ 32 MiB
@@ -184,15 +186,16 @@ func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 		gap      GapModel
 		maxBytes int64
 		want     string
+		fallback string
 	}{
-		{"linear", small, GapLinear, 0, "parallel"},
-		{"affine", small, GapAffine, 0, "affine-parallel"},
-		{"capped-linear", big, GapLinear, 1 << 20, "parallel-linear"},
-		{"capped-affine", big, GapAffine, 1 << 20, "affine-linear"},
-		{"small-linear", dna12, GapLinear, 0, "parallel"},
-		{"small-affine", dna12, GapAffine, 0, "affine-parallel"},
-		{"big-capped", dna96, GapLinear, 1 << 20, "parallel-linear"},
-		{"big-affine-capped", dna96, GapAffine, 4 << 20, "affine-linear"},
+		{"linear", small, GapLinear, 0, "parallel", ""},
+		{"affine", small, GapAffine, 0, "affine-parallel", ""},
+		{"capped-linear", big, GapLinear, 1 << 20, "bounded", "parallel-linear"},
+		{"capped-affine", big, GapAffine, 1 << 20, "affine-linear", ""},
+		{"small-linear", dna12, GapLinear, 0, "parallel", ""},
+		{"small-affine", dna12, GapAffine, 0, "affine-parallel", ""},
+		{"big-capped", dna96, GapLinear, 1 << 20, "parallel-linear", ""},
+		{"big-affine-capped", dna96, GapAffine, 4 << 20, "affine-linear", ""},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
@@ -202,8 +205,8 @@ func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
 			}
-			if pl.Algorithm != tc.want {
-				t.Errorf("%s/workers=%d: planned %s, want %s", tc.name, workers, pl.Algorithm, tc.want)
+			if pl.Algorithm != tc.want || pl.Fallback != tc.fallback {
+				t.Errorf("%s/workers=%d: planned %s (fallback %q), want %s (fallback %q)", tc.name, workers, pl.Algorithm, pl.Fallback, tc.want, tc.fallback)
 			}
 		}
 	}
@@ -520,6 +523,32 @@ func TestExplicitBoundedKernelsHaveNoFallback(t *testing.T) {
 		aln, st, err := k.Run(context.Background(), tr, scoring.DNADefault(), core.Options{MaxBytes: 4096})
 		if !errors.Is(err, core.ErrTooLarge) || aln != nil || st != nil {
 			t.Errorf("%s over a 4096-byte cap: alignment %v, stats %v, err %v; want core.ErrTooLarge", name, aln, st, err)
+		}
+	}
+}
+
+// TestRunBandFirstCancelled: a band-first run under a cancelled context,
+// automatic or an explicit bounded or astar request, at one and two
+// workers, returns context.Canceled; refinement honours the context too,
+// so a client that has gone away stops the run before its profile DPs.
+func TestRunBandFirstCancelled(t *testing.T) {
+	sch := scoring.DNADefault()
+	tr := seq.NewGenerator(seq.DNA, 31).TripleWithLengths(140, 140, 140, seq.Uniform(0.16))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, alg := range []string{"", "bounded", "astar"} {
+		for _, workers := range []int{1, 2} {
+			pl, _, err := Resolve(Request{Shape: Shape{NA: 140, NB: 140, NC: 140}, Algorithm: alg, Workers: workers, MaxAbsColumn: core.MaxAbsColumn(sch)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alg == "" && pl.Fallback == "" {
+				t.Fatalf("workers=%d: automatic plan %s is not band first", workers, pl.Algorithm)
+			}
+			aln, st, _, err := RunBandFirst(ctx, pl, tr, sch, core.Options{Workers: workers})
+			if !errors.Is(err, context.Canceled) || aln != nil || st != nil {
+				t.Errorf("%q workers=%d: alignment %v, stats %v, err %v; want context.Canceled", alg, workers, aln, st, err)
+			}
 		}
 	}
 }

@@ -211,7 +211,7 @@ func TestServedPlanShapesKeepTheirEstimates(t *testing.T) {
 		// estimates: parallel's, and under the 1 MiB cap parallel-linear's
 		// with the bytes a band at the ceiling may take.
 		{"small-batch-2", "astar", 1, 2146689, 4293378, 16, 1611797},
-		{"small-batch-3", "astar", 1, 2146689, 1048576, 32, 3234475},
+		{"small-batch-3", "astar", 1, 2146689, 859840, 32, 3234475},
 		{"large", "bounded", 2, 27270901, 54541802, 16, 22546860},
 		{"repeat-miss", "bounded", 2, 27270901, 54541802, 16, 22546860},
 		{"msa-w2-merge0-batch2", "affine-parallel", 1, 274625, 7689500, 32, 5579540},
