@@ -3,6 +3,7 @@ package msa
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/alignment"
 	"repro/internal/mat"
@@ -27,12 +28,18 @@ func Refine(aln *alignment.Alignment, sch *scoring.Scheme, maxRounds int) (*alig
 // checked before every per-sequence re-alignment, and cancellation returns
 // the context's error.
 func RefineContext(ctx context.Context, aln *alignment.Alignment, sch *scoring.Scheme, maxRounds int) (*alignment.Alignment, error) {
+	return refineTriple(ctx, aln, sch, maxRounds, noCeiling)
+}
+
+// refineTriple is RefineContext stopping as soon as the alignment scores
+// ceiling, a score no alignment of the triple exceeds.
+func refineTriple(ctx context.Context, aln *alignment.Alignment, sch *scoring.Scheme, maxRounds int, ceiling mat.Score) (*alignment.Alignment, error) {
 	if err := aln.Validate(); err != nil {
 		return nil, fmt.Errorf("msa: refine input: %w", err)
 	}
 	cur := aln.Multi()
 	cur.Score = cur.SPScore(sch)
-	cur, err := refineRounds(ctx, cur, sch, maxRounds, (*alignment.Multi).SPScore)
+	cur, err := refineRounds(ctx, cur, sch, maxRounds, ceiling, (*alignment.Multi).SPScore)
 	if err != nil {
 		return nil, err
 	}
@@ -53,8 +60,11 @@ func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Sc
 	if cur.NumRows() < 2 {
 		return cur, nil
 	}
-	return refineRounds(ctx, cur, sch, maxRounds, (*alignment.Multi).SPScoreFor)
+	return refineRounds(ctx, cur, sch, maxRounds, noCeiling, (*alignment.Multi).SPScoreFor)
 }
+
+// noCeiling is the ceiling of a refinement that knows no upper bound.
+const noCeiling = mat.Score(math.MaxInt32)
 
 // refineRounds is the round loop of both refinements: each round
 // re-aligns every row of cur in turn and keeps a candidate that score
@@ -65,9 +75,10 @@ func RefineMultiContext(ctx context.Context, m *alignment.Multi, sch *scoring.Sc
 // the row was already re-aligned at the current version of cur: a rejected
 // candidate would be rejected again, and a kept one is cur itself, whose
 // other rows induce the very profile it was aligned to, so the DP returns
-// its columns unchanged. The result is the one a loop without the skip
-// returns; only the profile DPs it spares are gone.
-func refineRounds(ctx context.Context, cur *alignment.Multi, sch *scoring.Scheme, maxRounds int, score func(*alignment.Multi, *scoring.Scheme) mat.Score) (*alignment.Multi, error) {
+// its columns unchanged. Once cur scores ceiling no candidate can beat
+// it, so the loop stops there. The result is the one a loop without
+// either cut returns; only the profile DPs they spare are gone.
+func refineRounds(ctx context.Context, cur *alignment.Multi, sch *scoring.Scheme, maxRounds int, ceiling mat.Score, score func(*alignment.Multi, *scoring.Scheme) mat.Score) (*alignment.Multi, error) {
 	if maxRounds <= 0 {
 		maxRounds = 10
 	}
@@ -93,6 +104,9 @@ func refineRounds(ctx context.Context, cur *alignment.Multi, sch *scoring.Scheme
 				cur = cand
 				improved = true
 				version++
+				if cur.Score >= ceiling {
+					return cur, nil
+				}
 			}
 			doneAt[out] = version
 		}
@@ -147,12 +161,13 @@ func CenterStarOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*ali
 	return centerStar(tr, sch, fwd.Optima(), planeOps(fwd, []*seq.Sequence{tr.A, tr.B, tr.C}, sch))
 }
 
-// RefineBelow refines a center-star alignment under ctx unless it already
-// scores the pairwise upper bound U: no alignment scores above U, so no
-// round could improve it, and the result is the one Refine would return.
+// RefineBelow refines a center-star alignment under ctx until it scores
+// the pairwise upper bound U, if it ever does: no alignment scores above
+// U, so no later round could improve it, and the result is the one Refine
+// would return.
 func RefineBelow(ctx context.Context, aln *alignment.Alignment, upper mat.Score, sch *scoring.Scheme) (*alignment.Alignment, error) {
 	if aln.Score == upper {
 		return aln, nil
 	}
-	return RefineContext(ctx, aln, sch, 0)
+	return refineTriple(ctx, aln, sch, 0, upper)
 }

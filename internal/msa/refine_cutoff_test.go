@@ -273,3 +273,46 @@ func TestRefineBelowCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRefineBelowStopsAtUpperBound: once refinement reaches the pairwise
+// upper bound U it stops, and returns what the whole-round loop returns;
+// on triples whose refinement reaches U that spares profile DPs.
+func TestRefineBelowStopsAtUpperBound(t *testing.T) {
+	calls := countRealigns(t)
+	reached, spared := 0, 0
+	for s := int64(0); s < 40; s++ {
+		tr := seq.NewGenerator(seq.DNA, 9100+s).RelatedTriple(80+int(s), seq.Uniform([]float64{0.01, 0.03, 0.05}[s%3]))
+		codes := refCodes(tr)
+		fwd := pairwise.Forwards(codes[0], codes[1], codes[2], dnaSch, 1)
+		star, upper, err := CenterStarOn(tr, dnaSch, fwd)
+		fwd.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wholeRoundRefine(context.Background(), star, dnaSch, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*calls = 0
+		got, err := RefineBelow(context.Background(), star, upper, dnaSch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameAlignment(got, want) {
+			t.Fatalf("seed %d: RefineBelow %d %q, whole rounds %d %q", s, got.Score, movesBytes(got.Moves), want.Score, movesBytes(want.Moves))
+		}
+		if star.Score < upper && got.Score == upper {
+			reached++
+			below := *calls
+			*calls = 0
+			if _, err := RefineContext(context.Background(), star, dnaSch, 0); err != nil {
+				t.Fatal(err)
+			}
+			spared += *calls - below
+		}
+	}
+	t.Logf("refinement reached the upper bound on %d triples, sparing %d profile DPs", reached, spared)
+	if reached == 0 || spared <= 0 {
+		t.Fatalf("no triple exercised the stop at the upper bound (%d reached it, %d DPs spared)", reached, spared)
+	}
+}
