@@ -95,18 +95,14 @@ func (h *astarHeap) pop() astarNode {
 // its live node estimate; an overrun returns ErrTooLarge like any dense
 // kernel refusing an oversized lattice. The bound is the tighter of lower
 // and the TrivialAlignment score (mat.NegInf for none). AlignAStar sweeps
-// the six pair planes and runs Prefix.AStar on the suffix ones, as the
-// planner's explicit astar kernel does after its center-star seed.
+// the pair planes in the bands that bound admits and runs Prefix.AStar on
+// the suffix ones, as the planner's explicit astar kernel does after its
+// center-star seed.
 func AlignAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, PruneStats{}, err
-	}
 	if err := checkCtx(ctx); err != nil {
 		return nil, PruneStats{}, err
 	}
-	fwd, bwd := pairwise.Sweeps(ca, cb, cc, sch, opt.workers())
-	pre, err := NewPrefix(tr, sch, fwd, bwd, opt.workers(), true)
+	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, lower, opt.workers(), true)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
@@ -115,10 +111,11 @@ func AlignAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Opt
 }
 
 // astarSearch is AlignAStar's search over filled suffix planes, from the
-// lower bound bound.
+// lower bound bound. Its column scores come from C's query profile, as the
+// band fill's do, and Sub(A, B) from the scheme.
 func astarSearch(ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, sc *suffixCtx, bound mat.Score) (*alignment.Alignment, PruneStats, error) {
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
+	prof := newPairProfile(cc, sch)
+	defer prof.release()
 
 	n, m, p := len(ca), len(cb), len(cc)
 	stats := PruneStats{TotalCells: int64(n+1) * int64(m+1) * int64(p+1), LowerBound: bound}
@@ -187,21 +184,22 @@ func astarSearch(ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *sco
 		k := int(top.key % strideJ)
 		gv := top.g
 		if i < n {
+			ac := prof.Row(ca[i])
 			if j < m {
-				sAB := st.ab.Row(i + 1)[j+1]
+				sAB := sch.Sub(ca[i], cb[j])
 				if k < p {
-					relax(i+1, j+1, k+1, gv+sAB+st.ac.Row(i + 1)[k+1]+st.bc.Row(j + 1)[k+1]) // XXX
+					relax(i+1, j+1, k+1, gv+sAB+ac[k+1]+prof.Row(cb[j])[k+1]) // XXX
 				}
 				relax(i+1, j+1, k, gv+sAB+ge2) // XXG
 			}
 			if k < p {
-				relax(i+1, j, k+1, gv+st.ac.Row(i + 1)[k+1]+ge2) // XGX
+				relax(i+1, j, k+1, gv+ac[k+1]+ge2) // XGX
 			}
 			relax(i+1, j, k, gv+ge2) // XGG
 		}
 		if j < m {
 			if k < p {
-				relax(i, j+1, k+1, gv+st.bc.Row(j + 1)[k+1]+ge2) // GXX
+				relax(i, j+1, k+1, gv+prof.Row(cb[j])[k+1]+ge2) // GXX
 			}
 			relax(i, j+1, k, gv+ge2) // GXG
 		}

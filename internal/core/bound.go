@@ -1,11 +1,8 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/mat"
 	"repro/internal/pairwise"
-	"repro/internal/scoring"
 )
 
 // bandScan applies the Carrillo–Lipman admissibility test to a prefix's
@@ -29,14 +26,19 @@ import (
 // j of B a k-interval, and only lanes inside them meet the three-way test.
 //
 // Through values are read as a forward plus a suffix row, summed on the
-// fly, so the planes are never added. A prefix built without suffix planes
-// holds its through values in the forward planes already; its suffix then
-// reads as zeros. A row is read only where its pair's reach admits a pass.
+// fly. A prefix that keeps no suffix planes holds its through values in
+// the forward planes already; its suffix then reads as zeros. A row is
+// read only where its pair's reach admits a pass: inside the band the
+// prefix swept its planes in, since the scan's bound never undercuts the
+// prefix's. There a cell holds its exact through value wherever that
+// value reaches the prefix's pair threshold, and a lower bound elsewhere
+// (pairwise.Planes.Suffixes), so every test above passes on the banded
+// planes exactly where it passes on full ones.
 type bandScan struct {
 	p                *Prefix
 	bound            mat.Score
 	thAB, thAC, thBC mat.Score
-	ab, ac, bc       reach
+	ab, ac, bc       pairwise.Band // the reach bands of thAB, thAC and thBC
 	zeros            []mat.Score
 	kLoB, kHiB       []int32     // per j: the BC interval, kLoB[j] < 0 until scanned
 	fab, bab         []mat.Score // row i of the AB pair, set by row
@@ -44,25 +46,25 @@ type bandScan struct {
 	kLoA, kHiA       int         // row i's AC interval
 }
 
-// scan starts a band scan at the tighter of lower and the trivial bound.
+// scan starts a band scan at the tighter of lower and the prefix's bound.
 func (p *Prefix) scan(lower mat.Score) *bandScan {
 	m, q := len(p.cb), len(p.cc)
 	opt := p.fwd.Optima()
-	bound := max(lower, p.trivial)
+	bound := max(lower, p.bound)
 	s := &bandScan{
 		p:     p,
 		bound: bound,
 		thAB:  bound - opt[pairwise.AC] - opt[pairwise.BC],
 		thAC:  bound - opt[pairwise.AB] - opt[pairwise.BC],
 		thBC:  bound - opt[pairwise.AB] - opt[pairwise.AC],
-		ab:    newReach(len(p.ca), m, p.sch),
-		ac:    newReach(len(p.ca), q, p.sch),
-		bc:    newReach(m, q, p.sch),
 		kLoB:  make([]int32, m+1),
 		kHiB:  make([]int32, m+1),
 		tac:   make([]mat.Score, q+1),
 	}
-	if p.through {
+	s.ab = pairwise.NewReach(len(p.ca), m, p.sch).Band(s.thAB)
+	s.ac = pairwise.NewReach(len(p.ca), q, p.sch).Band(s.thAC)
+	s.bc = pairwise.NewReach(m, q, p.sch).Band(s.thBC)
+	if !p.keep {
 		s.zeros = make([]mat.Score, max(m, q)+1)
 	}
 	for j := range s.kLoB {
@@ -74,25 +76,25 @@ func (p *Prefix) scan(lower mat.Score) *bandScan {
 // suffix is row i of pair x's suffix plane, width cells long: zeros once
 // the forward plane already holds the through values.
 func (s *bandScan) suffix(x, i, width int) []mat.Score {
-	if s.p.through {
+	if !s.p.keep {
 		return s.zeros[:width]
 	}
-	return s.p.bwd[x].Row(i)[:width]
+	return s.p.bwd.P[x].Row(i)[:width]
 }
 
 // hull returns row i's j-hull [jLo, jHi): the tightest interval holding
 // every j whose AB cell passes its relaxed test.
 func (s *bandScan) hull(i int) (jLo, jHi int) {
 	m := len(s.p.cb)
-	return s.ab.scan(i, s.p.fwd[pairwise.AB].Row(i)[:m+1], s.suffix(pairwise.AB, i, m+1), s.thAB)
+	return reachScan(s.ab, i, s.p.fwd.P[pairwise.AB].Row(i)[:m+1], s.suffix(pairwise.AB, i, m+1), s.thAB)
 }
 
 // row readies row i of A for lane.
 func (s *bandScan) row(i int) {
 	m, q := len(s.p.cb), len(s.p.cc)
-	s.fab, s.bab = s.p.fwd[pairwise.AB].Row(i)[:m+1], s.suffix(pairwise.AB, i, m+1)
-	fac, bac := s.p.fwd[pairwise.AC].Row(i)[:q+1], s.suffix(pairwise.AC, i, q+1)
-	s.kLoA, s.kHiA = s.ac.scan(i, fac, bac, s.thAC)
+	s.fab, s.bab = s.p.fwd.P[pairwise.AB].Row(i)[:m+1], s.suffix(pairwise.AB, i, m+1)
+	fac, bac := s.p.fwd.P[pairwise.AC].Row(i)[:q+1], s.suffix(pairwise.AC, i, q+1)
+	s.kLoA, s.kHiA = reachScan(s.ac, i, fac, bac, s.thAC)
 	for k := s.kLoA; k < s.kHiA; k++ {
 		s.tac[k] = fac[k] + bac[k]
 	}
@@ -103,9 +105,9 @@ func (s *bandScan) row(i int) {
 // (0, 0) when none does.
 func (s *bandScan) lane(j int) (lo, hi int) {
 	q := len(s.p.cc)
-	fbc, bbc := s.p.fwd[pairwise.BC].Row(j)[:q+1], s.suffix(pairwise.BC, j, q+1)
+	fbc, bbc := s.p.fwd.P[pairwise.BC].Row(j)[:q+1], s.suffix(pairwise.BC, j, q+1)
 	if s.kLoB[j] < 0 {
-		lo, hi := s.bc.scan(j, fbc, bbc, s.thBC)
+		lo, hi := reachScan(s.bc, j, fbc, bbc, s.thBC)
 		s.kLoB[j], s.kHiB[j] = int32(lo), int32(hi)
 	}
 	lo, hi = max(s.kLoA, int(s.kLoB[j])), min(s.kHiA, int(s.kHiB[j]))
@@ -139,57 +141,10 @@ func scanSum(f, b []mat.Score, th mat.Score) (lo, hi int) {
 	return lo, hi
 }
 
-// reach bounds a pair's through values by the pair's shape alone. An
-// alignment of x (length nx) with y (length ny) through the cut (u, v)
-// has s ≤ min(u, v) + min(nx−u, ny−v) residue pairs and nx+ny−2s gap
-// columns, so with σmax the best substitution score and ge the gap score
-//
-//	T[u][v] ≤ (nx+ny)·ge + c·(min(u, v) + min(nx−u, ny−v)),  c = max(0, σmax − 2·ge).
-//
-// The bound is concave in v and peaks at v = min(u, ny), so the v it
-// keeps at or above a threshold form one interval: far off the diagonal
-// no cell can pass, and a row scan skips those cells unread.
-type reach struct {
-	nx, ny int
-	base   mat.Score // (nx+ny)·ge
-	c      mat.Score
-}
-
-func newReach(nx, ny int, sch *scoring.Scheme) reach {
-	size := sch.Alphabet().Size()
-	best := sch.Sub(0, 0)
-	for a := range size {
-		for _, v := range sch.SubRow(int8(a))[:size] {
-			best = max(best, v)
-		}
-	}
-	ge := sch.GapExtend()
-	return reach{nx: nx, ny: ny, base: mat.Score(nx+ny) * ge, c: max(0, best-2*ge)}
-}
-
-// at is the bound on T[u][v].
-func (r reach) at(u, v int) mat.Score {
-	return r.base + r.c*mat.Score(min(u, v)+min(r.nx-u, r.ny-v))
-}
-
-// span returns the interval [lo, hi) of v whose bound in row u is at
-// least th, found by bisection on either side of the peak; (0, 0) when
-// there is none.
-func (r reach) span(u int, th mat.Score) (lo, hi int) {
-	peak := min(u, r.ny)
-	if r.at(u, peak) < th {
-		return 0, 0
-	}
-	// The bound rises up to the peak and falls after it.
-	lo = sort.Search(peak, func(v int) bool { return r.at(u, v) >= th })
-	hi = peak + 1 + sort.Search(r.ny-peak, func(d int) bool { return r.at(u, peak+1+d) < th })
-	return lo, hi
-}
-
-// scan is scanSum over row u of the pair's forward and suffix rows f and
-// b, reading only the span its bound admits.
-func (r reach) scan(u int, f, b []mat.Score, th mat.Score) (lo, hi int) {
-	sLo, sHi := r.span(u, th)
+// reachScan is scanSum over row u of a pair's forward and suffix rows f
+// and b, reading only the row's span of the reach band of th.
+func reachScan(band pairwise.Band, u int, f, b []mat.Score, th mat.Score) (lo, hi int) {
+	sLo, sHi := band.Span(u)
 	lo, hi = scanSum(f[sLo:sHi], b[sLo:sHi], th)
 	if lo == hi {
 		return 0, 0

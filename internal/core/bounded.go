@@ -49,7 +49,7 @@ import (
 // the profile. The planner's explicit bounded kernel runs the same Prefix,
 // seeded with center-star refined (plan.RunBandFirst).
 func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
-	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, pairwise.Planes{}, opt.workers(), false)
+	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, lower, opt.workers(), false)
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
@@ -58,55 +58,64 @@ func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt O
 }
 
 // Prefix is the O(n²) part of a Carrillo–Lipman bounded search over one
-// triple: its three pairwise forward planes with, until its band is
-// planned or for A*, their three suffix planes (or, built without suffix
-// planes, the three through planes alone), and the trivial lower bound.
-// Nothing band-shaped is allocated before a planned Band is filled, so a
-// caller can count the band, and walk away from it, for the price of the
-// planes.
+// triple: its three pairwise forward planes with, for A*, their three
+// suffix planes (or else the three through planes alone), swept in the
+// bands its lower bound admits, and that bound. Nothing band-shaped is
+// allocated before a planned Band is filled, so a caller can count the
+// band, and walk away from it, for the price of the planes.
 type Prefix struct {
 	tr         seq.Triple
 	sch        *scoring.Scheme
 	ca, cb, cc []int8
-	trivial    mat.Score
-	fwd        pairwise.Planes // Forward planes; the through planes when through
-	bwd        pairwise.Planes // suffix planes, until planned unless kept
-	through    bool            // fwd holds the through planes; bwd is empty
-	keep       bool            // bwd stays for A* once the band is planned
+	bound      mat.Score       // the tighter of the lower bound and the trivial one
+	fwd        pairwise.Planes // Forward planes; the through planes unless keep
+	bwd        pairwise.Planes // suffix planes when keep
+	keep       bool            // suffix planes stay apart for A*
 }
 
 // NewPrefix builds the prefix from the triple's three Forward planes fwd
-// (pairwise.Forwards of A, B and C; zero Planes are filled here). Without
-// suffix planes it turns them into through planes in place, one pair per
-// goroutine on up to workers goroutines: three planes resident, not six.
-// A caller that already swept the suffix planes passes them as bwd
-// (pairwise.Sweeps): SampleCells and Plan read forward plus suffix rows as
-// they are, Plan releases the suffix planes once the band is planned, and
-// with keepSuffix they stay in the prefix for A*, which then runs without
-// filling a plane twice. keepSuffix needs bwd. NewPrefix takes ownership
-// of fwd and bwd, also on error; Release returns every plane to the arena.
-func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd, bwd pairwise.Planes, workers int, keepSuffix bool) (*Prefix, error) {
+// (pairwise.Forwards of A, B and C; zero Planes are swept here) at the
+// tighter of lower and the TrivialAlignment score, L. It sweeps each
+// pair's suffix plane in the band of its pair threshold
+// th_XY = L − opt_XZ − opt_YZ, widening the forward plane to that band
+// first if it was swept in a narrower one (pairwise.Planes.Suffixes):
+// every later scan, plan or search runs at a bound of at least L, and so
+// reads only cells those bands hold, exact wherever they can pass.
+// Without keepSuffix the suffix planes are added into the forward ones in
+// place, one pair per goroutine on up to workers goroutines: three planes
+// resident, not six. With it they stay apart for A*. NewPrefix takes
+// ownership of fwd, also on error; Release returns every plane to the
+// arena. A bound above the pairwise upper bound optAB + optAC + optBC,
+// which no alignment exceeds, is an error.
+func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes, lower mat.Score, workers int, keepSuffix bool) (*Prefix, error) {
 	ca, cb, cc, err := prepare(tr, sch)
-	if err == nil && keepSuffix && bwd[0] == nil {
-		err = fmt.Errorf("core: a prefix keeps suffix planes only when given them")
-	}
 	var trivial *alignment.Alignment
 	if err == nil {
 		trivial, err = TrivialAlignment(tr, sch)
 	}
 	if err != nil {
 		fwd.Release()
-		bwd.Release()
 		return nil, err
 	}
-	if fwd[0] == nil {
+	if fwd.P[0] == nil {
 		fwd = pairwise.Forwards(ca, cb, cc, sch, workers)
 	}
-	p := &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, trivial: trivial.Score,
-		fwd: fwd, bwd: bwd, keep: keepSuffix}
-	if bwd[0] == nil {
-		fwd.AddBackwards(ca, cb, cc, sch, workers)
-		p.through = true
+	bound := max(lower, trivial.Score)
+	opt := fwd.Optima()
+	if upper := opt[pairwise.AB] + opt[pairwise.AC] + opt[pairwise.BC]; bound > upper {
+		fwd.Release()
+		return nil, fmt.Errorf("core: lower bound %d exceeds the pairwise upper bound %d", bound, upper)
+	}
+	th := [3]mat.Score{
+		pairwise.AB: bound - opt[pairwise.AC] - opt[pairwise.BC],
+		pairwise.AC: bound - opt[pairwise.AB] - opt[pairwise.BC],
+		pairwise.BC: bound - opt[pairwise.AB] - opt[pairwise.AC],
+	}
+	p := &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, bound: bound, fwd: fwd, keep: keepSuffix}
+	if keepSuffix {
+		p.bwd = p.fwd.Suffixes(ca, cb, cc, sch, th, workers)
+	} else {
+		p.fwd.AddSuffixes(ca, cb, cc, sch, th, workers)
 	}
 	return p, nil
 }
@@ -136,8 +145,7 @@ const (
 // result above limit is therefore decided by the rows alone, whatever
 // their order. It runs Plan's scan on those rows, so a caller can tell a
 // band far wider than it can afford before paying for a tighter bound or
-// the exact count. Call it before Plan: a prefix that keeps no suffix
-// planes releases them once its band is planned.
+// the exact count.
 func (p *Prefix) SampleCells(lower mat.Score, limit int64) int64 {
 	n := len(p.ca)
 	s := p.scan(lower)
@@ -172,13 +180,12 @@ type Band struct {
 	stats              PruneStats
 }
 
-// Plan plans the band at the tighter of lower and the trivial bound: every
-// row's j-hull, then every lane's k-interval, refined by the exact
+// Plan plans the band at the tighter of lower and the prefix's bound:
+// every row's j-hull, then every lane's k-interval, refined by the exact
 // three-way test from both ends, so the band is the tightest contiguous
 // superset of the admissible cells, lane by lane. The intervals feed
 // mat.NewBandTensor3 directly, and the stored cell count is known before
-// anything band-shaped is allocated. A prefix that keeps no suffix planes
-// releases them here: the fill reads no plane.
+// anything band-shaped is allocated.
 func (p *Prefix) Plan(lower mat.Score) *Band {
 	n, m, q := len(p.ca), len(p.cb), len(p.cc)
 	s := p.scan(lower)
@@ -199,9 +206,6 @@ func (p *Prefix) Plan(lower mat.Score) *Band {
 			b.kHi = append(b.kHi, int32(hi))
 			b.stats.EvaluatedCells += int64(hi - lo)
 		}
-	}
-	if !p.through && !p.keep {
-		p.bwd.Release()
 	}
 	return b
 }
@@ -294,7 +298,7 @@ func (b *Band) fill(ctx context.Context, opt Options) (*mat.BandTensor3, PruneSt
 func (p *Prefix) planeBytes() int64 {
 	var total int64
 	for _, planes := range [2]pairwise.Planes{p.fwd, p.bwd} {
-		for _, pl := range planes {
+		for _, pl := range planes.P {
 			if pl != nil {
 				total += pl.Bytes()
 			}
@@ -304,16 +308,20 @@ func (p *Prefix) planeBytes() int64 {
 }
 
 // AStar runs the A* frontier (AlignAStar) on the prefix's suffix planes at
-// the tighter of lower and the trivial bound. The prefix must have been
-// built with keepSuffix; its forward (or through) planes are released
-// first, since the frontier never reads them.
+// the tighter of lower and the prefix's bound. The prefix must have been
+// built with keepSuffix; its forward planes are released first, since the
+// frontier never reads them. A node the frontier generates at bound L has
+// g + h ≥ L, and its g is at most the sum of its projections' forward
+// values, so each projection's through value reaches its pair threshold:
+// the banded suffix planes give it its exact h, and every node whose
+// exact h would prune it is pruned on the banded h, which is no larger.
 func (p *Prefix) AStar(ctx context.Context, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
 	if !p.keep {
 		return nil, PruneStats{}, fmt.Errorf("core: A* on a prefix without suffix planes")
 	}
 	p.fwd.Release()
-	sc := &suffixCtx{bAB: p.bwd[pairwise.AB], bAC: p.bwd[pairwise.AC], bBC: p.bwd[pairwise.BC]}
-	return astarSearch(ctx, p.tr, p.ca, p.cb, p.cc, p.sch, opt, sc, max(lower, p.trivial))
+	sc := &suffixCtx{bAB: p.bwd.P[pairwise.AB], bAC: p.bwd.P[pairwise.AC], bBC: p.bwd.P[pairwise.BC]}
+	return astarSearch(ctx, p.tr, p.ca, p.cb, p.cc, p.sch, opt, sc, max(lower, p.bound))
 }
 
 // bandFill fills the lanes of one band. Its score terms come from C's

@@ -138,12 +138,12 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, pairwise.Planes{}, 1, false)
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, mat.NegInf, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A prefix built without suffix planes holds the through planes.
-		th := pre.fwd
+		th := pre.fwd.P
 		admissible := func(i, j, k int) bool {
 			return th[pairwise.AB].At(i, j)+th[pairwise.AC].At(i, k)+th[pairwise.BC].At(j, k) >= ref.Score
 		}
@@ -267,7 +267,7 @@ func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := NewPrefix(tr, dnaSch, pairwise.Forwards(ca, cb, cc, dnaSch, 1), pairwise.Planes{}, 1, false)
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Forwards(ca, cb, cc, dnaSch, 1), mat.NegInf, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,11 +290,12 @@ func movesOf(a *alignment.Alignment) []byte {
 	return out
 }
 
-// TestPrefixMatchesStandaloneKernels: a prefix built from swept forward
-// and suffix planes counts, fills and searches exactly as the standalone
-// kernels do, and on triples short enough that SampleCells reads every
-// row of A its estimate is the exact band count, on the swept planes and
-// on the through planes of a prefix built without suffix planes.
+// TestPrefixMatchesStandaloneKernels: a prefix, with its suffix planes
+// kept for A* or added into its forward ones, counts, fills and searches
+// exactly as the standalone kernels do (the frontier as on full suffix
+// planes), and on triples short enough that SampleCells reads every row
+// of A its estimate is the exact band count, on the swept planes and on
+// the through planes of a one-worker prefix.
 func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(25))
@@ -304,10 +305,6 @@ func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 			n = 10 + rng.Intn(40)
 		}
 		tr := relatedTriple(rng.Int63(), n, 0.05+0.3*rng.Float64())
-		ca, cb, cc, err := prepare(tr, dnaSch)
-		if err != nil {
-			t.Fatal(err)
-		}
 		lower := mat.Score(-5 * n)
 		wantBand, wantBandSt, err := AlignBounded(ctx, tr, dnaSch, Options{}, lower)
 		if err != nil {
@@ -318,15 +315,14 @@ func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, astar := range []bool{false, true} {
-			fwd, bwd := pairwise.Sweeps(ca, cb, cc, dnaSch, 2)
-			pre, err := NewPrefix(tr, dnaSch, fwd, bwd, 2, astar)
+			pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, lower, 2, astar)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sampled := pre.SampleCells(lower, math.MaxInt64)
 			band := pre.Plan(lower)
 			if tr.A.Len()+1 <= bandSampleRows {
-				through, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, pairwise.Planes{}, 1, false)
+				through, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, lower, 1, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -384,10 +380,10 @@ func standaloneAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, op
 }
 
 // TestReachBoundsThroughPlanes checks the shape bound the band scan skips
-// cells by: every through value of every pair lies at or below its reach,
-// and span returns exactly the cells whose reach meets a threshold, over
-// DNA and linear-gap BLOSUM62, equal and unequal lengths, and empty
-// sequences.
+// cells by and the pair sweeps sweep inside: every through value of every
+// pair lies at or below its reach, and span returns exactly the cells
+// whose reach meets a threshold, over DNA and linear-gap BLOSUM62, equal
+// and unequal lengths, and empty sequences.
 func TestReachBoundsThroughPlanes(t *testing.T) {
 	prot, err := scoring.BLOSUM62().WithGaps(0, -4)
 	if err != nil {
@@ -402,29 +398,33 @@ func TestReachBoundsThroughPlanes(t *testing.T) {
 		case 2:
 			tr = randomTriple(rng, rng.Intn(30), rng.Intn(30), rng.Intn(30))
 		}
-		pre, err := NewPrefix(tr, sch, pairwise.Planes{}, pairwise.Planes{}, 1, false)
+		ca, cb, cc, err := prepare(tr, sch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lens := [3][2]int{{len(pre.ca), len(pre.cb)}, {len(pre.ca), len(pre.cc)}, {len(pre.cb), len(pre.cc)}}
-		for x, th := range pre.fwd {
-			r := newReach(lens[x][0], lens[x][1], sch)
-			for u := 0; u <= lens[x][0]; u++ {
-				for v := 0; v <= lens[x][1]; v++ {
-					if got := th.At(u, v); got > r.at(u, v) {
-						t.Fatalf("trial %d pair %d: T[%d][%d] = %d above its reach %d", trial, x, u, v, got, r.at(u, v))
+		for _, pair := range [][2][]int8{{ca, cb}, {ca, cc}, {cb, cc}} {
+			x, y := pair[0], pair[1]
+			f, bw := pairwise.Forward(x, y, sch), pairwise.Backward(x, y, sch)
+			r := pairwise.NewReach(len(x), len(y), sch)
+			base := r.At(0, len(y)) // no residue pair fits through (0, ny)
+			for u := 0; u <= len(x); u++ {
+				for v := 0; v <= len(y); v++ {
+					if got := f.At(u, v) + bw.At(u, v); got > r.At(u, v) {
+						t.Fatalf("trial %d: T[%d][%d] = %d above its reach %d", trial, u, v, got, r.At(u, v))
 					}
 				}
-				for _, cut := range []mat.Score{r.at(u, min(u, r.ny)) + 1, r.at(u, min(u, r.ny)), th.At(u, 0), th.At(0, 0) - 5, r.base} {
-					lo, hi := r.span(u, cut)
-					for v := 0; v <= lens[x][1]; v++ {
-						if in := v >= lo && v < hi; in != (r.at(u, v) >= cut) {
-							t.Fatalf("trial %d pair %d row %d: span(%d) = [%d, %d) but reach at %d is %d", trial, x, u, cut, lo, hi, v, r.at(u, v))
+				peak := r.At(u, min(u, len(y)))
+				for _, cut := range []mat.Score{peak + 1, peak, f.At(u, 0) + bw.At(u, 0), f.At(len(x), len(y)) - 5, base, base - 1} {
+					lo, hi := r.Band(cut).Span(u)
+					for v := 0; v <= len(y); v++ {
+						if in := v >= lo && v < hi; in != (r.At(u, v) >= cut) {
+							t.Fatalf("trial %d row %d: span(%d) = [%d, %d) but reach at %d is %d", trial, u, cut, lo, hi, v, r.At(u, v))
 						}
 					}
 				}
 			}
+			mat.PutPlane(f)
+			mat.PutPlane(bw)
 		}
-		pre.Release()
 	}
 }

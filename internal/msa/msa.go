@@ -59,7 +59,7 @@ func globalOps(rows []*seq.Sequence, sch *scoring.Scheme) pairAligner {
 // (transposed when x comes after y in the triple), filling nothing.
 func planeOps(fwd pairwise.Planes, rows []*seq.Sequence, sch *scoring.Scheme) pairAligner {
 	return func(x, y int) []pairwise.Op {
-		f := fwd[x+y-1] // (0,1) -> AB, (0,2) -> AC, (1,2) -> BC
+		f := fwd.P[x+y-1] // (0,1) -> AB, (0,2) -> AC, (1,2) -> BC
 		if x < y {
 			return pairwise.TraceForward(f, rows[x].Codes(), rows[y].Codes(), sch).Ops
 		}

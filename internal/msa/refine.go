@@ -153,10 +153,12 @@ func CenterStarRefined(tr seq.Triple, sch *scoring.Scheme) (*alignment.Alignment
 // CenterStarOn is CenterStar over the triple's three Forward planes
 // (pairwise.Forwards of A, B and C), which the caller filled and keeps: the
 // pair optima pick the center, and both center-satellite alignments are
-// traced on the planes, so nothing is filled. It also returns the pairwise
-// upper bound U = optAB + optAC + optBC, which no alignment's SP score
-// exceeds. A bounded search seeds with CenterStarOn and RefineBelow, and
-// reuses the planes for its through planes. tr must be valid.
+// traced on the planes, so nothing is filled. The planes may be banded:
+// Forwards keeps the optima and every optimal path exact, so the traces
+// are Global's. It also returns the pairwise upper bound
+// U = optAB + optAC + optBC, which no alignment's SP score exceeds. A
+// bounded search seeds with CenterStarOn and RefineBelow, and reuses the
+// planes for its through planes. tr must be valid.
 func CenterStarOn(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes) (*alignment.Alignment, mat.Score, error) {
 	return centerStar(tr, sch, fwd.Optima(), planeOps(fwd, []*seq.Sequence{tr.A, tr.B, tr.C}, sch))
 }

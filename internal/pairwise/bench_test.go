@@ -71,8 +71,9 @@ func BenchmarkGlobalAffineScore(b *testing.B) {
 	}
 }
 
-// BenchmarkForward and BenchmarkBackward time the plane fills a bounded
-// request makes six of (three forward, three suffix) at n=300.
+// BenchmarkForward and BenchmarkBackward time full plane fills at n=300:
+// the widest a bounded request's banded pair sweeps get, on a triple
+// whose bands cover the whole plane.
 func BenchmarkForward(b *testing.B) {
 	a, bb := benchPair(300)
 	sch := scoring.DNADefault()
@@ -87,8 +88,34 @@ func BenchmarkBackward(b *testing.B) {
 	sch := scoring.DNADefault()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := Forward(a, bb, sch)
-		AddBackward(f, a, bb, sch)
-		mat.PutPlane(f)
+		mat.PutPlane(Backward(a, bb, sch))
 	}
+}
+
+// BenchmarkBandedSweepInterior times the banded row loops of one pair of a
+// fresh bounded miss: the forward and the trimmed suffix sweep of a
+// 300-residue pair at 98% identity, in the band of a threshold 20 below
+// its optimum, into prebuilt planes. Covered by the CI zero-alloc gate.
+func BenchmarkBandedSweepInterior(b *testing.B) {
+	g := seq.NewGenerator(seq.DNA, 98)
+	parent := g.Random("p", 300)
+	child := g.Mutate("c", parent, seq.MutationModel{SubstitutionRate: 0.02, InsertionRate: 0.005, DeletionRate: 0.005})
+	a, bb := parent.Codes(), child.Codes()
+	sch := scoring.DNADefault()
+	f := Forward(a, bb, sch)
+	defer mat.PutPlane(f)
+	bw := mat.GetPlane(f.Rows(), f.Cols())
+	defer mat.PutPlane(bw)
+	prof := newProfile(bb, sch)
+	defer prof.release()
+	th := f.At(len(a), len(bb)) - 20
+	band := NewReach(len(a), len(bb), sch).Band(th)
+	ge := sch.GapExtend()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forwardBand(f, a, prof, ge, band)
+		suffixBand(f, a, prof, ge, band, th, bw.Row, nil)
+	}
+	b.StopTimer() // the deferred releases are not the loop's
 }

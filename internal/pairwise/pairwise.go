@@ -11,8 +11,6 @@ package pairwise
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mat"
 	"repro/internal/scoring"
@@ -105,9 +103,10 @@ func Rescore(ops []Op, a, b []int8, sch *scoring.Scheme) (mat.Score, error) {
 
 // Forward fills the (len(a)+1)×(len(b)+1) global-alignment score lattice
 // under the linear gap model: F[i][j] is the optimal score of aligning
-// a[:i] with b[:j]. The full plane is returned because the Carrillo–Lipman
-// bounds need every cell. The plane is drawn from the mat arena; callers
-// that are done with it may hand it back with mat.PutPlane.
+// a[:i] with b[:j]. Every cell is filled; the Carrillo–Lipman bounds sweep
+// only the bands they can admit (Forwards). The plane is drawn from the
+// mat arena; callers that are done with it may hand it back with
+// mat.PutPlane.
 func Forward(a, b []int8, sch *scoring.Scheme) *mat.Plane {
 	n, m := len(a), len(b)
 	ge := sch.GapExtend()
@@ -187,170 +186,30 @@ func (p profile) row(c int8) []mat.Score { return p.scores[int(c)*p.m : (int(c)+
 func (p profile) release() { mat.PutScores(p.scores) }
 
 // Backward returns the suffix lattice: B[i][j] is the optimal score of
-// aligning a[i:] with b[j:]. It runs the suffix recurrence directly, from
-// the (len(a), len(b)) corner back to the origin. Like Forward, the plane
-// may be returned to the arena with mat.PutPlane.
-func Backward(a, b []int8, sch *scoring.Scheme) *mat.Plane {
-	bw := mat.GetPlane(len(a)+1, len(b)+1)
-	suffixSweep(a, b, sch, bw.Row, nil)
-	return bw
-}
-
-// AddBackward adds the suffix lattice of (a, b) into f cell by cell; two
-// rolling rows carry the recurrence, so no second plane is allocated. On
-// the Forward plane of (a, b) it yields, in place, the through plane
-// T[i][j] = Forward[i][j] + Backward[i][j]: the score of the best global
-// alignment of a with b constrained to pass through the cut (i, j). It is
-// the per-pair term of the Carrillo–Lipman bound — T[i][j] < L − (other
-// pairs' ceilings) proves no alignment through (i, j) can reach the lower
-// bound L — and every cell satisfies T[i][j] ≤ T[n][m] = the unconstrained
-// optimum, with equality exactly on the optimal paths.
-func AddBackward(f *mat.Plane, a, b []int8, sch *scoring.Scheme) {
-	m := len(b)
-	rows := [2][]mat.Score{mat.GetScores(m + 1), mat.GetScores(m + 1)}
-	suffixSweep(a, b, sch, func(i int) []mat.Score { return rows[i&1] }, func(i int, row []mat.Score) {
-		dst := f.Row(i)[: m+1 : m+1]
-		for j, v := range row {
-			dst[j] += v
-		}
-	})
-	mat.PutScores(rows[0])
-	mat.PutScores(rows[1])
-}
-
-// suffixSweep runs the suffix recurrence
+// aligning a[i:] with b[j:]. It runs the suffix recurrence
 //
 //	B[i][j] = max(B[i+1][j+1] + sub(a[i], b[j]), B[i+1][j] + ge, B[i][j+1] + ge)
 //
-// from row len(a) down to row 0. row(i) supplies the storage of row i,
-// which must stay readable until row i-1 is final; done, when non-nil,
-// sees each row as soon as it is final.
-func suffixSweep(a, b []int8, sch *scoring.Scheme, row func(i int) []mat.Score, done func(i int, r []mat.Score)) {
+// directly, from the (len(a), len(b)) corner back to the origin. Like
+// Forward, the plane may be returned to the arena with mat.PutPlane.
+func Backward(a, b []int8, sch *scoring.Scheme) *mat.Plane {
 	n, m := len(a), len(b)
 	ge := sch.GapExtend()
-	next := row(n)[: m+1 : m+1]
+	bw := mat.GetPlane(n+1, m+1)
+	next := bw.Row(n)
 	next[m] = 0
 	for j := m - 1; j >= 0; j-- {
 		next[j] = next[j+1] + ge
 	}
-	if done != nil {
-		done(n, next)
-	}
 	prof := newProfile(b, sch)
 	for i := n - 1; i >= 0; i-- {
-		cur := row(i)[: m+1 : m+1]
+		cur := bw.Row(i)
 		cur[m] = next[m] + ge
 		backwardRow(next, cur, prof.row(a[i]), ge)
-		if done != nil {
-			done(i, cur)
-		}
 		next = cur
 	}
 	prof.release()
-}
-
-// Indices of a triple's three pairs in Planes.
-const (
-	AB = iota
-	AC
-	BC
-)
-
-// Planes holds one plane per pair of a triple (a, b, c), indexed AB, AC,
-// BC. A bounded request fills the three Forward planes once and derives
-// everything from them: the pair optima, center-star's pairwise
-// alignments, and — after AddBackward — the Carrillo–Lipman through planes.
-type Planes [3]*mat.Plane
-
-// Forwards fills the Forward planes of the three pairs of (a, b, c), one
-// pair per goroutine on up to workers goroutines.
-func Forwards(a, b, c []int8, sch *scoring.Scheme, workers int) Planes {
-	var p Planes
-	parallelFor(3, workers, func(x int) {
-		u, v := pairOf(a, b, c, x)
-		p[x] = Forward(u, v, sch)
-	})
-	return p
-}
-
-// Sweeps fills both the Forward and the suffix (Backward) planes of the
-// three pairs of (a, b, c): six independent sweeps, on up to workers
-// goroutines. A pair's through plane is the sum of its two planes.
-func Sweeps(a, b, c []int8, sch *scoring.Scheme, workers int) (fwd, bwd Planes) {
-	parallelFor(6, workers, func(t int) {
-		x := t % 3
-		u, v := pairOf(a, b, c, x)
-		if t < 3 {
-			fwd[x] = Forward(u, v, sch)
-		} else {
-			bwd[x] = Backward(u, v, sch)
-		}
-	})
-	return fwd, bwd
-}
-
-// AddBackwards turns the Forward planes p of (a, b, c) into their through
-// planes in place (AddBackward on each pair), one pair per goroutine on up
-// to workers goroutines.
-func (p Planes) AddBackwards(a, b, c []int8, sch *scoring.Scheme, workers int) {
-	parallelFor(3, workers, func(x int) {
-		u, v := pairOf(a, b, c, x)
-		AddBackward(p[x], u, v, sch)
-	})
-}
-
-// pairOf returns the sequences of pair x (AB, AC or BC) of (a, b, c).
-func pairOf(a, b, c []int8, x int) ([]int8, []int8) {
-	switch x {
-	case AB:
-		return a, b
-	case AC:
-		return a, c
-	}
-	return b, c
-}
-
-// parallelFor runs f(0) … f(n-1) on up to workers goroutines.
-func parallelFor(n, workers int, f func(t int)) {
-	if workers <= 1 {
-		for t := range n {
-			f(t)
-		}
-		return
-	}
-	var (
-		next atomic.Int32
-		wg   sync.WaitGroup
-	)
-	for range min(workers, n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
-				f(t)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// Optima returns each pair's unconstrained optimum, the last cell of its
-// Forward plane, indexed like the planes.
-func (p Planes) Optima() [3]mat.Score {
-	var out [3]mat.Score
-	for x, f := range p {
-		out[x] = f.At(f.Rows()-1, f.Cols()-1)
-	}
-	return out
-}
-
-// Release returns the planes to the arena and clears them; nil entries
-// are skipped, so releasing twice is safe.
-func (p *Planes) Release() {
-	for x := range p {
-		mat.PutPlane(p[x])
-		p[x] = nil
-	}
+	return bw
 }
 
 // Global computes an optimal global alignment under the linear gap model

@@ -195,8 +195,7 @@ func TestThroughMatchesForwardPlusBackward(t *testing.T) {
 		b := randomCodes(rng, rng.Intn(24))
 		f := Forward(a, b, dnaScheme)
 		bw := Backward(a, b, dnaScheme)
-		th := Forward(a, b, dnaScheme)
-		AddBackward(th, a, b, dnaScheme)
+		th := wholeThrough(a, b, dnaScheme)
 		opt := f.At(len(a), len(b))
 		for i := 0; i <= len(a); i++ {
 			for j := 0; j <= len(b); j++ {
@@ -232,8 +231,19 @@ func reversedBackward(a, b []int8, sch *scoring.Scheme) *mat.Plane {
 	return out
 }
 
+// wholeThrough is the through plane of (a, b) as AddSuffixes builds it in
+// place, at a threshold whose band is the whole plane.
+func wholeThrough(a, b []int8, sch *scoring.Scheme) *mat.Plane {
+	p := Planes{P: [3]*mat.Plane{Forward(a, b, sch), Forward(a, nil, sch), Forward(b, nil, sch)}}
+	p.AddSuffixes(a, b, nil, sch, [3]mat.Score{mat.NegInf, mat.NegInf, mat.NegInf}, 1)
+	th := p.P[AB]
+	p.P[AB] = nil
+	p.Release()
+	return th
+}
+
 // TestBackwardMatchesReversedForward pins the direct suffix sweep, and
-// AddBackward's rolling-row form of it, to the reversed-copy construction
+// AddSuffixes' rolling-row form of it, to the reversed-copy construction
 // cell for cell, including empty sequences and a protein scheme.
 func TestBackwardMatchesReversedForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -253,15 +263,14 @@ func TestBackwardMatchesReversedForward(t *testing.T) {
 		want := reversedBackward(a, b, sch)
 		bw := Backward(a, b, sch)
 		f := Forward(a, b, sch)
-		th := Forward(a, b, sch)
-		AddBackward(th, a, b, sch)
+		th := wholeThrough(a, b, sch)
 		for i := 0; i <= len(a); i++ {
 			for j := 0; j <= len(b); j++ {
 				if got := bw.At(i, j); got != want.At(i, j) {
 					t.Fatalf("trial %d: Backward(%d,%d) = %d, reversed construction %d", trial, i, j, got, want.At(i, j))
 				}
 				if got := th.At(i, j); got != f.At(i, j)+want.At(i, j) {
-					t.Fatalf("trial %d: AddBackward(%d,%d) = %d, F+B = %d", trial, i, j, got, f.At(i, j)+want.At(i, j))
+					t.Fatalf("trial %d: through plane (%d,%d) = %d, F+B = %d", trial, i, j, got, f.At(i, j)+want.At(i, j))
 				}
 			}
 		}

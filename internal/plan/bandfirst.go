@@ -54,17 +54,20 @@ func bandBytes(s Shape, cells uint64) uint64 {
 
 // astarBytes models AlignAStar's peak footprint: ~64 bytes per expanded or
 // frontier node (map entry plus amortized heap entry) over its three
-// suffix planes and three pair-score tables (~8 bytes per pair cell). The
-// per-node constant is why A* only wins on very thin bands despite
-// expanding fewer cells.
+// suffix planes (4 bytes per pair cell); its column scores come from a
+// query profile of C. The per-node constant is why A* only wins on very
+// thin bands despite expanding fewer cells.
 func astarBytes(s Shape, cells uint64) uint64 {
-	return addSat(mulSat(cells, 64), mulSat(s.PairCells(), 8))
+	return addSat(mulSat(cells, 64), mulSat(s.PairCells(), 4))
 }
 
-// prefixBytes is what a band-first run may hold besides its band: the six
-// planes of the pair sweeps, forward and suffix — 8 bytes per pair cell.
-// All six are resident while the band is planned, and a one-worker run
-// keeps the suffix planes through the fill for A*.
+// prefixBytes is what a band-first run may hold besides its band: at most
+// the six planes of the pair sweeps, forward and suffix — 8 bytes per
+// pair cell. A one-worker run keeps its suffix planes apart for A*; other
+// runs add them into the forward planes and hold three. It is a
+// full-plane upper bound, kept as it was when the sweeps filled whole
+// planes so that no plan moves: the planes stay arena-sized, but the
+// sweeps fill only the bands their bound admits.
 func prefixBytes(s Shape) uint64 {
 	return mulSat(s.PairCells(), 8)
 }
@@ -75,9 +78,11 @@ func bandFirstBytes(req Request, fallback *KernelSpec, ceiling uint64) uint64 {
 	return max(planEstBytes(fallback, req), addSat(prefixBytes(req.Shape), mulSat(ceiling, 4)))
 }
 
-// prefixDuration prices a band-first run's prefix: six pairwise plane
-// sweeps (a forward and a backward one per pair) at the pairwise rate,
-// plus the center-star-refined seed.
+// prefixDuration prices a band-first run's prefix: six full pairwise
+// plane sweeps (a forward and a backward one per pair) at the pairwise
+// rate, plus the center-star-refined seed. The sweeps now fill only the
+// bands their bound admits, so this is an upper bound, kept as the
+// full-plane price so that no plan moves.
 func prefixDuration(req Request) time.Duration {
 	sweeps := estDuration(mulSat(req.Shape.PairCells(), 2), Calibration["pairwise-global"])
 	return sweeps + predictedDuration(kernels["center-star-refined"], req)
@@ -111,8 +116,9 @@ func bandFirst(req Request, gap GapModel, dense *KernelSpec, budget uint64) (uin
 }
 
 // RunBandFirst executes a plan on the Carrillo–Lipman prefix, the one way
-// into the bounded kernels. It fills the prefix, seeds it with center-star
-// refined, and counts the band exactly before allocating it.
+// into the bounded kernels. It sweeps the forward planes, seeds them with
+// center-star, sweeps the suffix planes in the bands that seed admits,
+// refines the seed, and counts the band exactly before allocating it.
 //
 // A band-first plan (pl.Fallback set) fills the band when it holds at most
 // pl.MaxBandCells cells; a one-worker run whose band is at most
@@ -132,22 +138,16 @@ func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *sc
 	choose := pl.Fallback != ""
 	ceiling := int64(min(pl.MaxBandCells, 1<<62))
 	workers := wavefront.Workers(opt.Workers)
-	a, b, c := tr.A.Codes(), tr.B.Codes(), tr.C.Codes()
-	var fwd, bwd pairwise.Planes
-	if choose || pl.Algorithm == "astar" {
-		fwd, bwd = pairwise.Sweeps(a, b, c, sch, workers)
-	} else {
-		// An explicit band adds each suffix sweep into its forward plane
-		// in place: three planes resident instead of six.
-		fwd = pairwise.Forwards(a, b, c, sch, workers)
-	}
+	fwd := pairwise.Forwards(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch, workers)
 	star, upper, err := msa.CenterStarOn(tr, sch, fwd)
 	if err != nil {
 		fwd.Release()
-		bwd.Release()
 		return nil, nil, pl, err
 	}
-	pre, err := core.NewPrefix(tr, sch, fwd, bwd, workers, pl.Algorithm == "astar" || (choose && workers == 1))
+	// Every bound below is at least center-star's, so the suffix planes
+	// are swept in the bands it admits. Only A* keeps them apart from the
+	// forward planes.
+	pre, err := core.NewPrefix(tr, sch, fwd, star.Score, workers, pl.Algorithm == "astar" || (choose && workers == 1))
 	if err != nil {
 		return nil, nil, pl, err
 	}

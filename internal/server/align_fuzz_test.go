@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -52,5 +54,44 @@ func FuzzAlignRequest(f *testing.F) {
 		post(t, "/v1/align", body)
 		post(t, "/v1/plan", body)
 		post(t, "/v1/align/batch", `{"items":[`+body+`]}`)
+	})
+}
+
+// FuzzAlignFASTA feeds arbitrary FASTA documents, as the fasta field of a
+// request, to POST /v1/align and /v1/plan on a server capped at
+// 16-residue sequences. However the document is malformed (no records,
+// too few or too many, empty or oversized ones, residues outside the
+// alphabet, stray text before the first header), the answer is a 2xx or
+// a 4xx, never a 5xx.
+func FuzzAlignFASTA(f *testing.F) {
+	for _, doc := range []string{
+		"",
+		">x\nACGT",
+		">a\nACGT\n>b\nACGA\n>c\nAGGT\n",
+		">a\nACGT\n>b\nACGA\n>c\nAGGT\n>d\nACGT\n",
+		">a\n\n>b\nACGA\n>c\nAGGT\n",
+		"ACGT\n>a\nACGT\n>b\nACGT\n>c\nACGT",
+		">a\nAC GT\r\n>b\nac-gt\n>c\nACGN*\n",
+		">a\n" + strings.Repeat("A", 17) + "\n>b\nACGT\n>c\nACGT\n",
+		">\n>\n>\n",
+		";comment\n>a\nACGT\n>b\nACGT\n>c\nACGT\n",
+	} {
+		f.Add(doc)
+	}
+	s := New(Config{MaxSequenceLen: 16, CoalesceTick: -1})
+	defer s.Close()
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, doc string) {
+		body, err := json.Marshal(map[string]string{"fasta": doc})
+		if err != nil {
+			t.Skip()
+		}
+		for _, path := range []string{"/v1/align", "/v1/plan"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code >= 500 {
+				t.Fatalf("%s: status %d for FASTA %q: %s", path, rec.Code, doc, rec.Body.String())
+			}
+		}
 	})
 }

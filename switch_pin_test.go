@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/msa"
-	"repro/internal/pairwise"
 )
 
 type directRun func(ctx context.Context, tr Triple, sch *Scheme, opt core.Options) (*Alignment, *PruneStats, error)
@@ -33,30 +32,19 @@ func directHeuristic(f func(Triple, *Scheme) (*Alignment, error)) directRun {
 
 // directBounded seeds the Carrillo–Lipman kernels with the center-star-
 // refined score computed on its own, independent of the registry's shared
-// pairwise planes. The band adds its suffix sweeps into forward planes it
-// fills itself; the frontier searches three suffix planes filled by
-// pairwise.Backward, as the A* kernel did before it ran on the band-first
-// sweeps.
+// pairwise planes, and runs the band or the frontier on planes they sweep
+// themselves.
 func directBounded(frontier bool) directRun {
 	return func(ctx context.Context, tr Triple, sch *Scheme, opt core.Options) (*Alignment, *PruneStats, error) {
 		bound, err := msa.CenterStarRefined(tr, sch)
 		if err != nil {
 			return nil, nil, err
 		}
-		var aln *Alignment
-		var st core.PruneStats
+		run := core.AlignBounded
 		if frontier {
-			a, b, c := tr.A.Codes(), tr.B.Codes(), tr.C.Codes()
-			bwd := pairwise.Planes{pairwise.Backward(a, b, sch), pairwise.Backward(a, c, sch), pairwise.Backward(b, c, sch)}
-			pre, perr := core.NewPrefix(tr, sch, pairwise.Planes{}, bwd, 1, true)
-			if perr != nil {
-				return nil, nil, perr
-			}
-			aln, st, err = pre.AStar(ctx, opt, bound.Score)
-			pre.Release()
-		} else {
-			aln, st, err = core.AlignBounded(ctx, tr, sch, opt, bound.Score)
+			run = core.AlignAStar
 		}
+		aln, st, err := run(ctx, tr, sch, opt, bound.Score)
 		if err != nil {
 			return nil, nil, err
 		}
