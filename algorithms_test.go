@@ -19,6 +19,7 @@ var aliasOf = map[Algorithm]Algorithm{
 	AlgorithmAffine:         AlgorithmAffineParallel,
 	AlgorithmPruned:         AlgorithmBounded,
 	AlgorithmPrunedParallel: AlgorithmBounded,
+	AlgorithmAStar:          AlgorithmBounded,
 }
 
 func canonical(a Algorithm) Algorithm {
@@ -59,7 +60,7 @@ func TestAlgorithmsResolveAndAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruneStats := map[Algorithm]bool{AlgorithmBounded: true, AlgorithmAStar: true}
+	pruneStats := map[Algorithm]bool{AlgorithmBounded: true}
 
 	for _, w := range []struct {
 		name string

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/plan"
 	"repro/internal/scoring"
 )
 
@@ -93,7 +92,7 @@ func TestBandFirstMatchesParallel(t *testing.T) {
 				}
 				trail := res.Plan.Downgrades
 				switch res.Algorithm {
-				case AlgorithmBounded, AlgorithmAStar:
+				case AlgorithmBounded:
 					kept++
 					if c.want == dense {
 						t.Errorf("%s: kept a band (%+v), want the dense fallback", tag, res.Prune)
@@ -105,21 +104,9 @@ func TestBandFirstMatchesParallel(t *testing.T) {
 					if res.Prune == nil || *res.Prune != *explicit.Prune {
 						t.Fatalf("%s: band-first %s PruneStats %+v, explicit run %+v", tag, res.Algorithm, res.Prune, explicit.Prune)
 					}
-					if res.Algorithm == AlgorithmBounded {
-						if len(trail) != 0 || uint64(res.Prune.EvaluatedCells) > planned.MaxBandCells {
-							t.Fatalf("%s: kept a %d-cell band over the %d ceiling (trail %+v)",
-								tag, res.Prune.EvaluatedCells, planned.MaxBandCells, trail)
-						}
-						break
-					}
-					// A* runs on a one-worker band counted thin enough.
-					if workers != 1 || len(trail) != 1 {
-						t.Fatalf("%s: A* at %d workers, trail %+v", tag, workers, trail)
-					}
-					d := trail[0]
-					frac := float64(d.BandCells) / float64(res.Prune.TotalCells)
-					if d.From != "bounded" || d.To != "astar" || d.BandCells > planned.MaxBandCells || frac > plan.AStarFractionMax {
-						t.Fatalf("%s: A* switch %+v (band fraction %g) under a %d-cell ceiling", tag, d, frac, planned.MaxBandCells)
+					if len(trail) != 0 || uint64(res.Prune.EvaluatedCells) > planned.MaxBandCells {
+						t.Fatalf("%s: kept a %d-cell band over the %d ceiling (trail %+v)",
+							tag, res.Prune.EvaluatedCells, planned.MaxBandCells, trail)
 					}
 				case AlgorithmParallel:
 					fellBack++

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/faultpoint"
 )
 
@@ -297,6 +299,88 @@ func TestServeCacheChaosContained(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
+	}
+}
+
+// TestServeChaosMaskedAndDrained boots the real daemon with two fault
+// points armed: the first two admissions answer an injected 503, and
+// every second admission past them is forced through the memory-pressure
+// downgrade ladder. A bare POST sees the 503; the retrying client masks
+// the next one. Two requests for one 300-residue triple both answer the
+// same exact score, undegraded, and at least one of them on a downgraded
+// plan. /statsz counts the injected faults, the retry, the pressure
+// degrade and the completions, and SIGTERM still drains to exit 0 with
+// the faults armed.
+func TestServeChaosMaskedAndDrained(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	if err := faultpoint.ArmSpec("server.admit=first:2;server.pressure.degrade=every:2"); err != nil {
+		t.Fatal(err)
+	}
+	base, done := startDaemon(t, "-drain-grace", "300ms", "-workers", "2", "-coalesce-tick", "0")
+	ctx := context.Background()
+
+	resp, err := http.Post(base+"/v1/align", "application/json",
+		strings.NewReader(`{"a":"ACGTACGT","b":"ACGTTCGT","c":"ACGAACGT"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("bare request under an armed admit fault: status %d, want 503", resp.StatusCode)
+	}
+	c := client.New(client.Config{BaseURL: base, MaxRetries: 4, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, Seed: 1})
+	if _, err := c.Align(ctx, &client.AlignRequest{A: "ACGTACGTACGTACGT", B: "ACGTTCGTACGTAGGT", C: "ACGAACGTACGTACGA"}); err != nil {
+		t.Fatalf("retries did not mask the injected 503: %v", err)
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	mk := func() string {
+		b := make([]byte, 300)
+		for i := range b {
+			b[i] = "ACGT"[rng.Intn(4)]
+		}
+		return string(b)
+	}
+	req := &client.AlignRequest{A: mk(), B: mk(), C: mk()}
+	var downgraded bool
+	var scores []int32
+	for range 2 {
+		res, err := c.Align(ctx, req)
+		if err != nil {
+			t.Fatalf("300-residue align: %v", err)
+		}
+		if res.Degraded {
+			t.Fatalf("pressure degrade served a heuristic result: %+v", res.Plan)
+		}
+		downgraded = downgraded || len(res.Plan.Downgrades) > 0
+		scores = append(scores, res.Score)
+	}
+	if !downgraded || scores[0] != scores[1] {
+		t.Fatalf("forced pressure degrade: scores %v, downgraded plan %v; want one exact score and a downgraded plan", scores, downgraded)
+	}
+
+	st, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FaultsInjected < 2 || st.RetriesObserved < 1 || st.MemPressureDegraded < 1 || st.Completed < 3 {
+		t.Fatalf("statsz faults_injected %d, retries_observed %d, mem_pressure_degraded %d, completed %d; want >= 2, 1, 1, 3",
+			st.FaultsInjected, st.RetriesObserved, st.MemPressureDegraded, st.Completed)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM: %v", err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v after SIGTERM with faults armed, want nil (exit 0)", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+	if err := client.New(client.Config{BaseURL: base, MaxRetries: -1}).Ready(ctx); err == nil {
+		t.Fatal("readyz answered after the drain")
 	}
 }
 

@@ -47,7 +47,7 @@ type kernelMetric struct {
 	// EvaluatedFraction is the measured fraction of lattice cells a
 	// Carrillo–Lipman bounded-search kernel evaluated on its workload;
 	// zero for full-lattice kernels. Note the Cells convention: the
-	// calibration rows ("bounded", "astar") report Cells = evaluated cells
+	// calibration row ("bounded") reports Cells = evaluated cells
 	// (so McellsPerS is the honest per-evaluated-cell rate the planner
 	// calibrates against), while the similarity-sweep rows
 	// ("bounded-idNN") report Cells = the whole lattice (so McellsPerS is
@@ -282,10 +282,6 @@ func writeBenchJSON(path string, cfg config) error {
 	if err != nil {
 		return err
 	}
-	_, stA60, err := core.AlignAStar(ctx, b60.tr, sch, core.Options{}, b60.seed)
-	if err != nil {
-		return err
-	}
 	// The sweep rows time a whole bounded request as the planner runs it:
 	// the center-star-refined seed and the band fill, sharing one set of
 	// pairwise forward planes.
@@ -344,8 +340,8 @@ func writeBenchJSON(path string, cfg config) error {
 		{"pairwise-gotoh", nPair, 3 * pairCells * 4, func() {
 			pairwise.GlobalAffine(pa, pb, affSch)
 		}, pairCells, 0, false},
-		// Calibration rows: Cells = evaluated cells, so McellsPerS is the
-		// per-evaluated-cell rate plan.Calibration["bounded"/"astar"] pins.
+		// Calibration row: Cells = evaluated cells, so McellsPerS is the
+		// per-evaluated-cell rate plan.Calibration["bounded"] pins.
 		// The seed score is precomputed and the workload is the 60%-identity
 		// triple: that band is wide enough that band fill dominates the
 		// O(n²) projection planes, so the measured rate is the asymptotic
@@ -357,11 +353,6 @@ func writeBenchJSON(path string, cfg config) error {
 				panic(err)
 			}
 		}, b60.stats.EvaluatedCells, b60.stats.Fraction(), false},
-		{"astar", nB, stA60.EvaluatedCells * 64, func() {
-			if _, _, err := core.AlignAStar(ctx, b60.tr, sch, core.Options{}, b60.seed); err != nil {
-				panic(err)
-			}
-		}, stA60.EvaluatedCells, stA60.Fraction(), false},
 		// Similarity sweep: Cells = whole lattice, so McellsPerS is the
 		// effective throughput comparable to a dense fill. CI asserts the
 		// 80%-identity row beats "full-packed-id80" — the full kernel on

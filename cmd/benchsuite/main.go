@@ -510,10 +510,9 @@ func runF8(cfg config) error {
 func runF9(cfg config) error {
 	n := pick(cfg.quick, 96, 160)
 	tab := bench.NewTable(fmt.Sprintf("F9: Carrillo-Lipman bounded search vs identity (n=%d, center-star-refined seed)", n),
-		"identity", "evaluated", "total", "fraction", "bounded time", "astar time", "full time")
+		"identity", "evaluated", "total", "fraction", "bounded time", "full time")
 	tab.Caption = "expected: evaluated fraction and bounded time collapse as identity rises;\n" +
-		"the band beats the full fill from ~80% identity, the A* frontier joins\n" +
-		"once the fraction drops into the single percents"
+		"the band beats the full fill from ~80% identity"
 	for _, id := range []float64{0.6, 0.8, 0.95} {
 		// seq.Uniform mutations (indel = substitution/4): the default
 		// near-indel-free triple() makes the admissible band degenerate,
@@ -529,16 +528,11 @@ func runF9(cfg config) error {
 			}
 			st = stats
 		})
-		tAStar := bench.Measure(cfg.reps, func() {
-			if _, _, err := core.AlignAStar(context.Background(), tr, dnaSch(), core.Options{}, seed.Score); err != nil {
-				panic(err)
-			}
-		})
 		tFull := bench.Measure(cfg.reps, func() {
 			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tab.AddRowf(fmt.Sprintf("%.0f%%", id*100), st.EvaluatedCells, st.TotalCells,
-			st.Fraction(), tBounded.Mean, tAStar.Mean, tFull.Mean)
+			st.Fraction(), tBounded.Mean, tFull.Mean)
 	}
 	return cfg.render(tab)
 }

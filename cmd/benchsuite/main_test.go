@@ -87,13 +87,12 @@ func TestBenchJSON(t *testing.T) {
 	want := map[string]bool{"full-packed": false, "full-packed-w16": false,
 		"parallel-packed": false, "parallel-packed-w16": false,
 		"score": false, "linear": false, "affine7": false,
-		"pairwise-global": false, "pairwise-gotoh": false,
-		"bounded": false, "astar": false,
+		"pairwise-global": false, "pairwise-gotoh": false, "bounded": false,
 		"bounded-id60": false, "bounded-id80": false, "bounded-id95": false,
 		"full-packed-id80": false}
 	// The bounded-search rows carry an evaluated fraction; every one of
 	// them must report a meaningful band (0 < fraction <= 1).
-	fractional := map[string]bool{"bounded": true, "astar": true,
+	fractional := map[string]bool{"bounded": true,
 		"bounded-id60": true, "bounded-id80": true, "bounded-id95": true}
 	for _, k := range rep.Kernels {
 		if _, ok := want[k.Kernel]; !ok {

@@ -155,7 +155,7 @@ func TestBandFillMatchesReference(t *testing.T) {
 			lower = ref.Score
 		}
 		for _, workers := range []int{1, 2} {
-			pre, err := NewPrefix(c.tr, c.sch, pairwise.Planes{}, lower, workers, false)
+			pre, err := NewPrefix(c.tr, c.sch, pairwise.Planes{}, lower, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,8 +42,8 @@ func poisonArena(tr seq.Triple) {
 
 // fullPrefix is the prefix NewPrefix would build at lower on full planes:
 // every pair's Forward and Backward plane swept in full (pairwise.Forward
-// and Backward), kept apart or summed into through planes.
-func fullPrefix(t *testing.T, tr seq.Triple, sch *scoring.Scheme, lower mat.Score, keep bool) (*Prefix, [3]*mat.Plane, [3]*mat.Plane) {
+// and Backward) and summed into through planes.
+func fullPrefix(t *testing.T, tr seq.Triple, sch *scoring.Scheme, lower mat.Score) (*Prefix, [3]*mat.Plane, [3]*mat.Plane) {
 	t.Helper()
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
@@ -57,15 +57,10 @@ func fullPrefix(t *testing.T, tr seq.Triple, sch *scoring.Scheme, lower mat.Scor
 	for x, pair := range [3][2][]int8{{ca, cb}, {ca, cc}, {cb, cc}} {
 		f[x], b[x] = pairwise.Forward(pair[0], pair[1], sch), pairwise.Backward(pair[0], pair[1], sch)
 	}
-	p := &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, bound: max(lower, trivial.Score), keep: keep}
+	p := &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, bound: max(lower, trivial.Score)}
 	for x := range f {
 		p.fwd.P[x] = mat.GetPlane(f[x].Rows(), f[x].Cols())
 		p.fwd.P[x].CopyFrom(f[x])
-		if keep {
-			p.bwd.P[x] = mat.GetPlane(b[x].Rows(), b[x].Cols())
-			p.bwd.P[x].CopyFrom(b[x])
-			continue
-		}
 		th := p.fwd.P[x].Cells()
 		for c, v := range b[x].Cells() {
 			th[c] += v
@@ -75,10 +70,10 @@ func fullPrefix(t *testing.T, tr seq.Triple, sch *scoring.Scheme, lower mat.Scor
 }
 
 // bandFirstTrail runs what plan.RunBandFirst runs after the seed on pre,
-// under a band ceiling and an A* fraction, and reports every decision it
-// takes with the result: the sampled estimate, the planned band, the
-// switch, and the score, moves and PruneStats of the kernel that ran.
-func bandFirstTrail(ctx context.Context, pre *Prefix, star, seed *alignment.Alignment, upper mat.Score, ceiling int64, astarMax float64, workers int) string {
+// under a band ceiling, and reports every decision it takes with the
+// result: the sampled estimate, the planned band, the switch, and the
+// score, moves and PruneStats of the band that ran.
+func bandFirstTrail(ctx context.Context, pre *Prefix, star, seed *alignment.Alignment, upper mat.Score, ceiling int64, workers int) string {
 	trail := ""
 	if star.Score < upper {
 		est := pre.SampleCells(star.Score, ceiling)
@@ -90,21 +85,10 @@ func bandFirstTrail(ctx context.Context, pre *Prefix, star, seed *alignment.Alig
 	band := pre.Plan(seed.Score)
 	planned := band.Stats()
 	trail += fmt.Sprintf("planned %+v; ", planned)
-	var (
-		aln *alignment.Alignment
-		st  PruneStats
-		err error
-	)
-	switch {
-	case planned.EvaluatedCells > ceiling:
+	if planned.EvaluatedCells > ceiling {
 		return trail + "dense"
-	case pre.keep && workers == 1 && planned.Fraction() <= astarMax:
-		aln, st, err = pre.AStar(ctx, Options{}, seed.Score)
-		trail += "astar "
-	default:
-		aln, st, err = band.Fill(ctx, Options{Workers: workers})
-		trail += "band "
 	}
+	aln, st, err := band.Fill(ctx, Options{Workers: workers})
 	if err != nil {
 		return trail + err.Error()
 	}
@@ -115,17 +99,15 @@ func bandFirstTrail(ctx context.Context, pre *Prefix, star, seed *alignment.Alig
 // banded pair sweeps against the full-plane construction, drawn from an
 // arena poisoned with a large positive value. At each lower bound L, with
 // th0 a pair's threshold L − (the other two pair optima), the banded
-// forward, suffix and through planes equal the full ones on every cell
-// whose through value reaches th0, and stay at or below them on every
-// cell a reader touches: the reach band of th0, the recurrence
-// neighbours of the admissible cells, and the traces of the optimal
-// paths. Center-star on the banded forward planes equals CenterStar, and
-// band-first runs (the sampled estimate, the planned band, the switch to
-// A* or to the dense fallback, and what ran), explicit bounded plans and
-// the A* frontier return the same scores, moves and PruneStats on both,
-// at one and two workers, over DNA and linear-gap BLOSUM62, 55–99%
-// identity, random triples, a triple whose first forward band misses its
-// optimal paths, and unequal, truncated and empty lengths.
+// through planes equal the full ones on every cell whose through value
+// reaches th0, and stay at or below them on the rest of th0's reach band,
+// every cell a scan reads. Center-star on the banded forward planes, which
+// traces the optimal paths, equals CenterStar, and band-first runs (the
+// sampled estimate, the planned band, the switch to the dense fallback,
+// and what ran) and explicit bounded plans return the same scores, moves
+// and PruneStats on both, at one and two workers, over DNA and linear-gap
+// BLOSUM62, 55–99% identity, random triples, a triple whose first forward
+// band misses its optimal paths, and unequal, truncated and empty lengths.
 func TestBandedSweepsExactWhereAdmissible(t *testing.T) {
 	prot, err := scoring.BLOSUM62().WithGaps(0, -4)
 	if err != nil {
@@ -199,69 +181,56 @@ func TestBandedSweepsExactWhereAdmissible(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, lower := range []mat.Score{mat.NegInf, star.Score, ref.Score} {
-				for _, keep := range []bool{false, true} {
-					name := fmt.Sprintf("%s workers=%d lower=%d keep=%v", c.name, workers, lower, keep)
-					poisonArena(c.tr)
-					got, err := NewPrefix(c.tr, c.sch, pairwise.Planes{}, lower, workers, keep)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, f, b := fullPrefix(t, c.tr, c.sch, lower, keep)
-					checkBandedPlanes(t, name, got, f, b)
-					for x := range f {
-						mat.PutPlane(f[x])
-						mat.PutPlane(b[x])
-					}
-					for _, limit := range []int64{0, 500, math.MaxInt64} {
-						if g, w := got.SampleCells(lower, limit), want.SampleCells(lower, limit); g != w {
-							t.Fatalf("%s: SampleCells(%d) = %d, full planes %d", name, limit, g, w)
-						}
-					}
-					gb, wb := got.Plan(lower), want.Plan(lower)
-					if gb.Stats() != wb.Stats() || fmt.Sprint(gb.jLo, gb.jHi, gb.kLo, gb.kHi) != fmt.Sprint(wb.jLo, wb.jHi, wb.kLo, wb.kHi) {
-						t.Fatalf("%s: planned band %+v, full planes %+v", name, gb.Stats(), wb.Stats())
-					}
-					ga, gs, gerr := gb.Fill(ctx, Options{Workers: workers})
-					wa, ws, werr := wb.Fill(ctx, Options{Workers: workers})
-					if gerr != nil || werr != nil || gs != ws || ga.Score != ref.Score || string(movesOf(ga)) != string(movesOf(wa)) {
-						t.Fatalf("%s: bounded run %+v (%v), full planes %+v (%v)", name, gs, gerr, ws, werr)
-					}
-					if keep && lower != mat.NegInf {
-						ga, gs, gerr = got.AStar(ctx, Options{}, lower)
-						wa, ws, werr = want.AStar(ctx, Options{}, lower)
-						if gerr != nil || werr != nil || gs != ws || ga.Score != ref.Score || string(movesOf(ga)) != string(movesOf(wa)) {
-							t.Fatalf("%s: A* %+v (%v), full planes %+v (%v)", name, gs, gerr, ws, werr)
-						}
-					}
-					got.Release()
-					want.Release()
+				name := fmt.Sprintf("%s workers=%d lower=%d", c.name, workers, lower)
+				poisonArena(c.tr)
+				got, err := NewPrefix(c.tr, c.sch, pairwise.Planes{}, lower, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				want, f, b := fullPrefix(t, c.tr, c.sch, lower)
+				checkBandedPlanes(t, name, got, f, b)
+				for x := range f {
+					mat.PutPlane(f[x])
+					mat.PutPlane(b[x])
+				}
+				for _, limit := range []int64{0, 500, math.MaxInt64} {
+					if g, w := got.SampleCells(lower, limit), want.SampleCells(lower, limit); g != w {
+						t.Fatalf("%s: SampleCells(%d) = %d, full planes %d", name, limit, g, w)
+					}
+				}
+				gb, wb := got.Plan(lower), want.Plan(lower)
+				if gb.Stats() != wb.Stats() || fmt.Sprint(gb.jLo, gb.jHi, gb.kLo, gb.kHi) != fmt.Sprint(wb.jLo, wb.jHi, wb.kLo, wb.kHi) {
+					t.Fatalf("%s: planned band %+v, full planes %+v", name, gb.Stats(), wb.Stats())
+				}
+				ga, gs, gerr := gb.Fill(ctx, Options{Workers: workers})
+				wa, ws, werr := wb.Fill(ctx, Options{Workers: workers})
+				if gerr != nil || werr != nil || gs != ws || ga.Score != ref.Score || string(movesOf(ga)) != string(movesOf(wa)) {
+					t.Fatalf("%s: bounded run %+v (%v), full planes %+v (%v)", name, gs, gerr, ws, werr)
+				}
+				got.Release()
+				want.Release()
 			}
 			// Band-first runs at the seed, as RunBandFirst makes them: a
 			// prefix at center-star's bound, with ceilings on either side
-			// of the band and an A* fraction that takes it.
-			for _, keep := range []bool{false, true} {
-				for _, ceiling := range []int64{0, 2000, math.MaxInt64} {
-					for _, astarMax := range []float64{0, 1} {
-						poisonArena(c.tr)
-						got, err := NewPrefix(c.tr, c.sch, pairwise.Planes{}, star.Score, workers, keep)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, f, b := fullPrefix(t, c.tr, c.sch, star.Score, keep)
-						for x := range f {
-							mat.PutPlane(f[x])
-							mat.PutPlane(b[x])
-						}
-						g := bandFirstTrail(ctx, got, star, seed, upper, ceiling, astarMax, workers)
-						w := bandFirstTrail(ctx, want, star, seed, upper, ceiling, astarMax, workers)
-						if g != w {
-							t.Fatalf("%s workers=%d keep=%v ceiling=%d: band-first run\n got %s\nwant %s", c.name, workers, keep, ceiling, g, w)
-						}
-						got.Release()
-						want.Release()
-					}
+			// of the band.
+			for _, ceiling := range []int64{0, 2000, math.MaxInt64} {
+				poisonArena(c.tr)
+				got, err := NewPrefix(c.tr, c.sch, pairwise.Planes{}, star.Score, workers)
+				if err != nil {
+					t.Fatal(err)
 				}
+				want, f, b := fullPrefix(t, c.tr, c.sch, star.Score)
+				for x := range f {
+					mat.PutPlane(f[x])
+					mat.PutPlane(b[x])
+				}
+				g := bandFirstTrail(ctx, got, star, seed, upper, ceiling, workers)
+				w := bandFirstTrail(ctx, want, star, seed, upper, ceiling, workers)
+				if g != w {
+					t.Fatalf("%s workers=%d ceiling=%d: band-first run\n got %s\nwant %s", c.name, workers, ceiling, g, w)
+				}
+				got.Release()
+				want.Release()
 			}
 		}
 	}
@@ -270,8 +239,8 @@ func TestBandedSweepsExactWhereAdmissible(t *testing.T) {
 	}
 }
 
-// checkBandedPlanes compares a prefix's banded planes with the full
-// Forward planes f and Backward planes b of its triple.
+// checkBandedPlanes compares a prefix's banded through planes with the
+// sums of the full Forward planes f and Backward planes b of its triple.
 func checkBandedPlanes(t *testing.T, name string, p *Prefix, f, b [3]*mat.Plane) {
 	t.Helper()
 	var opt [3]mat.Score
@@ -282,36 +251,14 @@ func checkBandedPlanes(t *testing.T, name string, p *Prefix, f, b [3]*mat.Plane)
 		th := p.bound - (opt[0] + opt[1] + opt[2] - opt[x])
 		nx, ny := f[x].Rows()-1, f[x].Cols()-1
 		band := pairwise.NewReach(nx, ny, p.sch).Band(th)
-		through := func(u, v int) mat.Score { return f[x].At(u, v) + b[x].At(u, v) }
-		// cmp checks the banded value at (u, v) against the full one:
-		// equal where the through value reaches th, at most elsewhere.
-		cmp := func(what string, u, v int, got, want mat.Score) {
-			if got > want || (through(u, v) >= th && got != want) {
-				t.Fatalf("%s pair %d: banded %s (%d,%d) = %d, full %d, T = %d, th0 = %d", name, x, what, u, v, got, want, through(u, v), th)
-			}
-		}
-		inside := func(u, v int) bool { return u >= 0 && v >= 0 && u <= nx && v <= ny }
 		for u := 0; u <= nx; u++ {
 			lo, hi := band.Span(u)
 			for v := lo; v < hi; v++ {
-				if !p.keep {
-					cmp("through", u, v, p.fwd.P[x].At(u, v), through(u, v))
-					continue
-				}
-				cmp("forward", u, v, p.fwd.P[x].At(u, v), f[x].At(u, v))
-				cmp("suffix", u, v, p.bwd.P[x].At(u, v), b[x].At(u, v))
-				if through(u, v) < th {
-					continue
-				}
-				// A trace or the forward recurrence reads an admissible
-				// cell's predecessors, an A* step its successors.
-				for _, d := range [3][2]int{{-1, -1}, {-1, 0}, {0, -1}} {
-					if inside(u+d[0], v+d[1]) {
-						cmp("forward", u+d[0], v+d[1], p.fwd.P[x].At(u+d[0], v+d[1]), f[x].At(u+d[0], v+d[1]))
-					}
-					if inside(u-d[0], v-d[1]) {
-						cmp("suffix", u-d[0], v-d[1], p.bwd.P[x].At(u-d[0], v-d[1]), b[x].At(u-d[0], v-d[1]))
-					}
+				// Equal where the through value reaches th, at most
+				// elsewhere.
+				got, want := p.fwd.P[x].At(u, v), f[x].At(u, v)+b[x].At(u, v)
+				if got > want || (want >= th && got != want) {
+					t.Fatalf("%s pair %d: banded through (%d,%d) = %d, full %d, th0 = %d", name, x, u, v, got, want, th)
 				}
 			}
 		}

@@ -22,9 +22,9 @@ import (
 //  1. Pairwise 2D bands. With optXY the unconstrained pairwise optima,
 //     a cell (i, j, k) admissible under the three-way test
 //     T_AB(i,j)+T_AC(i,k)+T_BC(j,k) ≥ L must satisfy each relaxed pairwise
-//     test, e.g. T_AB(i,j) ≥ L − optAC − optBC. Scanning the through
-//     rows (forward plus suffix, summed as read) yields a j-hull per i and
-//     candidate k-intervals per (i, ·) and (·, j) in O(nm + np + mp).
+//     test, e.g. T_AB(i,j) ≥ L − optAC − optBC. Scanning the three
+//     through planes yields a j-hull per i and candidate k-intervals per
+//     (i, ·) and (·, j) in O(nm + np + mp).
 //  2. Lane refinement. Inside each candidate interval the exact three-way
 //     test is applied from both ends, shrinking to the tightest contiguous
 //     interval containing every admissible k. The stored band is therefore
@@ -49,7 +49,7 @@ import (
 // the profile. The planner's explicit bounded kernel runs the same Prefix,
 // seeded with center-star refined (plan.RunBandFirst).
 func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
-	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, lower, opt.workers(), false)
+	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, lower, opt.workers())
 	if err != nil {
 		return nil, PruneStats{}, err
 	}
@@ -58,36 +58,31 @@ func AlignBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt O
 }
 
 // Prefix is the O(n²) part of a Carrillo–Lipman bounded search over one
-// triple: its three pairwise forward planes with, for A*, their three
-// suffix planes (or else the three through planes alone), swept in the
-// bands its lower bound admits, and that bound. Nothing band-shaped is
-// allocated before a planned Band is filled, so a caller can count the
-// band, and walk away from it, for the price of the planes.
+// triple: its three pairwise through planes, swept in the bands its lower
+// bound admits, and that bound. Nothing band-shaped is allocated before a
+// planned Band is filled, so a caller can count the band, and walk away
+// from it, for the price of the planes.
 type Prefix struct {
 	tr         seq.Triple
 	sch        *scoring.Scheme
 	ca, cb, cc []int8
 	bound      mat.Score       // the tighter of the lower bound and the trivial one
-	fwd        pairwise.Planes // Forward planes; the through planes unless keep
-	bwd        pairwise.Planes // suffix planes when keep
-	keep       bool            // suffix planes stay apart for A*
+	fwd        pairwise.Planes // the through planes T = F + B
 }
 
 // NewPrefix builds the prefix from the triple's three Forward planes fwd
 // (pairwise.Forwards of A, B and C; zero Planes are swept here) at the
-// tighter of lower and the TrivialAlignment score, L. It sweeps each
-// pair's suffix plane in the band of its pair threshold
+// tighter of lower and the TrivialAlignment score, L. It adds each pair's
+// suffix sweep into its forward plane in the band of its pair threshold
 // th_XY = L − opt_XZ − opt_YZ, widening the forward plane to that band
-// first if it was swept in a narrower one (pairwise.Planes.Suffixes):
-// every later scan, plan or search runs at a bound of at least L, and so
-// reads only cells those bands hold, exact wherever they can pass.
-// Without keepSuffix the suffix planes are added into the forward ones in
-// place, one pair per goroutine on up to workers goroutines: three planes
-// resident, not six. With it they stay apart for A*. NewPrefix takes
-// ownership of fwd, also on error; Release returns every plane to the
-// arena. A bound above the pairwise upper bound optAB + optAC + optBC,
-// which no alignment exceeds, is an error.
-func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes, lower mat.Score, workers int, keepSuffix bool) (*Prefix, error) {
+// first if it was swept in a narrower one (pairwise.Planes.AddSuffixes),
+// one pair per goroutine on up to workers goroutines: every later scan or
+// plan runs at a bound of at least L, and so reads only cells those bands
+// hold, exact wherever they can pass. NewPrefix takes ownership of fwd,
+// also on error; Release returns its planes to the arena. A bound above
+// the pairwise upper bound optAB + optAC + optBC, which no alignment
+// exceeds, is an error.
+func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes, lower mat.Score, workers int) (*Prefix, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	var trivial *alignment.Alignment
 	if err == nil {
@@ -111,21 +106,13 @@ func NewPrefix(tr seq.Triple, sch *scoring.Scheme, fwd pairwise.Planes, lower ma
 		pairwise.AC: bound - opt[pairwise.AB] - opt[pairwise.BC],
 		pairwise.BC: bound - opt[pairwise.AB] - opt[pairwise.AC],
 	}
-	p := &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, bound: bound, fwd: fwd, keep: keepSuffix}
-	if keepSuffix {
-		p.bwd = p.fwd.Suffixes(ca, cb, cc, sch, th, workers)
-	} else {
-		p.fwd.AddSuffixes(ca, cb, cc, sch, th, workers)
-	}
-	return p, nil
+	fwd.AddSuffixes(ca, cb, cc, sch, th, workers)
+	return &Prefix{tr: tr, sch: sch, ca: ca, cb: cb, cc: cc, bound: bound, fwd: fwd}, nil
 }
 
 // Release returns the prefix's planes to the arena; releasing twice is
 // safe.
-func (p *Prefix) Release() {
-	p.fwd.Release()
-	p.bwd.Release()
-}
+func (p *Prefix) Release() { p.fwd.Release() }
 
 // bandSampleRows is how many rows of A SampleCells counts: one at the
 // middle of each of 8 equal strata. bandSampleLanes caps the lanes it
@@ -297,31 +284,10 @@ func (b *Band) fill(ctx context.Context, opt Options) (*mat.BandTensor3, PruneSt
 // planeBytes is the resident footprint of the prefix's pair planes.
 func (p *Prefix) planeBytes() int64 {
 	var total int64
-	for _, planes := range [2]pairwise.Planes{p.fwd, p.bwd} {
-		for _, pl := range planes.P {
-			if pl != nil {
-				total += pl.Bytes()
-			}
-		}
+	for _, pl := range p.fwd.P {
+		total += pl.Bytes()
 	}
 	return total
-}
-
-// AStar runs the A* frontier (AlignAStar) on the prefix's suffix planes at
-// the tighter of lower and the prefix's bound. The prefix must have been
-// built with keepSuffix; its forward planes are released first, since the
-// frontier never reads them. A node the frontier generates at bound L has
-// g + h ≥ L, and its g is at most the sum of its projections' forward
-// values, so each projection's through value reaches its pair threshold:
-// the banded suffix planes give it its exact h, and every node whose
-// exact h would prune it is pruned on the banded h, which is no larger.
-func (p *Prefix) AStar(ctx context.Context, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
-	if !p.keep {
-		return nil, PruneStats{}, fmt.Errorf("core: A* on a prefix without suffix planes")
-	}
-	p.fwd.Release()
-	sc := &suffixCtx{bAB: p.bwd.P[pairwise.AB], bAC: p.bwd.P[pairwise.AC], bBC: p.bwd.P[pairwise.BC]}
-	return astarSearch(ctx, p.tr, p.ca, p.cb, p.cc, p.sch, opt, sc, max(lower, p.bound))
 }
 
 // bandFill fills the lanes of one band. Its score terms come from C's

@@ -14,20 +14,6 @@ import (
 	"repro/internal/seq"
 )
 
-// boundedKernel abstracts the two Carrillo–Lipman bounded-search kernels so
-// the differential suite runs the identical checks against both.
-type boundedKernel struct {
-	name string
-	run  func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error)
-}
-
-func boundedKernels() []boundedKernel {
-	return []boundedKernel{
-		{"bounded", AlignBounded},
-		{"astar", AlignAStar},
-	}
-}
-
 func sameMoves(a, b []alignment.Move) bool {
 	if len(a) != len(b) {
 		return false
@@ -40,11 +26,11 @@ func sameMoves(a, b []alignment.Move) bool {
 	return true
 }
 
-// TestBoundedKernelsMatchFull pins both bounded kernels bit-identical —
+// TestBoundedKernelsMatchFull pins the bounded kernel bit-identical —
 // score AND move sequence — to the full-matrix kernel across schemes,
 // shapes, worker counts, and bound tightness. The full kernel's traceback
-// preference order is the contract; any divergence in moves means a band
-// or frontier truncated an optimal path.
+// preference order is the contract; any divergence in moves means the
+// band truncated an optimal path.
 func TestBoundedKernelsMatchFull(t *testing.T) {
 	prot, err := scoring.BLOSUM62().WithGaps(0, -3)
 	if err != nil {
@@ -87,33 +73,31 @@ func TestBoundedKernelsMatchFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range boundedKernels() {
-			for _, workers := range []int{1, 2, 4} {
-				for _, tight := range []bool{false, true} {
-					opt := Options{Workers: workers}
-					lower := mat.NegInf
-					if tight {
-						lower = ref.Score
-					}
-					aln, stats, err := k.run(context.Background(), w.tr, w.sch, opt, lower)
-					if err != nil {
-						t.Fatalf("%s/%s workers=%d tight=%v: %v", w.name, k.name, workers, tight, err)
-					}
-					checkAlignment(t, aln, w.sch)
-					if aln.Score != ref.Score {
-						t.Fatalf("%s/%s workers=%d tight=%v: score %d != full %d",
-							w.name, k.name, workers, tight, aln.Score, ref.Score)
-					}
-					if !sameMoves(aln.Moves, ref.Moves) {
-						t.Fatalf("%s/%s workers=%d tight=%v: moves diverge from full traceback\n got %v\nwant %v",
-							w.name, k.name, workers, tight, aln.Moves, ref.Moves)
-					}
-					if stats.Optimum != ref.Score {
-						t.Fatalf("%s/%s: stats.Optimum = %d, want %d", w.name, k.name, stats.Optimum, ref.Score)
-					}
-					if stats.EvaluatedCells <= 0 || stats.EvaluatedCells > stats.TotalCells {
-						t.Fatalf("%s/%s: nonsensical stats %+v", w.name, k.name, stats)
-					}
+		for _, workers := range []int{1, 2, 4} {
+			for _, tight := range []bool{false, true} {
+				opt := Options{Workers: workers}
+				lower := mat.NegInf
+				if tight {
+					lower = ref.Score
+				}
+				aln, stats, err := AlignBounded(context.Background(), w.tr, w.sch, opt, lower)
+				if err != nil {
+					t.Fatalf("%s workers=%d tight=%v: %v", w.name, workers, tight, err)
+				}
+				checkAlignment(t, aln, w.sch)
+				if aln.Score != ref.Score {
+					t.Fatalf("%s workers=%d tight=%v: score %d != full %d",
+						w.name, workers, tight, aln.Score, ref.Score)
+				}
+				if !sameMoves(aln.Moves, ref.Moves) {
+					t.Fatalf("%s workers=%d tight=%v: moves diverge from full traceback\n got %v\nwant %v",
+						w.name, workers, tight, aln.Moves, ref.Moves)
+				}
+				if stats.Optimum != ref.Score {
+					t.Fatalf("%s: stats.Optimum = %d, want %d", w.name, stats.Optimum, ref.Score)
+				}
+				if stats.EvaluatedCells <= 0 || stats.EvaluatedCells > stats.TotalCells {
+					t.Fatalf("%s: nonsensical stats %+v", w.name, stats)
 				}
 			}
 		}
@@ -124,7 +108,7 @@ func TestBoundedKernelsMatchFull(t *testing.T) {
 // whole construction: with the bound set to the exact optimum — the
 // tightest valid value — every cell on the full kernel's optimal path must
 // still pass the three-way Carrillo–Lipman test. If this ever fails the
-// bound is not admissible and both bounded kernels are unsound.
+// bound is not admissible and the bounded kernel is unsound.
 func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
@@ -138,11 +122,10 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, mat.NegInf, 1, false)
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, mat.NegInf, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A prefix built without suffix planes holds the through planes.
 		th := pre.fwd.P
 		admissible := func(i, j, k int) bool {
 			return th[pairwise.AB].At(i, j)+th[pairwise.AC].At(i, k)+th[pairwise.BC].At(j, k) >= ref.Score
@@ -163,15 +146,12 @@ func TestBoundAdmissibleOnOptimalPath(t *testing.T) {
 	}
 }
 
-// TestBoundedKernelsRejectOversizedBand drives both kernels into their
-// memory admission checks with a budget no band can satisfy.
+// TestBoundedKernelsRejectOversizedBand drives the bounded kernel into its
+// memory admission check with a budget no band can satisfy.
 func TestBoundedKernelsRejectOversizedBand(t *testing.T) {
 	tr := randomTriple(rand.New(rand.NewSource(7)), 60, 60, 60)
-	for _, k := range boundedKernels() {
-		_, _, err := k.run(context.Background(), tr, dnaSch, Options{MaxBytes: 4096}, mat.NegInf)
-		if !errors.Is(err, ErrTooLarge) {
-			t.Errorf("%s: err = %v, want ErrTooLarge", k.name, err)
-		}
+	if _, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{MaxBytes: 4096}, mat.NegInf); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -227,29 +207,6 @@ func TestAlignBoundedEvaluatedFractionAt80Identity(t *testing.T) {
 	}
 }
 
-// TestAlignAStarExpandsFewerCellsThanBand sanity-checks the point of the
-// frontier variant: on very similar triples the expanded-node count stays
-// below the contiguous band's cell count.
-func TestAlignAStarExpandsFewerCellsThanBand(t *testing.T) {
-	tr := relatedTriple(31, 120, 0.03)
-	ref, err := AlignParallelLinear(context.Background(), tr, dnaSch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, band, err := AlignBounded(context.Background(), tr, dnaSch, Options{}, ref.Score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, frontier, err := AlignAStar(context.Background(), tr, dnaSch, Options{}, ref.Score)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frontier.EvaluatedCells > band.EvaluatedCells {
-		t.Errorf("A* expanded %d nodes, band evaluated %d cells: frontier should be tighter on near-identical triples",
-			frontier.EvaluatedCells, band.EvaluatedCells)
-	}
-}
-
 // TestAlignBoundedOnSuppliedPlanes: given the forward planes a seed has
 // already filled, a prefix's band returns AlignBounded's exact result.
 func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
@@ -267,7 +224,7 @@ func TestAlignBoundedOnSuppliedPlanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := NewPrefix(tr, dnaSch, pairwise.Forwards(ca, cb, cc, dnaSch, 1), mat.NegInf, 1, false)
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Forwards(ca, cb, cc, dnaSch, 1), mat.NegInf, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,12 +247,10 @@ func movesOf(a *alignment.Alignment) []byte {
 	return out
 }
 
-// TestPrefixMatchesStandaloneKernels: a prefix, with its suffix planes
-// kept for A* or added into its forward ones, counts, fills and searches
-// exactly as the standalone kernels do (the frontier as on full suffix
-// planes), and on triples short enough that SampleCells reads every row
-// of A its estimate is the exact band count, on the swept planes and on
-// the through planes of a one-worker prefix.
+// TestPrefixMatchesStandaloneKernels: a prefix counts and fills exactly
+// as the standalone kernel does, and on triples short enough that
+// SampleCells reads every row of A its estimate is the exact band count,
+// on the planes of a two-worker and of a one-worker prefix.
 func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(25))
@@ -306,77 +261,37 @@ func TestPrefixMatchesStandaloneKernels(t *testing.T) {
 		}
 		tr := relatedTriple(rng.Int63(), n, 0.05+0.3*rng.Float64())
 		lower := mat.Score(-5 * n)
-		wantBand, wantBandSt, err := AlignBounded(ctx, tr, dnaSch, Options{}, lower)
+		want, wantSt, err := AlignBounded(ctx, tr, dnaSch, Options{}, lower)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantStar, wantStarSt, err := standaloneAStar(ctx, tr, dnaSch, Options{}, lower)
+		pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, lower, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, astar := range []bool{false, true} {
-			pre, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, lower, 2, astar)
+		sampled := pre.SampleCells(lower, math.MaxInt64)
+		band := pre.Plan(lower)
+		if tr.A.Len()+1 <= bandSampleRows {
+			serial, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, lower, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sampled := pre.SampleCells(lower, math.MaxInt64)
-			band := pre.Plan(lower)
-			if tr.A.Len()+1 <= bandSampleRows {
-				through, err := NewPrefix(tr, dnaSch, pairwise.Planes{}, lower, 1, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resampled := through.SampleCells(lower, math.MaxInt64)
-				through.Release()
-				if sampled != band.Stats().EvaluatedCells || resampled != sampled {
-					t.Fatalf("trial %d: sampled %d cells on swept planes and %d on through planes, band holds %d",
-						trial, sampled, resampled, band.Stats().EvaluatedCells)
-				}
-			}
-			var (
-				got   *alignment.Alignment
-				st    PruneStats
-				want  *alignment.Alignment
-				wantS PruneStats
-			)
-			if astar {
-				got, st, err = pre.AStar(ctx, Options{}, lower)
-				want, wantS = wantStar, wantStarSt
-			} else {
-				got, st, err = band.Fill(ctx, Options{})
-				want, wantS = wantBand, wantBandSt
-			}
-			pre.Release()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != wantS || !sameMoves(got.Moves, want.Moves) || got.Score != want.Score {
-				t.Fatalf("trial %d (astar=%v): prefix run %+v, standalone %+v", trial, astar, st, wantS)
+			resampled := serial.SampleCells(lower, math.MaxInt64)
+			serial.Release()
+			if sampled != band.Stats().EvaluatedCells || resampled != sampled {
+				t.Fatalf("trial %d: sampled %d cells at two workers and %d at one, band holds %d",
+					trial, sampled, resampled, band.Stats().EvaluatedCells)
 			}
 		}
+		got, st, err := band.Fill(ctx, Options{})
+		pre.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != wantSt || !sameMoves(got.Moves, want.Moves) || got.Score != want.Score {
+			t.Fatalf("trial %d: prefix run %+v, standalone %+v", trial, st, wantSt)
+		}
 	}
-}
-
-// standaloneAStar is the A* kernel as it ran before it ran on a Prefix:
-// three suffix planes filled by pairwise.Backward, searched from the
-// tighter of lower and the trivial bound. It is the oracle a frontier on
-// swept prefix planes must reproduce.
-func standaloneAStar(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower mat.Score) (*alignment.Alignment, PruneStats, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, PruneStats{}, err
-	}
-	trivial, err := TrivialAlignment(tr, sch)
-	if err != nil {
-		return nil, PruneStats{}, err
-	}
-	sc := &suffixCtx{bAB: pairwise.Backward(ca, cb, sch), bAC: pairwise.Backward(ca, cc, sch), bBC: pairwise.Backward(cb, cc, sch)}
-	defer func() {
-		mat.PutPlane(sc.bAB)
-		mat.PutPlane(sc.bAC)
-		mat.PutPlane(sc.bBC)
-	}()
-	return astarSearch(ctx, tr, ca, cb, cc, sch, opt, sc, max(trivial.Score, lower))
 }
 
 // TestReachBoundsThroughPlanes checks the shape bound the band scan skips

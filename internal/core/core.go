@@ -12,9 +12,9 @@
 //     with only O(m·p) working memory, which is what makes long sequences
 //     feasible. Every plane sweep runs a 2D blocked wavefront, and
 //     independent sub-problems are solved concurrently.
-//   - AlignBounded and AlignAStar: Carrillo–Lipman bounded search over the
-//     admissible band (or the A* frontier) derived from pairwise
-//     projection bounds; memory scales with the cells the bound admits.
+//   - AlignBounded: Carrillo–Lipman bounded search over the admissible
+//     band derived from pairwise projection bounds; memory scales with the
+//     cells the bound admits.
 //   - AlignAffineParallel and AlignAffineLinear: the 7-state
 //     generalization of Gotoh's algorithm with quasi-natural affine gap
 //     costs, over seven full lattices or in linear space.

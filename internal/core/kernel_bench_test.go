@@ -218,7 +218,7 @@ func BenchmarkKernelBandLaneInterior(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, ref.Score, 1, false)
+	pre, err := NewPrefix(tr, sch, pairwise.Planes{}, ref.Score, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,8 @@ func BenchmarkBackward(b *testing.B) {
 // BenchmarkBandedSweepInterior times the banded row loops of one pair of a
 // fresh bounded miss: the forward and the trimmed suffix sweep of a
 // 300-residue pair at 98% identity, in the band of a threshold 20 below
-// its optimum, into prebuilt planes. Covered by the CI zero-alloc gate.
+// its optimum, into a prebuilt plane and two prebuilt rolling rows.
+// Covered by the CI zero-alloc gate.
 func BenchmarkBandedSweepInterior(b *testing.B) {
 	g := seq.NewGenerator(seq.DNA, 98)
 	parent := g.Random("p", 300)
@@ -104,10 +105,11 @@ func BenchmarkBandedSweepInterior(b *testing.B) {
 	sch := scoring.DNADefault()
 	f := Forward(a, bb, sch)
 	defer mat.PutPlane(f)
-	bw := mat.GetPlane(f.Rows(), f.Cols())
-	defer mat.PutPlane(bw)
 	prof := newProfile(bb, sch)
 	defer prof.release()
+	rows := [2][]mat.Score{mat.GetScores(len(bb) + 1), mat.GetScores(len(bb) + 1)}
+	defer mat.PutScores(rows[0])
+	defer mat.PutScores(rows[1])
 	th := f.At(len(a), len(bb)) - 20
 	band := NewReach(len(a), len(bb), sch).Band(th)
 	ge := sch.GapExtend()
@@ -115,7 +117,7 @@ func BenchmarkBandedSweepInterior(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		forwardBand(f, a, prof, ge, band)
-		suffixBand(f, a, prof, ge, band, th, bw.Row, nil)
+		suffixBand(f, a, prof, ge, band, th, rows)
 	}
 	b.StopTimer() // the deferred releases are not the loop's
 }

@@ -18,14 +18,14 @@ const (
 // Planes holds one plane per pair of a triple (a, b, c), indexed AB, AC,
 // BC. A bounded request sweeps the three Forward planes once and derives
 // everything from them: the pair optima, center-star's pairwise
-// alignments, and — with their suffix planes — the Carrillo–Lipman through
-// planes.
+// alignments, and — with their suffix sweeps added in — the
+// Carrillo–Lipman through planes.
 //
 // The planes are swept inside reach bands, not in full. A plane swept in
 // the band of a threshold th (Reach) holds the exact value of every cell
 // whose through value reaches th, a lower bound on every other cell a
 // reader of that band touches, and unspecified values elsewhere; see
-// Forwards and Suffixes for which cells those are.
+// Forwards and AddSuffixes for which cells those are.
 type Planes struct {
 	P [3]*mat.Plane
 	// pairs[x] is the pair floor of the band plane x was swept in (see
@@ -102,64 +102,25 @@ func Forwards(a, b, c []int8, sch *scoring.Scheme, workers int) Planes {
 	return p
 }
 
-// Suffixes sweeps the suffix planes of the three pairs of (a, b, c), whose
-// Forward planes p are (Forwards), at the pair thresholds th, each at most
-// its pair's optimum: a Carrillo–Lipman search at lower bound L passes
-// only cells whose through value reaches th_XY = L − opt_XZ − opt_YZ. It
-// first widens any forward plane swept in a narrower band than th's.
+// AddSuffixes turns the Forward planes p of the three pairs of (a, b, c)
+// (Forwards) into their through planes T = F + B in the bands of the pair
+// thresholds th, each at most its pair's optimum: a Carrillo–Lipman search
+// at lower bound L passes only cells whose through value reaches
+// th_XY = L − opt_XZ − opt_YZ. It first widens any forward plane swept in
+// a narrower band than th's, then runs each pair's suffix sweep on two
+// rolling rows (suffixBand), so no second plane is allocated. A phase
+// whose bands hold serialSweepCells cells or more runs one pair per
+// goroutine on up to workers goroutines.
 //
 // If a cell's through value T reaches th, so does that of every cell on
 // its best path through it, and their reach bounds are at least T: the
 // band holds the whole path, so the banded sweeps are exact on every cell
-// with T ≥ th, forward and suffix alike, and lower bounds elsewhere. The
-// suffix sweep also skips the cells where the forward value plus the
-// reach bound of the suffix falls below th (they cannot have T ≥ th),
-// and reads them as NegInf. In both returned planes every cell of th's
-// band holds a value, as does every neighbour a recurrence step from a
-// cell with T ≥ th reads, so Carrillo–Lipman scans of the band and an A*
-// search at a bound of at least L read no unspecified cell.
-func (p *Planes) Suffixes(a, b, c []int8, sch *scoring.Scheme, th [3]mat.Score, workers int) Planes {
-	var s Planes
-	for x := range s.P {
-		s.P[x] = mat.GetPlane(p.P[x].Rows(), p.P[x].Cols())
-	}
-	p.suffixes(a, b, c, sch, th, workers, func(x int) (func(u int) []mat.Score, func(u, lo, hi int, cur []mat.Score)) {
-		return s.P[x].Row, nil
-	})
-	return s
-}
-
-// AddSuffixes is Suffixes summed into p: it turns the Forward planes into
-// the through planes T = F + B of th's bands in place, carrying each
-// suffix sweep on two rolling rows, so no second plane is allocated. The
-// through planes hold a value on every cell of th's bands, exact wherever
-// T ≥ th.
+// with T ≥ th and lower bounds elsewhere. The suffix sweep also skips the
+// cells where the forward value plus the reach bound of the suffix falls
+// below th (they cannot have T ≥ th), and reads them as NegInf. Every
+// cell of th's bands holds a value, so a Carrillo–Lipman scan of the
+// bands at a bound of at least L reads no unspecified cell.
 func (p *Planes) AddSuffixes(a, b, c []int8, sch *scoring.Scheme, th [3]mat.Score, workers int) {
-	var rows [3][2][]mat.Score
-	for x := range rows {
-		for y := range rows[x] {
-			rows[x][y] = mat.GetScores(p.P[x].Cols())
-		}
-	}
-	p.suffixes(a, b, c, sch, th, workers, func(x int) (func(u int) []mat.Score, func(u, lo, hi int, cur []mat.Score)) {
-		f := p.P[x]
-		return func(u int) []mat.Score { return rows[x][u&1] }, func(u, lo, hi int, cur []mat.Score) {
-			dst := f.Row(u)[lo:hi]
-			for v, s := range cur[lo:hi] {
-				dst[v] += s
-			}
-		}
-	})
-	for x := range rows {
-		mat.PutScores(rows[x][0])
-		mat.PutScores(rows[x][1])
-	}
-}
-
-// suffixes widens p to th's bands where it is narrower and runs each
-// pair's banded suffix sweep into the rows and sink that rows(x) supplies.
-func (p *Planes) suffixes(a, b, c []int8, sch *scoring.Scheme, th [3]mat.Score, workers int,
-	rows func(x int) (row func(u int) []mat.Score, done func(u, lo, hi int, cur []mat.Score))) {
 	var (
 		band  [3]Band
 		cells int
@@ -183,8 +144,10 @@ func (p *Planes) suffixes(a, b, c []int8, sch *scoring.Scheme, th [3]mat.Score, 
 			forwardBand(p.P[x], u, prof, ge, band[x])
 			p.pairs[x] = band[x].w
 		}
-		row, done := rows(x)
-		suffixBand(p.P[x], u, prof, ge, band[x], th[x], row, done)
+		rows := [2][]mat.Score{mat.GetScores(len(v) + 1), mat.GetScores(len(v) + 1)}
+		suffixBand(p.P[x], u, prof, ge, band[x], th[x], rows)
+		mat.PutScores(rows[0])
+		mat.PutScores(rows[1])
 		prof.release()
 	})
 }
@@ -221,29 +184,26 @@ func forwardBand(f *mat.Plane, a []int8, prof profile, ge mat.Score, band Band) 
 }
 
 // suffixBand runs the suffix recurrence of (a, b), b given by its profile
-// prof, inside band, th's non-empty band, from row len(a) down to 0,
-// into the rows row supplies; done, when non-nil, sees row u and its band
-// interval [lo, hi) once the row is final. f is the pair's Forward plane,
-// exact wherever T ≥ th: a row computes only the stretch between its
+// prof, inside band, th's non-empty band, from row len(a) down to 0 on the
+// two rolling rows rows, each len(b)+1 cells long, and adds each row's
+// band interval into f, the pair's Forward plane, once the row is final.
+// f is exact wherever T ≥ th: a row computes only the stretch between its
 // first and last cell whose forward value plus the suffix's reach bound
 // reaches th, and writes NegInf over the rest of its band interval. Like
 // forwardBand it sets to NegInf the cell after that stretch and any cell
 // of row u+1 it reads outside what that row holds.
-func suffixBand(f *mat.Plane, a []int8, prof profile, ge mat.Score, band Band, th mat.Score,
-	row func(u int) []mat.Score, done func(u, lo, hi int, cur []mat.Score)) {
+func suffixBand(f *mat.Plane, a []int8, prof profile, ge mat.Score, band Band, th mat.Score, rows [2][]mat.Score) {
 	n, m := len(a), prof.m
 	r := band.r
-	next := row(n)
+	next := rows[n&1]
 	lo, hi := band.Span(n)
 	for v := lo; v < hi; v++ {
 		next[v] = mat.Score(m-v) * ge
 	}
-	if done != nil {
-		done(n, lo, hi, next)
-	}
+	addRow(f.Row(n)[lo:hi], next[lo:hi])
 	nLo, nHi := lo, hi // the cells of row u+1 that hold values
 	for u := n - 1; u >= 0; u-- {
-		cur := row(u)
+		cur := rows[u&1]
 		lo, hi := band.Span(u)
 		fu := f.Row(u)
 		tLo, tHi := lo, hi
@@ -267,10 +227,16 @@ func suffixBand(f *mat.Plane, a []int8, prof profile, ge mat.Score, band Band, t
 		}
 		fillNegInf(cur[lo:tLo])
 		fillNegInf(cur[end:max(end, hi)])
-		if done != nil {
-			done(u, lo, hi, cur)
-		}
+		addRow(fu[lo:hi], cur[lo:hi])
 		next, nLo, nHi = cur, lo, max(end, hi)
+	}
+}
+
+// addRow adds src into dst cell by cell.
+func addRow(dst, src []mat.Score) {
+	dst = dst[:len(src)]
+	for v, s := range src {
+		dst[v] += s
 	}
 }
 

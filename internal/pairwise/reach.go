@@ -18,7 +18,7 @@ import (
 // the shape Ukkonen's banded alignment sweeps. Its cells' bounds reach th,
 // those outside it cannot, and the diagonal predecessor and successor of
 // a band cell admit as many pairs as the cell itself. The bandScan of
-// package core skips the cells outside it unread; Forwards and Suffixes
+// package core skips the cells outside it unread; Forwards and AddSuffixes
 // sweep only the cells inside it.
 type Reach struct {
 	nx, ny int

@@ -35,15 +35,6 @@ import (
 // band planning are pure overhead.
 const MinBoundedLen = 128
 
-// AStarFractionMax is the measured band fraction at or below which a
-// one-worker band-first run hands its prefix to the A* frontier instead of
-// filling the band. Each expanded node costs a heap operation and a map
-// probe instead of a handful of adds, so the frontier wins only on thin
-// tubes: on 128–300-residue DNA it ran about twice as fast as the band
-// fill at fractions near 0.0002 and lost from about 0.001 (EXPERIMENTS
-// F9).
-const AStarFractionMax = 0.0005
-
 // bandBytes models AlignBounded's peak footprint for a band of the given
 // stored cells: 4 bytes per cell plus the three through planes of the
 // bound (4 bytes per pair cell). The fill reads C's query profile, whose
@@ -52,22 +43,10 @@ func bandBytes(s Shape, cells uint64) uint64 {
 	return addSat(mulSat(cells, 4), mulSat(s.PairCells(), 4))
 }
 
-// astarBytes models AlignAStar's peak footprint: ~64 bytes per expanded or
-// frontier node (map entry plus amortized heap entry) over its three
-// suffix planes (4 bytes per pair cell); its column scores come from a
-// query profile of C. The per-node constant is why A* only wins on very
-// thin bands despite expanding fewer cells.
-func astarBytes(s Shape, cells uint64) uint64 {
-	return addSat(mulSat(cells, 64), mulSat(s.PairCells(), 4))
-}
-
-// prefixBytes is what a band-first run may hold besides its band: at most
-// the six planes of the pair sweeps, forward and suffix — 8 bytes per
-// pair cell. A one-worker run keeps its suffix planes apart for A*; other
-// runs add them into the forward planes and hold three. It is a
-// full-plane upper bound, kept as it was when the sweeps filled whole
-// planes so that no plan moves: the planes stay arena-sized, but the
-// sweeps fill only the bands their bound admits.
+// prefixBytes is what a band-first run may hold besides its band: 8 bytes
+// per pair cell, the six planes a forward and a suffix sweep per pair once
+// held. The run now holds three through planes and two rolling rows per
+// pair; the six-plane price is kept so that no plan moves.
 func prefixBytes(s Shape) uint64 {
 	return mulSat(s.PairCells(), 8)
 }
@@ -116,21 +95,19 @@ func bandFirst(req Request, gap GapModel, dense *KernelSpec, budget uint64) (uin
 }
 
 // RunBandFirst executes a plan on the Carrillo–Lipman prefix, the one way
-// into the bounded kernels. It sweeps the forward planes, seeds them with
-// center-star, sweeps the suffix planes in the bands that seed admits,
+// into the bounded kernel. It sweeps the forward planes, seeds them with
+// center-star, adds the suffix sweeps in the bands that seed admits,
 // refines the seed, and counts the band exactly before allocating it.
 //
 // A band-first plan (pl.Fallback set) fills the band when it holds at most
-// pl.MaxBandCells cells; a one-worker run whose band is at most
-// AStarFractionMax of the lattice hands the prefix to the A* frontier
-// instead. Otherwise the fallback kernel runs with opt, which carries the
-// plan's tile shape and cell width. The returned plan is pl when the band
-// ran, else a copy naming the kernel that ran, with the switch and the
-// band's measured cells appended to its trail.
+// pl.MaxBandCells cells; otherwise the fallback kernel runs with opt,
+// which carries the plan's tile shape and cell width. The returned plan is
+// pl when the band ran, else a copy naming the kernel that ran, with the
+// switch and the band's measured cells appended to its trail.
 //
-// A plan with no fallback is an explicit bounded or astar request: it runs
-// the kernel pl.Algorithm names whatever the band holds, and a band over
-// the hard cap returns core.ErrTooLarge.
+// A plan with no fallback is an explicit bounded request: it fills the
+// band whatever the band holds, and a band over the hard cap returns
+// core.ErrTooLarge.
 func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, *ExecutionPlan, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, nil, pl, err
@@ -144,10 +121,9 @@ func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *sc
 		fwd.Release()
 		return nil, nil, pl, err
 	}
-	// Every bound below is at least center-star's, so the suffix planes
-	// are swept in the bands it admits. Only A* keeps them apart from the
-	// forward planes.
-	pre, err := core.NewPrefix(tr, sch, fwd, star.Score, workers, pl.Algorithm == "astar" || (choose && workers == 1))
+	// Every bound below is at least center-star's, so the suffix sweeps
+	// run in the bands it admits.
+	pre, err := core.NewPrefix(tr, sch, fwd, star.Score, workers)
 	if err != nil {
 		return nil, nil, pl, err
 	}
@@ -173,37 +149,20 @@ func RunBandFirst(ctx context.Context, pl *ExecutionPlan, tr seq.Triple, sch *sc
 	if err != nil {
 		return nil, nil, pl, err
 	}
-	ran := pl
-	var band *core.Band // nil: the A* frontier runs
-	if pl.Algorithm != "astar" {
-		band = pre.Plan(seed.Score)
-		planned := band.Stats()
-		switch {
-		case !choose:
-		case planned.EvaluatedCells > ceiling:
-			return fallback(planned.EvaluatedCells)
-		case workers == 1 && planned.Fraction() <= AStarFractionMax:
-			band, ran = nil, pl.switched("astar", planned.EvaluatedCells)
-		}
+	band := pre.Plan(seed.Score)
+	if planned := band.Stats(); choose && planned.EvaluatedCells > ceiling {
+		return fallback(planned.EvaluatedCells)
 	}
-	var (
-		aln *alignment.Alignment
-		st  core.PruneStats
-	)
-	if band == nil {
-		aln, st, err = pre.AStar(ctx, opt, seed.Score)
-	} else {
-		aln, st, err = band.Fill(ctx, opt)
-		if choose && errors.Is(err, core.ErrTooLarge) {
-			// The band's exact bytes, index included, overran the hard cap
-			// the fallback fits.
-			return fallback(st.EvaluatedCells)
-		}
+	aln, st, err := band.Fill(ctx, opt)
+	if choose && errors.Is(err, core.ErrTooLarge) {
+		// The band's exact bytes, index included, overran the hard cap the
+		// fallback fits.
+		return fallback(st.EvaluatedCells)
 	}
 	if err != nil {
 		return nil, nil, pl, err
 	}
-	return aln, &st, ran, nil
+	return aln, &st, pl, nil
 }
 
 // switched is a copy of a band-first plan naming the kernel that ran

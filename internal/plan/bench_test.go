@@ -62,7 +62,7 @@ func BenchmarkBandedSweeps98(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := trs[i%len(trs)]
 		fwd := pairwise.Forwards(tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch, workers)
-		pre, err := core.NewPrefix(tr, sch, fwd, stars[i%len(trs)], workers, false)
+		pre, err := core.NewPrefix(tr, sch, fwd, stars[i%len(trs)], workers)
 		if err != nil {
 			b.Fatal(err)
 		}

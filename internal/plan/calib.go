@@ -51,10 +51,9 @@ var Calibration = map[string]float64{
 	"affine7":         49.22,
 	"pairwise-global": 594.78,
 	"pairwise-gotoh":  226.99,
-	// The bounded-search rates are per *evaluated* cell (the benchsuite
-	// rows divide by PruneStats.EvaluatedCells, not the lattice size).
-	// They are far below the dense kernels because sparse band storage
-	// trades per-cell locality for memory that scales with the band.
+	// The bounded-search rate is per *evaluated* cell (the benchsuite row
+	// divides by PruneStats.EvaluatedCells, not the lattice size). It is
+	// far below the dense kernels because sparse band storage trades
+	// per-cell locality for memory that scales with the band.
 	"bounded": 35.59,
-	"astar":   2.14,
 }

@@ -232,7 +232,7 @@ type ExecutionPlan struct {
 	EstDuration time.Duration `json:"est_duration_ns"`
 	// Downgrades records every substitution, in order: the budget-driven
 	// ladder steps of planning and, in a Result's plan, a band-first run's
-	// switch to A* or to its dense fallback.
+	// switch to its dense fallback.
 	Downgrades []Downgrade `json:"downgrades,omitempty"`
 	// Degraded reports that an exact request was downgraded to a heuristic
 	// as the last resort: the planned score will be a lower bound, not the

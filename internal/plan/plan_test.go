@@ -15,16 +15,16 @@ import (
 	"repro/internal/seq"
 )
 
-// TestRegistryComplete pins the registry: 9 kernels, each with a working
-// estimator and a run function, and 8 aliases, each resolving to a
+// TestRegistryComplete pins the registry: 8 kernels, each with a working
+// estimator and a run function, and 9 aliases, each resolving to a
 // registered kernel without shadowing one.
 func TestRegistryComplete(t *testing.T) {
 	ks := Kernels()
-	if len(ks) != 9 {
-		t.Fatalf("registry has %d kernels, want 9", len(ks))
+	if len(ks) != 8 {
+		t.Fatalf("registry has %d kernels, want 8", len(ks))
 	}
-	if len(aliases) != 8 {
-		t.Fatalf("registry has %d aliases, want 8", len(aliases))
+	if len(aliases) != 9 {
+		t.Fatalf("registry has %d aliases, want 9", len(aliases))
 	}
 	if err := checkRegistry(); err != nil {
 		t.Fatal(err)
@@ -280,8 +280,8 @@ func TestLastResortHeuristic(t *testing.T) {
 }
 
 // TestExplicitAlgorithmIdentity pins explicit requests: without a budget
-// the planner never substitutes, whatever the shape, and an alias plans
-// exactly its canonical kernel.
+// the planner never substitutes, whatever the shape, and an alias (astar
+// and pruned among them) plans exactly what its canonical kernel plans.
 func TestExplicitAlgorithmIdentity(t *testing.T) {
 	shape := Shape{NA: 300, NB: 300, NC: 300}
 	for _, k := range Kernels() {
@@ -302,7 +302,7 @@ func TestExplicitAlgorithmIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", to, err)
 		}
-		if pl.Algorithm != to || pl.EstBytes != want.EstBytes || pl.TileDims != want.TileDims {
+		if pl.Algorithm != to || !reflect.DeepEqual(pl, want) {
 			t.Errorf("alias %s planned %+v, want the %s plan %+v", alias, pl, to, want)
 		}
 	}
@@ -362,7 +362,8 @@ func TestBoundedAutoSelection(t *testing.T) {
 			t.Fatalf("%+v planned band first: %+v", req, pl)
 		}
 	}
-	// Explicit bounded kernels are planned at the whole lattice.
+	// An explicit bounded request, by name or by the astar alias, is
+	// planned at the whole lattice.
 	for _, name := range []string{"bounded", "astar"} {
 		pl, _, err := Resolve(Request{Shape: big, Workers: 2, Algorithm: name})
 		if err != nil {
@@ -511,10 +512,10 @@ func TestRegistryCheckRejectsBadAliases(t *testing.T) {
 	}
 }
 
-// TestExplicitBoundedKernelsHaveNoFallback: an explicit bounded or astar
-// run is a band-first run with no fallback, so a band or frontier over
-// the hard cap returns core.ErrTooLarge instead of leaving for a dense
-// kernel.
+// TestExplicitBoundedKernelsHaveNoFallback: an explicit bounded run, by
+// name or by the astar alias, is a band-first run with no fallback, so a
+// band over the hard cap returns core.ErrTooLarge instead of leaving for
+// a dense kernel.
 func TestExplicitBoundedKernelsHaveNoFallback(t *testing.T) {
 	g := seq.NewGenerator(seq.DNA, 7)
 	tr := seq.Triple{A: g.Random("A", 60), B: g.Random("B", 60), C: g.Random("C", 60)}
@@ -528,7 +529,7 @@ func TestExplicitBoundedKernelsHaveNoFallback(t *testing.T) {
 }
 
 // TestRunBandFirstCancelled: a band-first run under a cancelled context,
-// automatic or an explicit bounded or astar request, at one and two
+// automatic or an explicit bounded request (by name or the astar alias), at one and two
 // workers, returns context.Canceled; refinement honours the context too,
 // so a client that has gone away stops the run before its profile DPs.
 func TestRunBandFirstCancelled(t *testing.T) {

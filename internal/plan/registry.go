@@ -97,7 +97,8 @@ var (
 // so every public name keeps parsing while plans report the canonical
 // kernel. The retired sequential names (full, linear, affine) alias the
 // blocked kernel of the same gap model and space class: parallelism is
-// Options.Workers, and one worker is the sequential fill.
+// Options.Workers, and one worker is the sequential fill. The retired
+// bounded-search variants (pruned, the A* frontier astar) alias the band.
 var aliases = map[string]string{
 	"full":            "parallel",
 	"full-packed":     "parallel",
@@ -107,6 +108,7 @@ var aliases = map[string]string{
 	"affine":          "affine-parallel",
 	"pruned":          "bounded",
 	"pruned-parallel": "bounded",
+	"astar":           "bounded",
 }
 
 // Lookup finds a kernel spec by algorithm name, resolving retired aliases
@@ -152,15 +154,11 @@ func wrapHeuristic(f func(seq.Triple, *scoring.Scheme) (*alignment.Alignment, er
 	}
 }
 
-// runExplicit runs the explicit bounded or astar kernel name: a
-// band-first run of a plan with no fallback, so the run ends on that
-// kernel whatever the band holds.
-func runExplicit(name string) RunFunc {
-	pl := &ExecutionPlan{Algorithm: name}
-	return func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
-		aln, st, _, err := RunBandFirst(ctx, pl, tr, sch, opt)
-		return aln, st, err
-	}
+// runBounded runs the explicit bounded kernel: a band-first run of a plan
+// with no fallback, so the run fills the band whatever it holds.
+func runBounded(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
+	aln, st, _, err := RunBandFirst(ctx, &ExecutionPlan{Algorithm: "bounded"}, tr, sch, opt)
+	return aln, st, err
 }
 
 // Footprint estimators. The byte models mirror what the kernels actually
@@ -209,19 +207,7 @@ func init() {
 		RateKey: "bounded", RateScale: 1, RateOnEvaluated: true,
 		Downgrade: "parallel-linear",
 		EstBytes:  func(s Shape) uint64 { return bandBytes(s, s.Cells()) },
-		Run:       runExplicit("bounded"),
-	})
-	register(&KernelSpec{
-		// The A* frontier (Schroedl): best-first over the lattice with the
-		// pairwise suffix heuristic. No lattice-shaped allocation at all —
-		// memory is per expanded node — which wins on very similar triples
-		// whose admissible region is a thin tube, at a steep per-node cost.
-		Name: "astar", Gaps: GapLinear, Space: SpaceBand,
-		Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "astar", RateScale: 1, RateOnEvaluated: true,
-		Downgrade: "parallel-linear",
-		EstBytes:  func(s Shape) uint64 { return astarBytes(s, s.Cells()) },
-		Run:       runExplicit("astar"),
+		Run:       runBounded,
 	})
 	register(&KernelSpec{
 		// The affine Hirschberg halves at every level; its rate is roughly

@@ -120,7 +120,7 @@ func (st *stats) recordPlan(pl *repro.Plan) {
 	if pl.Algorithm == "parallel" {
 		st.plannedPacked.Add(1)
 	}
-	if pl.Algorithm == "bounded" || pl.Algorithm == "astar" {
+	if pl.Algorithm == "bounded" {
 		st.plannedBounded.Add(1)
 	}
 }

@@ -73,8 +73,8 @@ type AlignResponse struct {
 	Cache string `json:"cache,omitempty"`
 	// Plan is the execution plan that served the request: kernel, tile
 	// shape, workers, footprint and duration estimates, and any
-	// downgrades, including a band-first run's switch to A* or to its
-	// dense fallback.
+	// downgrades, including a band-first run's switch to its dense
+	// fallback.
 	Plan *repro.Plan `json:"plan,omitempty"`
 	// EvaluatedCells is the number of lattice cells a Carrillo–Lipman
 	// kernel actually evaluated. Zero for kernels that fill the whole

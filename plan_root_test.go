@@ -206,12 +206,12 @@ func TestServedPlanShapesKeepTheirEstimates(t *testing.T) {
 	want := []pin{
 		{"small-batch-0", "parallel", 1, 274625, 549250, 16, 206196},
 		{"small-batch-1", "parallel", 1, 912673, 1825346, 16, 685261},
-		// 128³ items (MinBoundedLen) start on the band; at one worker their
-		// thin bands run A*. The band-first plans keep their fallback's
-		// estimates: parallel's, and under the 1 MiB cap parallel-linear's
-		// with the bytes a band at the ceiling may take.
-		{"small-batch-2", "astar", 1, 2146689, 4293378, 16, 1611797},
-		{"small-batch-3", "astar", 1, 2146689, 859840, 32, 3234475},
+		// 128³ items (MinBoundedLen) start on the band and keep it. The
+		// band-first plans keep their fallback's estimates: parallel's, and
+		// under the 1 MiB cap parallel-linear's with the bytes a band at
+		// the ceiling may take.
+		{"small-batch-2", "bounded", 1, 2146689, 4293378, 16, 1611797},
+		{"small-batch-3", "bounded", 1, 2146689, 859840, 32, 3234475},
 		{"large", "bounded", 2, 27270901, 54541802, 16, 22546860},
 		{"repeat-miss", "bounded", 2, 27270901, 54541802, 16, 22546860},
 		{"msa-w2-merge0-batch2", "affine-parallel", 1, 274625, 7689500, 32, 5579540},

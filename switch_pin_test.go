@@ -8,6 +8,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -30,26 +31,19 @@ func directHeuristic(f func(Triple, *Scheme) (*Alignment, error)) directRun {
 	}
 }
 
-// directBounded seeds the Carrillo–Lipman kernels with the center-star-
+// directBounded seeds the Carrillo–Lipman band with the center-star-
 // refined score computed on its own, independent of the registry's shared
-// pairwise planes, and runs the band or the frontier on planes they sweep
-// themselves.
-func directBounded(frontier bool) directRun {
-	return func(ctx context.Context, tr Triple, sch *Scheme, opt core.Options) (*Alignment, *PruneStats, error) {
-		bound, err := msa.CenterStarRefined(tr, sch)
-		if err != nil {
-			return nil, nil, err
-		}
-		run := core.AlignBounded
-		if frontier {
-			run = core.AlignAStar
-		}
-		aln, st, err := run(ctx, tr, sch, opt, bound.Score)
-		if err != nil {
-			return nil, nil, err
-		}
-		return aln, &st, nil
+// pairwise planes, and runs the band on planes it sweeps itself.
+func directBounded(ctx context.Context, tr Triple, sch *Scheme, opt core.Options) (*Alignment, *PruneStats, error) {
+	bound, err := msa.CenterStarRefined(tr, sch)
+	if err != nil {
+		return nil, nil, err
 	}
+	aln, st, err := core.AlignBounded(ctx, tr, sch, opt, bound.Score)
+	if err != nil {
+		return nil, nil, err
+	}
+	return aln, &st, nil
 }
 
 // directKernels maps every canonical algorithm onto the function that
@@ -57,8 +51,7 @@ func directBounded(frontier bool) directRun {
 var directKernels = map[Algorithm]directRun{
 	AlgorithmParallel:          direct(core.AlignParallel),
 	AlgorithmParallelLinear:    direct(core.AlignParallelLinear),
-	AlgorithmBounded:           directBounded(false),
-	AlgorithmAStar:             directBounded(true),
+	AlgorithmBounded:           directBounded,
 	AlgorithmAffineParallel:    direct(core.AlignAffineParallel),
 	AlgorithmAffineLinear:      direct(core.AlignAffineLinear),
 	AlgorithmCenterStar:        directHeuristic(msa.CenterStar),
@@ -104,9 +97,10 @@ func pinTriples(t *testing.T) []struct {
 
 // TestRegistryDispatchMatchesDirectKernels runs every public algorithm
 // name under every pinned scheme at one and two workers through Align,
-// and asserts the canonical kernel ran (an alias runs and reports the
-// kernel it names), with rows, score and PruneStats byte-identical to a
-// direct call of that kernel at the same worker count.
+// and asserts the canonical kernel ran (an alias, astar and pruned among
+// them, runs and reports the kernel it names, with the plan of an explicit
+// request for that kernel), with rows, score and PruneStats byte-identical
+// to a direct call of that kernel at the same worker count.
 func TestRegistryDispatchMatchesDirectKernels(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range pinTriples(t) {
@@ -144,6 +138,16 @@ func TestRegistryDispatchMatchesDirectKernels(t *testing.T) {
 				}
 				if res.Plan == nil || res.Plan.Algorithm != string(want) {
 					t.Errorf("%s: Result.Plan missing or wrong: %+v", name, res.Plan)
+				}
+				if algo == want {
+					continue
+				}
+				canon, err := Align(w.tr, Options{Algorithm: want, Scheme: w.sch, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: explicit %s: %v", name, want, err)
+				}
+				if !reflect.DeepEqual(res.Plan, canon.Plan) {
+					t.Errorf("%s: plan %+v, an explicit %s request plans %+v", name, res.Plan, want, canon.Plan)
 				}
 			}
 		}

@@ -77,7 +77,7 @@ type Algorithm string
 // is exact (identical optimal linear-gap SP scores); the affine kernels are
 // exact under the affine objective; the last three are fast heuristics.
 // The exact kernels take their parallelism from Options.Workers: set 1 for
-// one thread. Eight names are aliases kept so existing callers still
+// one thread. Nine names are aliases kept so existing callers still
 // parse: they run, and Result.Algorithm and Result.Plan report, the kernel
 // they alias.
 const (
@@ -86,10 +86,9 @@ const (
 	// back to the corresponding linear-space variant when the lattice
 	// would exceed MaxBytes. A linear-gap triple at least plan.MinBoundedLen
 	// long in every dimension starts on the Carrillo–Lipman band
-	// (AlgorithmBounded, or AlgorithmAStar at one worker on a very thin
-	// band) and keeps it only when the band, counted exactly before it is
-	// allocated, is cheaper than that dense kernel; Result.Algorithm and
-	// Result.Plan name the kernel that ran.
+	// (AlgorithmBounded) and keeps it only when the band, counted exactly
+	// before it is allocated, is cheaper than that dense kernel;
+	// Result.Algorithm and Result.Plan name the kernel that ran.
 	AlgorithmAuto Algorithm = ""
 	// AlgorithmFull is an alias of AlgorithmParallel, which honours
 	// Workers; set 1 for one thread (the sequential full-matrix fill).
@@ -131,10 +130,9 @@ const (
 	// far past the full-matrix memory ceiling. Exact, with the same
 	// preference-ordered traceback as AlgorithmParallel.
 	AlgorithmBounded Algorithm = "bounded"
-	// AlgorithmAStar is the best-first (A*) frontier variant of bounded
-	// search: no lattice-shaped allocation at all, memory per expanded
-	// node. The kernel of choice for very similar triples whose admissible
-	// region is a thin tube. Exact.
+	// AlgorithmAStar is an alias of AlgorithmBounded. The best-first (A*)
+	// frontier it used to name beat the band fill only on the thinnest
+	// bands, and then by less than a fifth.
 	AlgorithmAStar Algorithm = "astar"
 	// AlgorithmAffine is an alias of AlgorithmAffineParallel, which honours
 	// Workers; set 1 for one thread.
@@ -253,14 +251,13 @@ type Result struct {
 	// Elapsed is the wall-clock alignment time.
 	Elapsed time.Duration
 	// Prune carries Carrillo–Lipman statistics when one of the
-	// bounded-search kernels ran (AlgorithmBounded, AlgorithmAStar, or an
-	// alias of them): the lattice size, the cells actually evaluated, and
-	// the bounds.
+	// bounded-search kernel ran (AlgorithmBounded, or an alias of it): the
+	// lattice size, the cells actually evaluated, and the bounds.
 	Prune *PruneStats
 	// Plan is the execution plan that produced this result: the planner's
 	// kernel choice with its footprint and duration estimates, including
 	// any budget-driven downgrades. A band-first plan that left the band
-	// comes back naming the kernel that ran (A* or its dense fallback),
+	// comes back naming the kernel that ran (its dense fallback),
 	// with the switch and the band's measured cells appended to
 	// Downgrades. When Degraded is set via the Fallback policy, Algorithm
 	// reports what actually ran.
