@@ -9,8 +9,7 @@ package server
 //     stay cheap when the queue is on fire.
 //   - A miss enters a singleflight keyed by the same content address.
 //     Exactly one request (the leader) runs the admission pipeline the
-//     uncached path would have run — pressure, plan with the 413 lattice
-//     cap, the bounded admission queue — and computes under the server's
+//     uncached path runs (admitAlign) and computes under the server's
 //     base context, like a coalesced flush, so one impatient client cannot
 //     cancel work its flight-mates share. The other members collapse onto
 //     the leader's result without consuming queue depth.
@@ -34,11 +33,6 @@ const (
 	cacheStateMiss      = "miss"
 	cacheStateCollapsed = "collapsed"
 )
-
-// errQueueFull is the sentinel a flight leader returns when admission
-// sheds it; every member of the flight answers 429 with the Retry-After
-// hint, exactly as if each had been shed individually.
-var errQueueFull = errors.New("server: queue full")
 
 // cacheFill is the value a flight computes: the result and whether the
 // coalescer produced it. Waiters share the same *Result; nothing on the
@@ -87,61 +81,35 @@ func (s *Server) alignCached(w http.ResponseWriter, r *http.Request, item repro.
 		s.stats.cacheCollapsed.Add(1)
 	}
 	if out.Err != nil {
-		if errors.Is(out.Err, errQueueFull) {
-			s.shed(w)
-			return
-		}
 		var lp *resultcache.LeaderPanicError
 		if errors.As(out.Err, &lp) && out.Leader {
 			// Count the contained panic once (the leader), not once per
-			// flight member; fail() below counts each affected request.
+			// flight member; reply counts each affected request as failed.
 			s.stats.panicsContained.Add(1)
 		}
-		s.fail(out.Err)
-		writeError(w, errorStatus(out.Err), out.Err)
+		s.reply(w, out.Err)
 		return
 	}
 	state := cacheStateMiss
 	if !out.Leader {
 		state = cacheStateCollapsed
 	}
-	s.stats.completed.Add(1)
-	if out.Val.res.Degraded {
-		s.stats.degraded.Add(1)
-	}
-	s.stats.latency.record(time.Since(start))
+	s.stats.complete(out.Val.res.Degraded)
 	s.writeAligned(w, out.Val.res, out.Val.coalesced, state)
 }
 
-// fillAlign is the flight leader's computation: the full admission
-// pipeline (pressure, plan, queue slot), the regular execution path, then
-// cache admission by planned cost.
+// fillAlign is the flight leader's computation: the admission pipeline
+// with the run under the server's base context, then cache admission by
+// planned cost.
 func (s *Server) fillAlign(item repro.BatchItem, key resultcache.Key, meta resultcache.Meta) (cacheFill, error) {
-	switch s.pressureLevel() {
-	case pressureShed:
-		return cacheFill{}, errQueueFull
-	case pressureDegrade:
-		s.degradeForPressure(&item)
+	res, pl, coalesced, err := s.admitAlign(s.base, item)
+	if pl != nil && !errors.Is(err, errQueueFull) {
+		// Planned and admitted: the kernel ran, whatever it returned.
+		s.stats.cacheFills.Add(1)
 	}
-	pl, err := s.planItem(item)
 	if err != nil {
 		return cacheFill{}, err
 	}
-	if !s.gate.tryAdmit() {
-		return cacheFill{}, errQueueFull
-	}
-	defer s.gate.releaseAdmit()
-	est := estGauge(pl.EstBytes)
-	s.stats.estBytesInFlight.Add(est)
-	defer s.stats.estBytesInFlight.Add(-est)
-	s.stats.cacheFills.Add(1)
-
-	res, coalesced, err := s.executeCtx(s.base, item)
-	if err != nil {
-		return cacheFill{}, err
-	}
-	s.stats.recordPlan(res.Plan)
-	s.stats.recordPrune(res.Prune)
 	if s.cfg.CacheMinCost <= 0 || pl.EstDuration >= s.cfg.CacheMinCost {
 		// Put refuses degraded results itself — their content depends on
 		// the deadline that produced them, which is not part of the key.
@@ -177,10 +145,9 @@ func (s *Server) executeCtx(ctx context.Context, item repro.BatchItem) (res *rep
 		}
 		// Coalescer closed mid-drain: fall through to the direct path.
 	}
-	if err := s.gate.acquireRun(ctx); err != nil {
-		return nil, false, err
-	}
-	defer s.gate.releaseRun()
-	res, err = repro.AlignContext(ctx, item.Triple, item.Opt)
+	err = s.onRunSlot(ctx, func() (err error) {
+		res, err = repro.AlignContext(ctx, item.Triple, item.Opt)
+		return err
+	})
 	return res, false, err
 }

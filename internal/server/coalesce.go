@@ -66,8 +66,8 @@ type coalescer struct {
 
 func newCoalescer(s *Server) *coalescer { return &coalescer{srv: s} }
 
-// enabled reports whether the configuration turns coalescing on and the
-// request is small enough to be eligible.
+// eligible reports whether the configuration turns coalescing on and the
+// request is small enough to be coalesced.
 func (c *coalescer) eligible(item repro.BatchItem) bool {
 	if c.srv.cfg.CoalesceTick <= 0 {
 		return false

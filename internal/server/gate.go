@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -71,6 +72,61 @@ func (g *gate) loads() (admitted, inFlight int64) {
 	return g.admitted.Load(), g.inFlight.Load()
 }
 
+// admit runs one request through the admission pipeline, the policy every
+// request that reaches a kernel passes, in this order:
+//
+//   - pressure: the guard's level sheds the request (errQueueFull) or
+//     degrades it, counted once per admission however many items it has;
+//   - plan: the endpoint's plan step, told whether to degrade, returns the
+//     planned bytes or an error — the lattice cap's 413 among them —
+//     before any slot is taken;
+//   - the admission slot, or errQueueFull when the queue is full;
+//   - the in-flight byte gauge, held while run executes;
+//   - run, under ctx: the request's own context, or the server's base
+//     context for a cache-flight leader. It takes its run slot through
+//     onRunSlot, or rides a coalesced flush, which holds its own;
+//   - the latency ring: one sample of run's wall time, whatever it
+//     returned.
+func (s *Server) admit(ctx context.Context, plan func(degrade bool) (uint64, error), run func(context.Context) error) error {
+	level := s.pressureLevel()
+	if level == pressureShed {
+		return errQueueFull
+	}
+	if level == pressureDegrade {
+		s.stats.memPressureDegraded.Add(1)
+	}
+	est, err := plan(level == pressureDegrade)
+	if err != nil {
+		return err
+	}
+	if !s.gate.tryAdmit() {
+		return errQueueFull
+	}
+	defer s.gate.releaseAdmit()
+	// Saturate into the gauge's int64 domain; an estimate that large never
+	// gets here in practice, as planning or the kernels reject it first.
+	gauge := int64(math.MaxInt64)
+	if est < math.MaxInt64 {
+		gauge = int64(est)
+	}
+	s.stats.estBytesInFlight.Add(gauge)
+	defer s.stats.estBytesInFlight.Add(-gauge)
+	start := time.Now()
+	err = run(ctx)
+	s.stats.latency.record(time.Since(start))
+	return err
+}
+
+// onRunSlot runs f on a run slot, once one is free; if ctx ends first it
+// returns ctx's error without running f.
+func (s *Server) onRunSlot(ctx context.Context, f func() error) error {
+	if err := s.gate.acquireRun(ctx); err != nil {
+		return err
+	}
+	defer s.gate.releaseRun()
+	return f()
+}
+
 // stats holds the cumulative request counters and the latency ring.
 type stats struct {
 	completed atomic.Int64 // requests answered 200 (batch items count individually)
@@ -106,6 +162,14 @@ type stats struct {
 
 func newStats() *stats { return &stats{latency: latencyRing{buf: make([]time.Duration, 1024)}} }
 
+// complete counts one request, or batch item, answered with a result.
+func (st *stats) complete(degraded bool) {
+	st.completed.Add(1)
+	if degraded {
+		st.degraded.Add(1)
+	}
+}
+
 // recordPlan folds one served execution plan into the planner counters:
 // downgrade steps, negotiated 16-bit widths, and lane-packed kernel picks.
 func (st *stats) recordPlan(pl *repro.Plan) {
@@ -125,15 +189,13 @@ func (st *stats) recordPlan(pl *repro.Plan) {
 	}
 }
 
-// recordPrune folds one result's Carrillo–Lipman statistics into the
-// skipped-cells counter: the lattice cells the bound let the kernel never
-// evaluate. Nil (a kernel without pruning) is a no-op.
-func (st *stats) recordPrune(p *repro.PruneStats) {
-	if p == nil {
-		return
-	}
-	if skipped := p.TotalCells - p.EvaluatedCells; skipped > 0 {
-		st.prunedCellsSkipped.Add(skipped)
+// recordRun folds one kernel run into the planner counters: its plan, and
+// the lattice cells the Carrillo–Lipman bound let it never evaluate (a
+// kernel without pruning reports none).
+func (st *stats) recordRun(res *repro.Result) {
+	st.recordPlan(res.Plan)
+	if p := res.Prune; p != nil && p.TotalCells > p.EvaluatedCells {
+		st.prunedCellsSkipped.Add(p.TotalCells - p.EvaluatedCells)
 	}
 }
 

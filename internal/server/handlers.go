@@ -1,10 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -17,6 +17,12 @@ import (
 // errDraining is the 503 body for alignment requests arriving mid-drain.
 var errDraining = errors.New("server draining; not accepting new alignments")
 
+// errQueueFull is what admit returns when it sheds a request; reply
+// answers it with 429 and the Retry-After hint. A shed flight leader
+// returns it to every member of its flight, so each answers 429 exactly
+// as if it had been shed itself.
+var errQueueFull = errors.New("queue full; retry later")
+
 // retryAttemptHeader marks a request as attempt n of a retrying client
 // (the client package sets it); the server counts them so operators can
 // see retry pressure that per-client logs hide.
@@ -28,13 +34,6 @@ const retryAttemptHeader = "X-Retry-Attempt"
 // unavailable.
 var fpAdmit = faultpoint.New("server.admit")
 
-// observeRetry counts requests that arrive marked as client retries.
-func (s *Server) observeRetry(r *http.Request) {
-	if r.Header.Get(retryAttemptHeader) != "" {
-		s.stats.retriesObserved.Add(1)
-	}
-}
-
 // fail records one failed request, counting contained panics separately:
 // a *wavefront.PanicError surfacing here means a kernel died and the
 // process did not.
@@ -45,12 +44,49 @@ func (s *Server) fail(err error) {
 	}
 }
 
-// injectUnavailable answers a fired admission fault: 503 plus the same
-// Retry-After hint a real shed carries.
-func (s *Server) injectUnavailable(w http.ResponseWriter) {
-	s.stats.shed.Add(1)
+// retryAfter sets the Retry-After hint that a shed or injected refusal
+// carries.
+func (s *Server) retryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeError(w, http.StatusServiceUnavailable, errors.New("fault injected: admission unavailable; retry"))
+}
+
+// begin is the prologue of every endpoint that aligns: refuse new work
+// while draining (503), count a client retry, fire the admission fault
+// point (an injected 503 with the Retry-After hint, counted as shed), and
+// decode the body into req. False means the answer is already written.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request, req any) bool {
+	if s.draining.Load() {
+		writeError(w, http.StatusServiceUnavailable, errDraining)
+		return false
+	}
+	if r.Header.Get(retryAttemptHeader) != "" {
+		s.stats.retriesObserved.Add(1)
+	}
+	if fpAdmit.Fire() {
+		s.stats.shed.Add(1)
+		s.retryAfter(w)
+		writeError(w, http.StatusServiceUnavailable, errors.New("fault injected: admission unavailable; retry"))
+		return false
+	}
+	if err := s.decode(w, r, req); err != nil {
+		s.reply(w, err)
+		return false
+	}
+	return true
+}
+
+// reply answers a request that got no result: errQueueFull is a shed,
+// answered 429 with the Retry-After hint; any other error counts as
+// failed and is answered with its status.
+func (s *Server) reply(w http.ResponseWriter, err error) {
+	if errors.Is(err, errQueueFull) {
+		s.stats.shed.Add(1)
+		s.retryAfter(w)
+		writeError(w, http.StatusTooManyRequests, errQueueFull)
+		return
+	}
+	s.fail(err)
+	writeError(w, errorStatus(err), err)
 }
 
 // decode reads one JSON request body under the configured size cap.
@@ -66,13 +102,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 		return &badRequestError{"malformed JSON: " + err.Error()}
 	}
 	return nil
-}
-
-// shed writes the 429 response with the Retry-After hint.
-func (s *Server) shed(w http.ResponseWriter) {
-	s.stats.shed.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
-	writeError(w, http.StatusTooManyRequests, errors.New("queue full; retry later"))
 }
 
 // planItem plans one resolved item and enforces the server's lattice cap:
@@ -91,41 +120,18 @@ func (s *Server) planItem(item repro.BatchItem) (*repro.Plan, error) {
 	return pl, nil
 }
 
-// estGauge converts a planned byte estimate to the in-flight gauge's
-// int64 domain (saturating; a saturated uint64 estimate never reaches the
-// gauge in practice because planItem or the kernels reject it first).
-func estGauge(estBytes uint64) int64 {
-	if estBytes > math.MaxInt64 {
-		return math.MaxInt64
-	}
-	return int64(estBytes)
-}
-
 // handleAlign serves POST /v1/align: parse, then route to the cached path
-// (cache.go) when the result cache is enabled, or straight to the
-// classic pipeline — plan (shedding over-cap lattices with 413 before
-// queueing), admit or shed, then execute through the coalescer for small
-// requests or a dedicated run slot otherwise.
+// (cache.go) when the result cache is enabled, or straight through the
+// admission pipeline, executing through the coalescer for small requests
+// or on a run slot otherwise.
 func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	s.observeRetry(r)
-	if fpAdmit.Fire() {
-		s.injectUnavailable(w)
-		return
-	}
 	var req AlignRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+	if !s.begin(w, r, &req) {
 		return
 	}
 	item, err := s.item(&req)
 	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+		s.reply(w, err)
 		return
 	}
 	if s.cache != nil {
@@ -137,46 +143,38 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 // alignUncached is the classic (cache-disabled) /v1/align pipeline.
 func (s *Server) alignUncached(w http.ResponseWriter, r *http.Request, item repro.BatchItem) {
-	// Pressure routing happens before planning so an imposed degrade
-	// budget shapes the plan (and its downgrade ladder) rather than
-	// second-guessing it afterwards.
-	switch s.pressureLevel() {
-	case pressureShed:
-		s.shed(w)
-		return
-	case pressureDegrade:
-		s.degradeForPressure(&item)
-	}
-	pl, err := s.planItem(item)
+	res, _, coalesced, err := s.admitAlign(r.Context(), item)
 	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+		s.reply(w, err)
 		return
 	}
-	if !s.gate.tryAdmit() {
-		s.shed(w)
-		return
-	}
-	defer s.gate.releaseAdmit()
-
-	est := estGauge(pl.EstBytes)
-	s.stats.estBytesInFlight.Add(est)
-	start := time.Now()
-	res, coalesced, err := s.executeCtx(r.Context(), item)
-	s.stats.latency.record(time.Since(start))
-	s.stats.estBytesInFlight.Add(-est)
-	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	s.stats.completed.Add(1)
-	if res.Degraded {
-		s.stats.degraded.Add(1)
-	}
-	s.stats.recordPlan(res.Plan)
-	s.stats.recordPrune(res.Prune)
+	s.stats.complete(res.Degraded)
 	writeJSON(w, http.StatusOK, response(res, coalesced))
+}
+
+// admitAlign runs one /v1/align item through admit. Its plan step imposes
+// the pressure budget (a degrade shapes the plan and its downgrade ladder
+// rather than second-guessing it afterwards) and plans under the lattice
+// cap; its run step executes under ctx. It also returns the plan, whose
+// estimated duration the cache's cost floor weighs.
+func (s *Server) admitAlign(ctx context.Context, item repro.BatchItem) (res *repro.Result, pl *repro.Plan, coalesced bool, err error) {
+	err = s.admit(ctx, func(degrade bool) (uint64, error) {
+		if degrade {
+			s.degradeForPressure(&item.Opt)
+		}
+		var err error
+		if pl, err = s.planItem(item); err != nil {
+			return 0, err
+		}
+		return pl.EstBytes, nil
+	}, func(ctx context.Context) (err error) {
+		res, coalesced, err = s.executeCtx(ctx, item)
+		return err
+	})
+	if err == nil {
+		s.stats.recordRun(res)
+	}
+	return res, pl, coalesced, err
 }
 
 // handlePlan serves POST /v1/plan: the dry-run planning endpoint. The
@@ -204,84 +202,56 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, pl)
 }
 
-// handleBatch serves POST /v1/align/batch: one admission slot and one run
-// slot cover the whole batch, which executes as a single
-// AlignBatchItemsContext submission.
+// handleBatch serves POST /v1/align/batch. The whole batch is one
+// admission — one pressure decision, one admission slot, one run slot —
+// and executes as a single AlignBatchItemsContext submission.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	s.observeRetry(r)
-	if fpAdmit.Fire() {
-		s.injectUnavailable(w)
-		return
-	}
 	var req BatchRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+	if !s.begin(w, r, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
-		s.fail(nil)
-		writeError(w, http.StatusBadRequest, errors.New("empty batch: give items"))
+		s.reply(w, badRequestf("empty batch: give items"))
 		return
 	}
 	if len(req.Items) > s.cfg.MaxBatchItems {
-		s.fail(nil)
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d items; the server caps batches at %d", len(req.Items), s.cfg.MaxBatchItems))
+		s.reply(w, badRequestf("batch has %d items; the server caps batches at %d", len(req.Items), s.cfg.MaxBatchItems))
 		return
 	}
-	// One pressure decision covers the whole batch: it is one admission.
-	pressure := s.pressureLevel()
-	if pressure == pressureShed {
-		s.shed(w)
-		return
-	}
-	// Resolve and plan every item before admitting: a batch with a
+	// The plan step resolves and plans every item: a batch with a
 	// malformed or over-cap item is rejected whole, which keeps "results"
 	// aligned with "items" and keeps oversized lattices out of the queue.
 	items := make([]repro.BatchItem, len(req.Items))
-	var est int64
-	for i := range req.Items {
-		merged := merge(req.Defaults, req.Items[i])
-		item, err := s.item(&merged)
-		if err != nil {
-			s.fail(err)
-			writeError(w, errorStatus(err), fmt.Errorf("item %d: %w", i, err))
-			return
+	var results []repro.BatchResult
+	err := s.admit(r.Context(), func(degrade bool) (uint64, error) {
+		var est uint64
+		for i := range req.Items {
+			merged := merge(req.Defaults, req.Items[i])
+			item, err := s.item(&merged)
+			if err != nil {
+				return 0, fmt.Errorf("item %d: %w", i, err)
+			}
+			if degrade {
+				s.degradeForPressure(&item.Opt)
+			}
+			pl, err := s.planItem(item)
+			if err != nil {
+				return 0, fmt.Errorf("item %d: %w", i, err)
+			}
+			est += pl.EstBytes
+			items[i] = item
 		}
-		if pressure == pressureDegrade {
-			s.degradeForPressure(&item)
-		}
-		pl, err := s.planItem(item)
-		if err != nil {
-			s.fail(err)
-			writeError(w, errorStatus(err), fmt.Errorf("item %d: %w", i, err))
-			return
-		}
-		est += estGauge(pl.EstBytes)
-		items[i] = item
-	}
-	if !s.gate.tryAdmit() {
-		s.shed(w)
+		return est, nil
+	}, func(ctx context.Context) error {
+		return s.onRunSlot(ctx, func() error {
+			results = repro.AlignBatchItemsContext(ctx, items)
+			return nil
+		})
+	})
+	if err != nil {
+		s.reply(w, err)
 		return
 	}
-	defer s.gate.releaseAdmit()
-	s.stats.estBytesInFlight.Add(est)
-	start := time.Now()
-	if err := s.gate.acquireRun(r.Context()); err != nil {
-		s.stats.estBytesInFlight.Add(-est)
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	results := repro.AlignBatchItemsContext(r.Context(), items)
-	s.gate.releaseRun()
-	s.stats.latency.record(time.Since(start))
-	s.stats.estBytesInFlight.Add(-est)
-
 	out := BatchResponse{Results: make([]BatchItemResponse, len(results))}
 	for i, res := range results {
 		out.Results[i].Index = res.Index
@@ -290,12 +260,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Results[i].Error = res.Err.Error()
 			continue
 		}
-		s.stats.completed.Add(1)
-		if res.Result.Degraded {
-			s.stats.degraded.Add(1)
-		}
-		s.stats.recordPlan(res.Result.Plan)
-		s.stats.recordPrune(res.Result.Prune)
+		s.stats.complete(res.Result.Degraded)
+		s.stats.recordRun(res.Result)
 		out.Results[i].Result = response(res.Result, false)
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -1,10 +1,10 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	repro "repro"
 )
@@ -133,10 +133,15 @@ func (s *Server) msaSequences(req *MsaRequest) ([]*repro.Sequence, error) {
 	return seqs, nil
 }
 
-// msaOptions maps the wire knobs onto repro.MSAOptions by reusing the
-// /v1/align option resolution for the shared fields, and rejects a scheme
-// over another alphabet than the family's.
-func (s *Server) msaOptions(req *MsaRequest, seqs []*repro.Sequence) (repro.MSAOptions, error) {
+// msaInput resolves a request into its family (msaSequences) and its
+// options: the wire knobs mapped onto repro.MSAOptions by reusing the
+// /v1/align option resolution for the shared fields, with a scheme over
+// another alphabet than the family's rejected.
+func (s *Server) msaInput(req *MsaRequest) ([]*repro.Sequence, repro.MSAOptions, error) {
+	seqs, err := s.msaSequences(req)
+	if err != nil {
+		return nil, repro.MSAOptions{}, err
+	}
 	base, err := s.resolveOptions(&AlignRequest{
 		Scheme:         req.Scheme,
 		Algorithm:      req.Algorithm,
@@ -146,18 +151,15 @@ func (s *Server) msaOptions(req *MsaRequest, seqs []*repro.Sequence) (repro.MSAO
 		MaxBytes:       req.MaxBytes,
 		MaxMemoryBytes: req.MaxMemoryBytes,
 	})
-	if err != nil {
-		return repro.MSAOptions{}, err
+	if err == nil {
+		err = checkSchemeAlphabet(base.Scheme, seqs[0].Alphabet())
 	}
-	if err := checkSchemeAlphabet(base.Scheme, seqs[0].Alphabet()); err != nil {
-		return repro.MSAOptions{}, err
-	}
-	return repro.MSAOptions{
+	return seqs, repro.MSAOptions{
 		Options:      base,
 		GuideK:       req.GuideK,
 		RefineRounds: req.RefineRounds,
 		SerialMerges: req.SerialMerges,
-	}, nil
+	}, err
 }
 
 // planMsa plans the progressive run and enforces the server's lattice cap
@@ -175,84 +177,46 @@ func (s *Server) planMsa(seqs []*repro.Sequence, opt repro.MSAOptions) (*repro.M
 	return mp, nil
 }
 
-// handleMsa serves POST /v1/msa: parse, plan (413 over the lattice cap
-// before queueing), admit or shed, then run the progressive MSA on a
-// dedicated run slot. MSA requests bypass the coalescer — they are never
-// small — and the result cache.
+// handleMsa serves POST /v1/msa: parse, then run the progressive MSA
+// through the admission pipeline on a run slot of its own; the plan step
+// weighs the peak guide-tree level against the lattice cap. MSA requests
+// bypass the coalescer (they are never small) and the result cache.
 func (s *Server) handleMsa(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return
-	}
-	s.observeRetry(r)
-	if fpAdmit.Fire() {
-		s.injectUnavailable(w)
-		return
-	}
 	var req MsaRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+	if !s.begin(w, r, &req) {
 		return
 	}
-	seqs, err := s.msaSequences(&req)
+	seqs, opt, err := s.msaInput(&req)
 	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+		s.reply(w, err)
 		return
 	}
-	opt, err := s.msaOptions(&req, seqs)
+	var res *repro.MSAResult
+	err = s.admit(r.Context(), func(degrade bool) (uint64, error) {
+		if degrade {
+			s.degradeForPressure(&opt.Options)
+		}
+		mp, err := s.planMsa(seqs, opt)
+		if err != nil {
+			return 0, err
+		}
+		return mp.PeakLevelBytes, nil
+	}, func(ctx context.Context) error {
+		s.stats.msaRequests.Add(1)
+		return s.onRunSlot(ctx, func() (err error) {
+			res, err = repro.AlignMSA(ctx, seqs, opt)
+			return err
+		})
+	})
 	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
+		s.reply(w, err)
 		return
 	}
-	switch s.pressureLevel() {
-	case pressureShed:
-		s.shed(w)
-		return
-	case pressureDegrade:
-		s.stats.memPressureDegraded.Add(1)
-		opt.Options = s.degradedOptions(opt.Options)
-	}
-	mp, err := s.planMsa(seqs, opt)
-	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	if !s.gate.tryAdmit() {
-		s.shed(w)
-		return
-	}
-	defer s.gate.releaseAdmit()
-
-	est := estGauge(mp.PeakLevelBytes)
-	s.stats.estBytesInFlight.Add(est)
-	s.stats.msaRequests.Add(1)
-	start := time.Now()
-	if err := s.gate.acquireRun(r.Context()); err != nil {
-		s.stats.estBytesInFlight.Add(-est)
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	res, err := repro.AlignMSA(r.Context(), seqs, opt)
-	s.gate.releaseRun()
-	s.stats.latency.record(time.Since(start))
-	s.stats.estBytesInFlight.Add(-est)
-	if err != nil {
-		s.fail(err)
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	s.stats.completed.Add(1)
+	s.stats.complete(res.Degraded)
 	s.stats.msaCompleted.Add(1)
 	s.stats.msaSequences.Add(int64(len(seqs)))
 	s.stats.msaMerges.Add(int64(len(res.Merges)))
 	s.stats.msaBatchedMerges.Add(int64(res.BatchedMerges))
-	if res.Degraded {
-		s.stats.degraded.Add(1)
-	}
 	for _, m := range res.Merges {
 		s.stats.recordPlan(m.Plan)
 	}
@@ -267,12 +231,7 @@ func (s *Server) handleMsaPlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	seqs, err := s.msaSequences(&req)
-	if err != nil {
-		writeError(w, errorStatus(err), err)
-		return
-	}
-	opt, err := s.msaOptions(&req, seqs)
+	seqs, opt, err := s.msaInput(&req)
 	if err != nil {
 		writeError(w, errorStatus(err), err)
 		return
@@ -283,15 +242,6 @@ func (s *Server) handleMsaPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, mp)
-}
-
-// degradedOptions is the MSA arm of memory-pressure degradation: impose
-// the pressure guard's budget on the request the same way degradeForPressure
-// does for /v1/align items.
-func (s *Server) degradedOptions(opt repro.Options) repro.Options {
-	item := repro.BatchItem{Opt: opt}
-	s.degradeForPressure(&item)
-	return item.Opt
 }
 
 // msaResponse converts a library MSAResult to the wire form.

@@ -146,28 +146,20 @@ func (s *Server) pressureLevel() pressureLevel {
 	return pressureLevel(s.pressure.level.Load())
 }
 
-// pressureBudget is the soft planning budget imposed on admissions under
-// degrade pressure: the remaining headroom under the soft limit, floored
-// at minPressureBudget. With no guard configured (a fault point forced the
+// degradeForPressure imposes the soft planning budget of degrade pressure
+// on one admission's options, unless the client already asked for a
+// tighter one: the remaining headroom under the soft limit, floored at
+// minPressureBudget. With no guard configured (a fault point forced the
 // level) the floor itself is used, which is small enough to force the
-// downgrade ladder visibly in chaos runs.
-func (s *Server) pressureBudget() int64 {
+// downgrade ladder visibly in chaos runs. admit counts the degrade.
+func (s *Server) degradeForPressure(opt *repro.Options) {
 	b := int64(minPressureBudget)
 	if g := s.pressure; g != nil {
 		if hr := g.soft - g.lastHeap.Load(); hr > b {
 			b = hr
 		}
 	}
-	return b
-}
-
-// degradeForPressure rewrites one admission's options for degrade
-// pressure: impose the pressure budget unless the client already asked
-// for a tighter one, and count the routing.
-func (s *Server) degradeForPressure(item *repro.BatchItem) {
-	b := s.pressureBudget()
-	if item.Opt.MaxMemoryBytes == 0 || item.Opt.MaxMemoryBytes > b {
-		item.Opt.MaxMemoryBytes = b
+	if opt.MaxMemoryBytes == 0 || opt.MaxMemoryBytes > b {
+		opt.MaxMemoryBytes = b
 	}
-	s.stats.memPressureDegraded.Add(1)
 }

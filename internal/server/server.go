@@ -27,7 +27,8 @@
 //     The process exit path (signal handling, listener shutdown) belongs
 //     to cmd/alignd.
 //
-//   - Admission is memory-aware: every request is planned (internal/plan
+//   - Admission is memory-aware, and one pipeline (Server.admit) serves
+//     every endpoint that aligns: each request is planned (internal/plan
 //     through repro.PlanAlign) before it takes a queue slot. A configured
 //     MaxLatticeBytes sheds requests whose estimated lattice footprint is
 //     over the cap with 413 before queueing, POST /v1/plan exposes the
@@ -35,7 +36,8 @@
 //     and planned_downgrades so operators can see budget pressure.
 //
 // Endpoints: POST /v1/align, POST /v1/align/batch, POST /v1/plan,
-// GET /healthz, GET /readyz, GET /statsz, and /debug/pprof/*.
+// POST /v1/msa, POST /v1/msa/plan, GET /healthz, GET /readyz,
+// GET /statsz, and /debug/pprof/*.
 package server
 
 import (
@@ -328,6 +330,13 @@ type Statsz struct {
 	MemPressureDegraded int64 `json:"mem_pressure_degraded"`
 	FaultsInjected      int64 `json:"faults_injected"`
 
+	// LatencyMS holds quantiles over the last 1024 latency samples. A
+	// sample is the wall time of one admitted request's run step, from
+	// the admission slot to its return — the run-slot wait or coalesce
+	// tick plus the kernel, success or failure — or, for a cache hit, the
+	// lookup that answered it. A batch or MSA request is one sample;
+	// refused requests and collapsed cache-flight members add none (the
+	// leader's run is the sample).
 	LatencyMS struct {
 		P50 float64 `json:"p50"`
 		P90 float64 `json:"p90"`
